@@ -475,7 +475,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except ValueError as exc:  # only _default_seed can raise here
+        print(f"error: FRAMELAB_SEED: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -16,7 +16,7 @@ Conventions (fixed once, tested everywhere):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,12 +25,13 @@ from .numeric import (
     ConditioningError,
     as_matrix,
     as_vector,
-    solve_posdef,
 )
 
 # smallest/largest frame-operator eigenvalue ratio below which a vector
 # family is rejected as "not a frame"
 SPAN_RTOL = 1e-12
+# ... and below which canonical_dual refuses to build a dual
+CONDITION_RTOL = 1e-10
 
 
 class NotAFrameError(ValueError):
@@ -73,7 +74,7 @@ class IndexSet:
             object.__setattr__(self, "size", n)
             default = "abs" if self.kind == "linear" else "cyclic"
             object.__setattr__(self, "metric", self.metric or default)
-            if self.metric not in ("abs", "cyclic"):
+            if self.metric != default:
                 raise PreconditionError(f"bad metric {self.metric!r} for {self.kind}")
         elif self.kind == "product_cyclic":
             n1, n2 = (int(s) for s in self.size)
@@ -154,12 +155,14 @@ class Frame:
 
     ``vectors`` has one row per index.  Construction fails with
     :class:`NotAFrameError` when the family does not (numerically) span
-    the space.
+    the space.  ``bounds`` holds the optimal frame bounds: the extreme
+    eigenvalues of the frame operator, found by that check.
     """
 
     space_dim: int
     index_set: IndexSet
     vectors: np.ndarray
+    bounds: tuple[float, float] = field(init=False, compare=False)
 
     def __post_init__(self):
         V = as_matrix(self.vectors)
@@ -181,6 +184,7 @@ class Frame:
             )
         V.flags.writeable = False
         object.__setattr__(self, "vectors", V)
+        object.__setattr__(self, "bounds", (float(eigs[0]), float(eigs[-1])))
 
     @staticmethod
     def from_vectors(vectors, index_set: IndexSet | None = None) -> "Frame":
@@ -243,22 +247,18 @@ def frame_operator(frame: Frame) -> np.ndarray:
 
 def frame_bounds(frame: Frame) -> tuple[float, float]:
     """Optimal bounds: extreme eigenvalues of the frame operator."""
-    eigs = np.linalg.eigvalsh(frame_operator(frame))
-    if eigs[0] <= SPAN_RTOL * max(eigs[-1], 1e-300):
-        raise NotAFrameError("rank-deficient family has no lower frame bound")
-    return float(eigs[0]), float(eigs[-1])
+    return frame.bounds
 
 
-def canonical_dual(frame: Frame, condition_rtol: float = 1e-10) -> FramePair:
+def canonical_dual(frame: Frame) -> FramePair:
     """Pair the frame with ``{S^-1 psi_i}`` and its optimal bounds."""
-    S = frame_operator(frame)
-    a, b = frame_bounds(frame)
-    if a < condition_rtol * b:
+    a, b = frame.bounds
+    if a < CONDITION_RTOL * b:
         raise ConditioningError(
             f"frame too ill-conditioned for a stable dual (A/B = {a / b:.3e})",
             smallest_eigenvalue=a,
         )
-    dual_vectors = solve_posdef(S, frame.vectors.T).T
+    dual_vectors = np.linalg.solve(frame_operator(frame), frame.vectors.T).T
     dual = Frame(
         space_dim=frame.space_dim, index_set=frame.index_set, vectors=dual_vectors
     )

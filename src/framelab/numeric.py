@@ -16,9 +16,10 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 DEFAULT_TOL = 1e-9
+# smallest/largest eigenvalue ratio below which solve_posdef refuses a matrix
+DEFINITENESS_RTOL = 1e-12
 
 
 class PreconditionError(ValueError):
@@ -99,10 +100,10 @@ def svd_values(M) -> np.ndarray:
     return np.linalg.svd(A, compute_uv=False)
 
 
-def solve_posdef(M, B, definiteness_tol: float = 1e-12) -> np.ndarray:
+def solve_posdef(M, B) -> np.ndarray:
     """Solve ``M X = B`` for Hermitian positive definite ``M``.
 
-    The smallest eigenvalue must exceed ``definiteness_tol`` times the
+    The smallest eigenvalue must exceed ``DEFINITENESS_RTOL`` times the
     spectral scale of ``M``; otherwise a :class:`ConditioningError`
     carrying that eigenvalue is raised.  ``B`` may be a vector or a
     matrix of right-hand sides.
@@ -115,14 +116,13 @@ def solve_posdef(M, B, definiteness_tol: float = 1e-12) -> np.ndarray:
         raise PreconditionError("right-hand side contains NaN or Inf")
     eigs = np.linalg.eigvalsh(A)
     scale = max(float(eigs[-1]), 1e-300)
-    if eigs[0] <= definiteness_tol * scale:
+    if eigs[0] <= DEFINITENESS_RTOL * scale:
         raise ConditioningError(
             f"matrix is not safely positive definite "
             f"(smallest eigenvalue {eigs[0]:.3e}, scale {scale:.3e})",
             smallest_eigenvalue=float(eigs[0]),
         )
-    c, low = sla.cho_factor(A, lower=True)
-    return sla.cho_solve((c, low), rhs)
+    return np.linalg.solve(A, rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .coorbit import (
     CoorbitSpec,
     MixedSpaceSpec,
     SeqSpaceSpec,
+    _holder_conjugate,
     coorbit_opnorm,
     mixed_norm,
     tensor_weights,
@@ -111,11 +112,6 @@ def _element_h1_norms(pair: FramePair, w: np.ndarray) -> np.ndarray:
 def _lemma_constant_primal(pair: FramePair, w: np.ndarray, p: float) -> float:
     """Schur certificate for ``||psi_i|| <= C w_i`` in the coorbit norm."""
     return schur_weighted_bound(cross_gram(pair.frame, pair.dual), w, p)
-
-
-def _lemma_constant_dual(pair: FramePair, w: np.ndarray, p: float) -> float:
-    """Schur certificate for ``||dual_i|| <= C w_i``."""
-    return schur_weighted_bound(gram(pair.dual), w, p)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +296,7 @@ def schur_characterization(
     p = float(p)
     if not (1.0 <= p):
         raise PreconditionError(f"exponent p={p} outside [1, inf]")
-    q = np.inf if p == 1.0 else (1.0 if np.isinf(p) else p / (p - 1.0))
+    q = _holder_conjugate(p)
     w1 = as_weight(w1, pair1.frame.cardinality)
     w2 = as_weight(w2, pair2.frame.cardinality)
     k = galerkin(O, pair1, pair2)
@@ -406,9 +402,7 @@ def _independence_budget(
         src_p, kernel_exp = 1.0, spec_a.p
     else:
         kernel_exp = spec_a.p
-        src_p = np.inf if kernel_exp == 1.0 else (
-            1.0 if np.isinf(kernel_exp) else kernel_exp / (kernel_exp - 1.0)
-        )
+        src_p = _holder_conjugate(kernel_exp)
 
     def one_direction(src, dst, wsrc_1, wdst_1, vsrc_2, vdst_2):
         s1, s2 = src

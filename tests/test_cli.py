@@ -73,6 +73,19 @@ class TestSimpleVerbs:
         assert data["A"] == data["B"] == 1.0
         assert data["cardinality"] == 4
 
+    def test_loading_logs_bounds_without_refactorizing(self, onb4, monkeypatch, capsys):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        cli._load_frame(str(onb4))
+        assert len(calls) == 1  # the frame's own construction
+        assert "bounds (1, 1)" in capsys.readouterr().err
+
     def test_dual(self, onb4, tmp_path):
         out = tmp_path / "dual.json"
         assert dispatch(["dual", str(onb4), "-o", str(out)]) == 0
@@ -279,3 +292,11 @@ class TestSuiteVerb:
         assert dispatch(["suite", "fast"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["seed"] == 7
+
+    def test_malformed_seed_env_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("FRAMELAB_SEED", "abc")
+        assert dispatch(["suite", "fast"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: FRAMELAB_SEED")
+        assert captured.err.count("\n") == 1

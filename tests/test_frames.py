@@ -27,7 +27,7 @@ from framelab.frames import (
     synthesis,
 )
 from framelab.generators import finite_gabor, gaussian_window, mercedes, onb, substream
-from framelab.numeric import PreconditionError
+from framelab.numeric import ConditioningError, PreconditionError
 
 
 def e1e1e2():
@@ -74,6 +74,14 @@ class TestIndexSet:
     def test_bad_kind(self):
         with pytest.raises(PreconditionError):
             IndexSet(kind="hexagonal", size=3)
+
+    @pytest.mark.parametrize("kind, metric", [("linear", "cyclic"), ("cyclic", "abs")])
+    def test_mismatched_metric_rejected(self, kind, metric):
+        # distance_matrix() follows the kind, so another label would lie
+        with pytest.raises(PreconditionError):
+            IndexSet(kind, 5, metric)
+        with pytest.raises(PreconditionError):
+            IndexSet.from_json({"kind": kind, "size": 5, "metric": metric})
 
 
 class TestAnalysisSynthesis:
@@ -209,6 +217,15 @@ class TestCanonicalDual:
             again.dual.vectors, pair.frame.vectors, atol=1e-8
         )
 
+    def test_ill_conditioned_dual_raises(self):
+        frame = Frame.from_vectors([[1, 0], [0, 10**-5.5]])  # A/B = 1e-11
+        with pytest.raises(ConditioningError) as excinfo:
+            canonical_dual(frame)
+        assert str(excinfo.value) == (
+            "frame too ill-conditioned for a stable dual (A/B = 1.000e-11)"
+        )
+        assert excinfo.value.smallest_eigenvalue == 1e-11
+
     def test_dual_pair_swaps_and_inverts_bounds(self):
         pair = canonical_dual(e1e1e2())
         swapped = dual_pair(pair)
@@ -216,6 +233,36 @@ class TestCanonicalDual:
         assert swapped.bounds == pytest.approx((0.5, 1.0))
         a, b = frame_bounds(pair.dual)
         assert (a, b) == pytest.approx(swapped.bounds)
+
+
+class TestOneFactorization:
+    """Construction's eigendecomposition serves the bounds and the dual."""
+
+    @pytest.fixture
+    def factorizations(self, monkeypatch):
+        calls = []
+        for name in ("eigvalsh", "eigh", "cholesky"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    def test_bounds_reuse_construction(self, factorizations):
+        frame = finite_gabor(8, 2, 2, gaussian_window(8))
+        factorizations.clear()
+        assert frame_bounds(frame) == frame.bounds
+        assert factorizations == []
+
+    def test_dual_factorizes_only_its_own_construction(self, factorizations):
+        frame = finite_gabor(8, 2, 2, gaussian_window(8))
+        factorizations.clear()
+        pair = canonical_dual(frame)
+        assert factorizations == ["eigvalsh"]
+        assert pair.bounds == frame.bounds
 
 
 class TestReconstructionResidual:

@@ -1,10 +1,14 @@
 """Linear-algebra backend: spec examples and identities."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import framelab
 from framelab.numeric import (
     ConditioningError,
     PreconditionError,
@@ -147,6 +151,18 @@ class TestSolvePosdef:
     def test_indefinite_raises(self):
         with pytest.raises(ConditioningError):
             solve_posdef(np.diag([1.0, -1.0]), np.array([1.0, 1.0]))
+
+
+def test_import_needs_no_scipy():
+    src = os.path.dirname(os.path.dirname(framelab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, framelab, framelab.cli; assert 'scipy' not in sys.modules"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 class TestSerialization:
