@@ -27,8 +27,6 @@ from .frames import (  # noqa: F401
 from .numeric import (  # noqa: F401
     ConditioningError,
     PreconditionError,
-    Spectrum,
-    hermitian_eig,
     inner,
     matrix_from_json,
     matrix_to_csv,

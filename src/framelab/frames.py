@@ -15,7 +15,6 @@ Conventions (fixed once, tested everywhere):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,7 +148,7 @@ def product_cyclic_index_set(n1: int, n2: int, metric: str = "max") -> IndexSet:
 # frames
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frame:
     """Immutable indexed family of vectors spanning ``C^d``.
 
@@ -162,7 +161,7 @@ class Frame:
     space_dim: int
     index_set: IndexSet
     vectors: np.ndarray
-    bounds: tuple[float, float] = field(init=False, compare=False)
+    bounds: tuple[float, float] = field(init=False)
 
     def __post_init__(self):
         V = as_matrix(self.vectors)
@@ -198,7 +197,7 @@ class Frame:
         return self.vectors.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FramePair:
     """A frame bundled with its canonical dual and optimal bounds."""
 
@@ -317,13 +316,3 @@ def frame_from_json(obj: dict) -> Frame:
     if V.ndim != 2:
         raise PreconditionError("frame vectors must form a rectangular table")
     return Frame(space_dim=d, index_set=index_set, vectors=V)
-
-
-def save_frame(path, frame: Frame) -> None:
-    with open(path, "w") as fh:
-        json.dump(frame_to_json(frame), fh)
-
-
-def load_frame(path) -> Frame:
-    with open(path) as fh:
-        return frame_from_json(json.load(fh))

@@ -1,23 +1,19 @@
 """Dense complex linear-algebra backend.
 
-Everything downstream (frame operators, duals, Schatten norms) funnels
-through the handful of routines in this module so that numerical
-conventions are fixed in exactly one place:
+Input validation, inner products, singular values, a checked
+positive-definite solve and matrix serialization live here so that
+numerical conventions are fixed in exactly one place:
 
 * scalars are complex doubles,
 * the inner product ``inner(f, g)`` is linear in ``f`` and
   conjugate-linear in ``g``,
-* eigenvalues are reported ascending, singular values descending.
+* singular values are reported descending.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 import numpy as np
 
-DEFAULT_TOL = 1e-9
 # smallest/largest eigenvalue ratio below which solve_posdef refuses a matrix
 DEFINITENESS_RTOL = 1e-12
 
@@ -56,42 +52,6 @@ def as_vector(f) -> np.ndarray:
 def inner(f, g) -> complex:
     """Inner product, linear in ``f``, conjugate-linear in ``g``."""
     return complex(np.vdot(g, f))
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition result: ``values`` ascending, optional
-    orthonormal eigenvector columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray | None = None
-
-
-def _spectral_scale(M: np.ndarray) -> float:
-    return float(np.linalg.norm(M, 2)) if M.size else 0.0
-
-
-def hermitian_eig(M, hermitian_tol: float = 1e-10) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Raises
-    ------
-    PreconditionError
-        If ``M`` is not square or deviates from Hermitian symmetry by
-        more than ``hermitian_tol`` times its spectral scale.
-    """
-    A = as_matrix(M)
-    if A.shape[0] != A.shape[1]:
-        raise PreconditionError(f"matrix is {A.shape}, not square")
-    scale = max(_spectral_scale(A), 1e-300)
-    asym = np.max(np.abs(A - A.conj().T))
-    if asym > hermitian_tol * scale:
-        raise PreconditionError(
-            f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds "
-            f"{hermitian_tol:.1e} * scale"
-        )
-    values, vectors = np.linalg.eigh(A)
-    return Spectrum(values=values, vectors=vectors)
 
 
 def svd_values(M) -> np.ndarray:
@@ -158,13 +118,3 @@ def matrix_to_csv(M) -> str:
         sign = "+" if z.imag >= 0 else "-"
         return f"{float(z.real)!r}{sign}{abs(float(z.imag))!r}i"
     return "\n".join(",".join(cell(z) for z in row) for row in A) + "\n"
-
-
-def save_matrix(path, M) -> None:
-    with open(path, "w") as fh:
-        json.dump(matrix_to_json(M), fh)
-
-
-def load_matrix(path) -> np.ndarray:
-    with open(path) as fh:
-        return matrix_from_json(json.load(fh))

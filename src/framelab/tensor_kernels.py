@@ -10,7 +10,6 @@ all Kronecker identities are stated under that ordering.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,7 +97,7 @@ def tensor_gram(pair1: FramePair, pair2: FramePair) -> np.ndarray:
     return np.kron(g1.conj(), g2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TensorFrame:
     """Frame ``{psi1_i (x) psi2_j}`` for the space of ``d2 x d1``
     kernels, with elements materialized on demand."""
@@ -169,13 +168,3 @@ def galerkin_from_json(obj: dict) -> tuple[np.ndarray, IndexSet, IndexSet]:
         )
     flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
     return flat.reshape(n1, n2), index_i, index_j
-
-
-def save_galerkin(path, k, index_i: IndexSet, index_j: IndexSet) -> None:
-    with open(path, "w") as fh:
-        json.dump(galerkin_to_json(k, index_i, index_j), fh)
-
-
-def load_galerkin(path) -> tuple[np.ndarray, IndexSet, IndexSet]:
-    with open(path) as fh:
-        return galerkin_from_json(json.load(fh))

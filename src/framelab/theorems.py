@@ -7,6 +7,10 @@ derived from frame bounds and Schur bounds of the relevant (cross-)Gram
 matrices, and ``pass`` means the two sides honor that budget.  When the
 operator-norm side is an interval, the pass criterion uses the rigorous
 interval endpoints; the reported ratio uses the midpoint.
+
+The outer correspondence is the ``l^1 -> l^inf`` case of the Schur-test
+statement, and the inner and projective checks bound one quantity from
+two sides, so each pair of verifiers shares one core.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .coorbit import (
 from .frames import FramePair, cross_gram, gram, is_orthonormal_basis
 from .localisation import as_weight, schur_weighted_bound
 from .numeric import PreconditionError, as_matrix, svd_values
-from .tensor_kernels import galerkin, kernel_norm, simple_tensor
+from .tensor_kernels import _check_operator, galerkin, synthesize_kernel
 
 REPORT_TOL = 1e-9
 
@@ -67,12 +71,6 @@ class RankOneDecomposition:
     terms: list
     nuclear_sum: float
 
-    def reconstruct(self, shape: tuple[int, int]) -> np.ndarray:
-        K = np.zeros(shape, dtype=complex)
-        for f, g in self.terms:
-            K += simple_tensor(f, g)
-        return K
-
 
 @dataclass(frozen=True)
 class CompressionReport:
@@ -102,20 +100,53 @@ def _safe_ratio(lhs: float, rhs: float) -> float:
     return lhs / rhs
 
 
-def _element_h1_norms(pair: FramePair, w: np.ndarray) -> np.ndarray:
-    """``|| psi_i ||`` in the weighted-l1 coorbit norm, for all i at
-    once (columns of the dual-analysis cross Gram)."""
-    coeffs = np.abs(cross_gram(pair.frame, pair.dual))
-    return w @ coeffs
+def _check_weights(pair1: FramePair, pair2: FramePair, w1, w2):
+    """One positive finite weight per frame element on each side."""
+    return (
+        as_weight(w1, pair1.frame.cardinality),
+        as_weight(w2, pair2.frame.cardinality),
+    )
 
 
-def _lemma_constant_primal(pair: FramePair, w: np.ndarray, p: float) -> float:
-    """Schur certificate for ``||psi_i|| <= C w_i`` in the coorbit norm."""
-    return schur_weighted_bound(cross_gram(pair.frame, pair.dual), w, p)
+def _onb_equality(passed: bool, ratio: float, budget: float, tol: float) -> bool:
+    """With a unit budget (orthonormal bases) the two-sided bound is an
+    equality, so the ratio itself must be one."""
+    if budget <= 1.0 + 1e-12 and np.isfinite(ratio):
+        passed = passed and abs(ratio - 1.0) <= tol
+    return bool(passed)
 
 
 # ---------------------------------------------------------------------------
-# outer correspondence: sup-norm kernel coefficients vs l1 -> sup operator norm
+# kernel mixed norm vs operator norm: the outer correspondence and the
+# Schur-test characterisations of intermediate operator classes
+
+
+def _opnorm_sides(
+    O, pair1, pair2, w1, w2, p_src, p_dst, kernel_exp, inner_axis, seed, tol
+):
+    """``(kernel, interval, c_a, c_b, passed)`` for maps from the
+    weighted ``l^p_src`` coorbit space into the dual ``l^p_dst`` one.
+
+    ``kernel`` is the outer-sup mixed norm of the Galerkin matrix with
+    inner exponent ``kernel_exp`` along ``inner_axis``; ``c_a``/``c_b``
+    are the Schur bounds at ``p_src`` of the source Gram and dual Gram;
+    ``passed`` checks ``kernel <= c_b upper`` and ``lower <= c_a kernel``.
+    """
+    k = galerkin(O, pair1, pair2)
+    grid = 1.0 / tensor_weights(w1, w2)
+    kernel = mixed_norm(k, MixedSpaceSpec(kernel_exp, np.inf, inner_axis, grid))
+    src = CoorbitSpec(pair1, SeqSpaceSpec(p_src, w1))
+    dst = CoorbitSpec(pair2, SeqSpaceSpec(p_dst, 1.0 / w2))
+    interval = coorbit_opnorm(O, src, dst, seed=seed)
+
+    c_a = schur_weighted_bound(gram(pair1.frame), w1, p_src)
+    c_b = schur_weighted_bound(gram(pair1.dual), w1, p_src)
+    slack = 1.0 + tol
+    passed = (
+        kernel <= c_b * interval.upper * slack
+        and interval.lower <= c_a * kernel * slack
+    )
+    return kernel, interval, c_a, c_b, bool(passed)
 
 
 def verify_outer(
@@ -130,31 +161,19 @@ def verify_outer(
     general the ratio is controlled by the Schur bounds of the source
     Gram and dual Gram.
     """
-    w1 = as_weight(w1, pair1.frame.cardinality)
-    w2 = as_weight(w2, pair2.frame.cardinality)
-    k = galerkin(O, pair1, pair2)
-    grid = 1.0 / tensor_weights(w1, w2)
-    lhs = mixed_norm(k, MixedSpaceSpec(np.inf, np.inf, 0, grid))
-
-    src = CoorbitSpec(pair1, SeqSpaceSpec(1.0, w1))
-    dst = CoorbitSpec(pair2, SeqSpaceSpec(np.inf, 1.0 / w2))
-    interval = coorbit_opnorm(O, src, dst, seed=seed)
-
-    c_a = schur_weighted_bound(gram(pair1.frame), w1, 1.0)
-    c_b = schur_weighted_bound(gram(pair1.dual), w1, 1.0)
+    w1, w2 = _check_weights(pair1, pair2, w1, w2)
+    lhs, interval, c_a, c_b, passed = _opnorm_sides(
+        O, pair1, pair2, w1, w2, 1.0, np.inf, np.inf, 0, seed, tol
+    )
     budget = max(c_a, c_b)
-    slack = 1.0 + tol
-    passed = lhs <= c_b * interval.upper * slack and interval.lower <= c_a * lhs * slack
     ratio = _safe_ratio(lhs, interval.midpoint)
-    if budget <= 1.0 + 1e-12 and np.isfinite(ratio):
-        passed = passed and abs(ratio - 1.0) <= tol
     return VerificationReport(
         name="outer",
         lhs=lhs,
         rhs=interval.midpoint,
         ratio=ratio,
         constant_budget=budget,
-        passed=bool(passed),
+        passed=_onb_equality(passed, ratio, budget, tol),
         seed=seed,
         details={
             "opnorm_lower": interval.lower,
@@ -164,108 +183,6 @@ def verify_outer(
             "dual_gram_schur_bound": c_b,
         },
     )
-
-
-# ---------------------------------------------------------------------------
-# inner correspondence: rank-one decompositions with summable factor norms
-
-
-def verify_inner(
-    K, pair1: FramePair, pair2: FramePair, w1, w2, tol: float = REPORT_TOL
-) -> tuple[RankOneDecomposition, VerificationReport]:
-    """Decompose a kernel into rank-one tensors of frame elements and
-    compare the nuclear-type sum with the summed-coefficient kernel
-    norm.
-
-    The decomposition takes ``(f_r, g_r) = (psi1_i, c_ij psi2_j)`` over
-    the nonzero Galerkin coefficients ``c`` of the kernel; its
-    reconstruction is exact up to rounding and its nuclear sum exceeds
-    the kernel norm by at most the product of the two element-norm
-    certificates.
-    """
-    w1 = as_weight(w1, pair1.frame.cardinality)
-    w2 = as_weight(w2, pair2.frame.cardinality)
-    K = as_matrix(K)
-    c = galerkin(K, pair1, pair2)
-    norms1 = _element_h1_norms(pair1, w1)
-    norms2 = _element_h1_norms(pair2, w2)
-
-    terms = []
-    for i, j in zip(*np.nonzero(c)):
-        terms.append((pair1.frame.vectors[i], c[i, j] * pair2.frame.vectors[j]))
-    nuclear = float(norms1 @ np.abs(c) @ norms2)
-    deco = RankOneDecomposition(terms=terms, nuclear_sum=nuclear)
-
-    rebuilt = deco.reconstruct(K.shape)
-    residual = float(
-        np.linalg.norm(rebuilt - K) / max(np.linalg.norm(K), 1.0)
-    )
-    rhs = kernel_norm(K, pair1, pair2, MixedSpaceSpec(1.0, 1.0, 0, tensor_weights(w1, w2)))
-    budget = _lemma_constant_primal(pair1, w1, 1.0) * _lemma_constant_primal(
-        pair2, w2, 1.0
-    )
-    ratio = _safe_ratio(nuclear, rhs)
-    slack = 1.0 + tol
-    passed = (
-        residual <= tol
-        and ratio >= 1.0 - tol
-        and ratio <= budget * slack
-    )
-    report = VerificationReport(
-        name="inner",
-        lhs=nuclear,
-        rhs=rhs,
-        ratio=ratio,
-        constant_budget=budget,
-        passed=bool(passed),
-        details={"reconstruction_residual": residual, "terms": len(terms)},
-    )
-    return deco, report
-
-
-# ---------------------------------------------------------------------------
-# projective tensor norm sandwich
-
-
-def verify_projective(
-    K, pair1: FramePair, pair2: FramePair, w1, w2, tol: float = REPORT_TOL
-) -> VerificationReport:
-    """Sandwich the projective tensor norm of a kernel.
-
-    The summed-coefficient kernel norm is a lower bound with constant
-    one; the nuclear sum of the canonical rank-one decomposition is an
-    admissible representation and hence an upper bound.  For orthonormal
-    frames with unit weights the two collapse to the same value.
-    """
-    w1 = as_weight(w1, pair1.frame.cardinality)
-    w2 = as_weight(w2, pair2.frame.cardinality)
-    K = as_matrix(K)
-    c = galerkin(K, pair1, pair2)
-    lower = mixed_norm(c, MixedSpaceSpec(1.0, 1.0, 0, tensor_weights(w1, w2)))
-    upper = float(
-        _element_h1_norms(pair1, w1) @ np.abs(c) @ _element_h1_norms(pair2, w2)
-    )
-    budget = _lemma_constant_primal(pair1, w1, 1.0) * _lemma_constant_primal(
-        pair2, w2, 1.0
-    )
-    ratio = _safe_ratio(lower, upper)
-    slack = 1.0 + tol
-    passed = lower <= upper * slack and upper <= budget * lower * slack + 1e-300
-    if lower == 0.0 and upper == 0.0:
-        passed = True
-    return VerificationReport(
-        name="projective",
-        lhs=lower,
-        rhs=upper,
-        ratio=ratio,
-        constant_budget=budget,
-        passed=bool(passed),
-        details={"lower": lower, "upper": upper},
-    )
-
-
-# ---------------------------------------------------------------------------
-# Schur-test characterisations of intermediate operator classes
 
 
 def schur_characterization(
@@ -289,54 +206,36 @@ def schur_characterization(
     against the mixed norm with inner exponent ``q = p/(p-1)`` along the
     first index; the conjugate exponent on the kernel side is fixed by
     the orthonormal-frame oracle, for which both variants are exact
-    equalities.
+    equalities.  The outer correspondence is variant ``"ii"`` at
+    ``p = 1`` (and variant ``"i"`` at ``p = inf``).
     """
     if variant not in ("i", "ii"):
         raise PreconditionError(f"variant must be 'i' or 'ii', got {variant!r}")
     p = float(p)
     if not (1.0 <= p):
         raise PreconditionError(f"exponent p={p} outside [1, inf]")
-    q = _holder_conjugate(p)
-    w1 = as_weight(w1, pair1.frame.cardinality)
-    w2 = as_weight(w2, pair2.frame.cardinality)
-    k = galerkin(O, pair1, pair2)
-    grid = 1.0 / tensor_weights(w1, w2)
-
+    w1, w2 = _check_weights(pair1, pair2, w1, w2)
     if variant == "i":
-        kappa = mixed_norm(k, MixedSpaceSpec(p, np.inf, 1, grid))
-        src = CoorbitSpec(pair1, SeqSpaceSpec(1.0, w1))
-        dst = CoorbitSpec(pair2, SeqSpaceSpec(p, 1.0 / w2))
-        schur_p = 1.0
+        p_src, p_dst, kernel_exp, inner_axis = 1.0, p, p, 1
     else:
-        kappa = mixed_norm(k, MixedSpaceSpec(q, np.inf, 0, grid))
-        src = CoorbitSpec(pair1, SeqSpaceSpec(p, w1))
-        dst = CoorbitSpec(pair2, SeqSpaceSpec(np.inf, 1.0 / w2))
-        schur_p = p
-    interval = coorbit_opnorm(O, src, dst, seed=seed)
-
-    c_a = schur_weighted_bound(gram(pair1.frame), w1, schur_p)
-    c_b = schur_weighted_bound(gram(pair1.dual), w1, schur_p)
-    budget = max(c_a, c_b)
-    slack = 1.0 + tol
-    passed = (
-        kappa <= c_b * interval.upper * slack
-        and interval.lower <= c_a * kappa * slack
+        p_src, p_dst, kernel_exp, inner_axis = p, np.inf, _holder_conjugate(p), 0
+    kappa, interval, c_a, c_b, passed = _opnorm_sides(
+        O, pair1, pair2, w1, w2, p_src, p_dst, kernel_exp, inner_axis, seed, tol
     )
+    budget = max(c_a, c_b)
     ratio = _safe_ratio(interval.midpoint, kappa)
-    if budget <= 1.0 + 1e-12 and np.isfinite(ratio):
-        passed = passed and abs(ratio - 1.0) <= tol
     return VerificationReport(
         name=f"schur-{variant}",
         lhs=interval.midpoint,
         rhs=kappa,
         ratio=ratio,
         constant_budget=budget,
-        passed=bool(passed),
+        passed=_onb_equality(passed, ratio, budget, tol),
         seed=seed,
         details={
             "variant": variant,
             "p": p,
-            "kernel_inner_exponent": p if variant == "i" else q,
+            "kernel_inner_exponent": kernel_exp,
             "exponent_note": (
                 "variant ii measures the kernel with the Hoelder conjugate "
                 "of p along the first index; the orthonormal-frame oracle "
@@ -347,6 +246,95 @@ def schur_characterization(
             "gram_schur_bound": c_a,
             "dual_gram_schur_bound": c_b,
         },
+    )
+
+
+# ---------------------------------------------------------------------------
+# inner correspondence and projective sandwich: summed-coefficient norm vs
+# nuclear sum of the canonical rank-one decomposition
+
+
+def _projective_sides(K, pair1: FramePair, pair2: FramePair, w1, w2):
+    """``(c, lower, upper, budget)``: the Galerkin coefficients of a
+    kernel, their weighted summed norm, the nuclear sum
+    ``sum |c_ij| ||psi1_i|| ||psi2_j||`` with element norms in the
+    weighted-l1 coorbit norm, and the product of the two Schur
+    certificates for ``||psi_i|| <= C w_i``."""
+    c = galerkin(K, pair1, pair2)
+    lower = mixed_norm(c, MixedSpaceSpec(1.0, 1.0, 0, tensor_weights(w1, w2)))
+    norms = []
+    budget = 1.0
+    for pair, w in ((pair1, w1), (pair2, w2)):
+        coeffs = cross_gram(pair.frame, pair.dual)
+        norms.append(w @ np.abs(coeffs))
+        budget *= schur_weighted_bound(coeffs, w, 1.0)
+    upper = float(norms[0] @ np.abs(c) @ norms[1])
+    return c, lower, upper, budget
+
+
+def verify_inner(
+    K, pair1: FramePair, pair2: FramePair, w1, w2, tol: float = REPORT_TOL
+) -> tuple[RankOneDecomposition, VerificationReport]:
+    """Decompose a kernel into rank-one tensors of frame elements and
+    compare the nuclear-type sum with the summed-coefficient kernel
+    norm.
+
+    The decomposition takes ``(f_r, g_r) = (psi1_i, c_ij psi2_j)`` over
+    the nonzero Galerkin coefficients ``c`` of the kernel; its
+    reconstruction is exact up to rounding and its nuclear sum exceeds
+    the kernel norm by at most the product of the two element-norm
+    certificates.
+    """
+    w1, w2 = _check_weights(pair1, pair2, w1, w2)
+    K = as_matrix(K)
+    c, rhs, nuclear, budget = _projective_sides(K, pair1, pair2, w1, w2)
+    terms = [
+        (pair1.frame.vectors[i], c[i, j] * pair2.frame.vectors[j])
+        for i, j in zip(*np.nonzero(c))
+    ]
+    deco = RankOneDecomposition(terms=terms, nuclear_sum=nuclear)
+
+    rebuilt = synthesize_kernel(c, pair1, pair2)
+    residual = float(np.linalg.norm(rebuilt - K) / max(np.linalg.norm(K), 1.0))
+    ratio = _safe_ratio(nuclear, rhs)
+    passed = residual <= tol and 1.0 - tol <= ratio <= budget * (1.0 + tol)
+    report = VerificationReport(
+        name="inner",
+        lhs=nuclear,
+        rhs=rhs,
+        ratio=ratio,
+        constant_budget=budget,
+        passed=bool(passed),
+        details={"reconstruction_residual": residual, "terms": len(terms)},
+    )
+    return deco, report
+
+
+def verify_projective(
+    K, pair1: FramePair, pair2: FramePair, w1, w2, tol: float = REPORT_TOL
+) -> VerificationReport:
+    """Sandwich the projective tensor norm of a kernel.
+
+    The summed-coefficient kernel norm is a lower bound with constant
+    one; the nuclear sum of the canonical rank-one decomposition is an
+    admissible representation and hence an upper bound.  For orthonormal
+    frames with unit weights the two collapse to the same value.
+    """
+    w1, w2 = _check_weights(pair1, pair2, w1, w2)
+    _, lower, upper, budget = _projective_sides(K, pair1, pair2, w1, w2)
+    ratio = _safe_ratio(lower, upper)
+    slack = 1.0 + tol
+    passed = lower <= upper * slack and upper <= budget * lower * slack + 1e-300
+    if lower == 0.0 and upper == 0.0:
+        passed = True
+    return VerificationReport(
+        name="projective",
+        lhs=lower,
+        rhs=upper,
+        ratio=ratio,
+        constant_budget=budget,
+        passed=bool(passed),
+        details={"lower": lower, "upper": upper},
     )
 
 
@@ -444,7 +432,7 @@ def verify_frame_independence(
     if spec_b is None:
         shape_b = (b1.frame.cardinality, b2.frame.cardinality)
         if spec.weights.shape == shape_b:
-            spec_b = MixedSpaceSpec(spec.p, spec.q, spec.inner_axis, spec.weights)
+            spec_b = spec
         elif np.ptp(spec.weights) == 0.0:
             spec_b = MixedSpaceSpec(
                 spec.p,
@@ -500,13 +488,7 @@ def schatten_check(
     p = float(p)
     if not (1.0 <= p <= 2.0):
         raise PreconditionError(f"Schatten exponent p={p} outside [1, 2]")
-    A = as_matrix(O)
-    d1 = pair1.frame.space_dim
-    d2 = pair2.frame.space_dim
-    if A.shape != (d2, d1):
-        raise PreconditionError(
-            f"operator shape {A.shape} does not map C^{d1} to C^{d2}"
-        )
+    A = _check_operator(O, pair1, pair2)
     sigma = svd_values(A)
     lhs = float(np.sum(sigma**p) ** (1.0 / p))
     images = A @ pair1.dual.vectors.T
@@ -562,8 +544,7 @@ def compress_operator(
     """
     if tau < 0:
         raise PreconditionError("threshold must be nonnegative")
-    w1 = as_weight(w1, pair1.frame.cardinality)
-    w2 = as_weight(w2, pair2.frame.cardinality)
+    w1, w2 = _check_weights(pair1, pair2, w1, w2)
     k = galerkin(O, pair1, pair2)
     normalized = np.abs(k) / tensor_weights(w1, w2)
     keep = normalized > tau
@@ -575,8 +556,6 @@ def compress_operator(
     if exact_error:
         if pair1.frame.space_dim > 64 or pair2.frame.space_dim > 64:
             raise PreconditionError("exact spectral error is limited to d <= 64")
-        from .tensor_kernels import synthesize_kernel
-
         details["spectral_error"] = float(
             np.linalg.norm(as_matrix(O) - synthesize_kernel(k_tau, pair1, pair2), 2)
         )

@@ -253,23 +253,6 @@ class TestCoorbitOpnorm:
         assert best <= interval.upper * (1 + 1e-9)
         assert interval.lower <= interval.upper
 
-    def test_exact_method_requires_onb_l1(self):
-        pair = canonical_dual(mercedes())
-        src = CoorbitSpec(pair, SeqSpaceSpec(1.0, np.ones(3)))
-        dst = CoorbitSpec(pair, SeqSpaceSpec(np.inf, np.ones(3)))
-        with pytest.raises(PreconditionError):
-            coorbit_opnorm(np.eye(2), src, dst, method="exact")
-
-    def test_bound_method_contains_exact_value(self):
-        pair = canonical_dual(onb(2))
-        src = CoorbitSpec(pair, SeqSpaceSpec(1.0, np.ones(2)))
-        dst = CoorbitSpec(pair, SeqSpaceSpec(np.inf, np.ones(2)))
-        O = np.array([[1.0, 2.0], [3.0, 4.0]])
-        interval = coorbit_opnorm(O, src, dst, method="bound")
-        assert interval.lower <= 4.0 <= interval.upper
-        assert interval.lower == pytest.approx(4.0)
-        assert interval.upper == pytest.approx(4.0)
-
     def test_gabor_consistency_budget(self):
         pair = canonical_dual(finite_gabor(8, 2, 2, gaussian_window(8)))
         n = pair.frame.cardinality

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from framelab.coorbit import CoorbitSpec, MixedSpaceSpec, SeqSpaceSpec
 from framelab.frames import (
     Frame,
     IndexSet,
@@ -28,6 +29,7 @@ from framelab.frames import (
 )
 from framelab.generators import finite_gabor, gaussian_window, mercedes, onb, substream
 from framelab.numeric import ConditioningError, PreconditionError
+from framelab.tensor_kernels import tensor_frame
 
 
 def e1e1e2():
@@ -314,3 +316,34 @@ class TestSerialization:
         }
         with pytest.raises(NotAFrameError):
             frame_from_json(bad)
+
+
+class TestIdentitySemantics:
+    """Array-holding frozen dataclasses compare by identity and hash."""
+
+    def test_frame_equality_is_identity(self):
+        a = Frame.from_vectors(np.eye(2))
+        b = Frame.from_vectors(np.eye(2))
+        assert a == a
+        assert a != b
+        assert hash(a) == hash(a)
+
+    def test_pairs_go_in_sets(self):
+        pair = canonical_dual(onb(2))
+        other = canonical_dual(onb(2))
+        assert {pair, pair, other} == {pair, other}
+        assert len({pair, pair, other}) == 2
+
+    def test_specs_and_tensor_frames_hash(self):
+        pair = canonical_dual(onb(2))
+        objects = [
+            SeqSpaceSpec(1.0, np.ones(2)),
+            MixedSpaceSpec(1.0, 1.0, 0, np.ones((2, 2))),
+            CoorbitSpec(pair, SeqSpaceSpec(1.0, np.ones(2))),
+            tensor_frame(pair, pair),
+        ]
+        for obj in objects:
+            assert obj == obj
+            assert hash(obj) == hash(obj)
+        assert objects[0] != SeqSpaceSpec(1.0, np.ones(2))
+        assert len(set(objects)) == len(objects)

@@ -12,7 +12,6 @@ import framelab
 from framelab.numeric import (
     ConditioningError,
     PreconditionError,
-    hermitian_eig,
     inner,
     matrix_from_json,
     matrix_to_csv,
@@ -20,12 +19,6 @@ from framelab.numeric import (
     solve_posdef,
     svd_values,
 )
-
-
-def random_hermitian(d, seed):
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return (A + A.conj().T) / 2
 
 
 def random_unitary(d, seed):
@@ -47,48 +40,6 @@ class TestInner:
         g = np.array([1j, 1.0])
         expected = sum(fi * np.conj(gi) for fi, gi in zip(f, g))
         assert inner(f, g) == pytest.approx(expected)
-
-
-class TestHermitianEig:
-    def test_diagonal(self):
-        spec = hermitian_eig(np.diag([1.0, 2.0]))
-        np.testing.assert_allclose(spec.values, [1.0, 2.0])
-
-    def test_swap_matrix(self):
-        spec = hermitian_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(spec.values, [-1.0, 1.0])
-
-    def test_trace_identity(self):
-        M = random_hermitian(8, seed=0)
-        spec = hermitian_eig(M)
-        assert abs(spec.values.sum() - np.trace(M).real) <= 1e-9
-
-    def test_eigenpair_residual(self):
-        M = random_hermitian(8, seed=1)
-        spec = hermitian_eig(M)
-        scale = np.linalg.norm(M, 2)
-        for lam, v in zip(spec.values, spec.vectors.T):
-            assert np.linalg.norm(M @ v - lam * v) <= 1e-9 * scale
-
-    def test_orthonormal_vectors(self):
-        spec = hermitian_eig(random_hermitian(6, seed=2))
-        G = spec.vectors.conj().T @ spec.vectors
-        np.testing.assert_allclose(G, np.eye(6), atol=1e-10)
-
-    def test_unitary_conjugation_invariance(self):
-        M = random_hermitian(7, seed=3)
-        U = random_unitary(7, seed=4)
-        a = hermitian_eig(M).values
-        b = hermitian_eig(U @ M @ U.conj().T).values
-        np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-12)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(PreconditionError):
-            hermitian_eig(np.ones((2, 3)))
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(PreconditionError):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestSvdValues:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from framelab.coorbit import MixedSpaceSpec
-from framelab.frames import Frame, canonical_dual
+from framelab.frames import Frame, canonical_dual, gram
 from framelab.generators import (
     finite_gabor,
     gaussian_window,
@@ -14,10 +14,11 @@ from framelab.generators import (
     random_operator,
     substream,
 )
-from framelab.localisation import poly_weight
+from framelab.localisation import poly_weight, schur_weighted_bound
 from framelab.numeric import PreconditionError
 from framelab.tensor_kernels import galerkin, synthesize_kernel
 from framelab.theorems import (
+    _onb_equality,
     compress_operator,
     compressions_to_csv,
     reports_to_csv,
@@ -395,3 +396,79 @@ class TestCsvExport:
         _, rep = compress_operator(np.eye(2), pair, pair, np.ones(2), np.ones(2), 0.1)
         text = compressions_to_csv([rep])
         assert text.splitlines()[0] == "threshold,kept,total,sparsity,error_surrogate"
+
+
+class TestSharedSkeleton:
+    """Outer is Schur at the l1 -> sup corner; inner and projective
+    report the same two numbers with lhs and rhs swapped."""
+
+    @staticmethod
+    def pair_and_weight(family, weighted):
+        frame = {"onb": onb(4), "gabor": gabor_pair(), "mercedes": mercedes()}[family]
+        pair = canonical_dual(frame)
+        n = pair.frame.cardinality
+        w = poly_weight(pair.frame.index_set, 1.0) if weighted else np.ones(n)
+        return pair, w
+
+    @pytest.mark.parametrize("family", ["onb", "gabor", "mercedes"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_outer_is_schur_corner(self, family, weighted):
+        pair, w = self.pair_and_weight(family, weighted)
+        d = pair.frame.space_dim
+        O = random_operator(d, d, seed=41)
+        outer = verify_outer(O, pair, pair, w, w, seed=3)
+        for p, variant in ((1.0, "ii"), (np.inf, "i")):
+            schur = schur_characterization(O, pair, pair, w, w, p, variant, seed=3)
+            assert schur.rhs == outer.lhs
+            assert schur.lhs == outer.rhs
+            for key in (
+                "opnorm_lower",
+                "opnorm_upper",
+                "gram_schur_bound",
+                "dual_gram_schur_bound",
+            ):
+                assert schur.details[key] == outer.details[key]
+            assert schur.constant_budget == outer.constant_budget
+            assert schur.passed == outer.passed
+            assert schur.ratio * outer.ratio == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("family", ["onb", "gabor", "mercedes"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_inner_and_projective_share_sides(self, family, weighted):
+        pair, w = self.pair_and_weight(family, weighted)
+        d = pair.frame.space_dim
+        K = random_operator(d, d, seed=43)
+        deco, inner = verify_inner(K, pair, pair, w, w)
+        proj = verify_projective(K, pair, pair, w, w)
+        assert inner.lhs == proj.rhs == deco.nuclear_sum
+        assert inner.rhs == proj.lhs
+        assert inner.constant_budget == proj.constant_budget
+        assert inner.passed and proj.passed
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_schur_budget_uses_source_exponent(self, p):
+        pair, w = self.pair_and_weight("gabor", True)
+        O = random_operator(8, 8, seed=45)
+        bounds = {
+            exp: (
+                schur_weighted_bound(gram(pair.frame), w, exp),
+                schur_weighted_bound(gram(pair.dual), w, exp),
+            )
+            for exp in (1.0, p)
+        }
+        assert bounds[1.0] != bounds[p]
+        for variant, p_src in (("i", 1.0), ("ii", p)):
+            rep = schur_characterization(O, pair, pair, w, w, p, variant)
+            got = (
+                rep.details["gram_schur_bound"],
+                rep.details["dual_gram_schur_bound"],
+            )
+            assert got == bounds[p_src]
+
+    def test_unit_budget_demands_unit_ratio(self):
+        assert _onb_equality(True, 1.0 + 1e-10, 1.0, 1e-9)
+        assert not _onb_equality(True, 1.0 + 1e-6, 1.0, 1e-9)
+        assert not _onb_equality(False, 1.0, 1.0, 1e-9)
+        # redundant frames (budget > 1) and infinite ratios skip the clause
+        assert _onb_equality(True, 1.5, 1.1, 1e-9)
+        assert _onb_equality(True, np.inf, 1.0, 1e-9)
