@@ -30,6 +30,7 @@ from .localisation import JaffardParams, as_weight, localisation_report
 from .numeric import (
     ConditioningError,
     PreconditionError,
+    _complex_from_json,
     matrix_from_json,
     matrix_to_json,
 )
@@ -89,7 +90,7 @@ def _load_vector(path) -> np.ndarray:
             raise PreconditionError(f"{path} holds a matrix, not a vector")
         return M.ravel()
     entries = obj["entries"] if isinstance(obj, dict) else obj
-    return np.array([complex(re, im) for re, im in entries], dtype=complex)
+    return _complex_from_json(entries)
 
 
 def _load_weight(path, n: int) -> np.ndarray:

@@ -22,6 +22,8 @@ import numpy as np
 from .numeric import (
     PreconditionError,
     ConditioningError,
+    _complex_from_json,
+    _complex_to_json,
     as_matrix,
     as_vector,
 )
@@ -293,13 +295,10 @@ def reconstruction_residual(pair: FramePair, f) -> float:
 
 
 def frame_to_json(frame: Frame) -> dict:
-    vectors = [
-        [[float(z.real), float(z.imag)] for z in row] for row in frame.vectors
-    ]
     return {
         "space_dim": frame.space_dim,
         "index_set": frame.index_set.to_json(),
-        "vectors": vectors,
+        "vectors": [_complex_to_json(row) for row in frame.vectors],
     }
 
 
@@ -307,12 +306,10 @@ def frame_from_json(obj: dict) -> Frame:
     try:
         d = int(obj["space_dim"])
         index_set = IndexSet.from_json(obj["index_set"])
-        rows = obj["vectors"]
+        rows = [_complex_from_json(row) for row in obj["vectors"]]
     except (KeyError, TypeError) as exc:
         raise PreconditionError(f"malformed frame object: {exc}") from exc
-    V = np.array(
-        [[complex(re, im) for re, im in row] for row in rows], dtype=complex
-    )
+    V = np.array(rows, dtype=complex)
     if V.ndim != 2:
         raise PreconditionError("frame vectors must form a rectangular table")
     return Frame(space_dim=d, index_set=index_set, vectors=V)

@@ -86,13 +86,33 @@ def solve_posdef(M, B) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# serialization: {"rows": n, "cols": m, "entries": [[re, im], ...]} row-major
+# serialization: complex entries travel as [re, im] pairs of JSON numbers;
+# a matrix is {"rows": n, "cols": m, "entries": [[re, im], ...]} row-major
+
+
+def _complex_to_json(values) -> list:
+    """``[[re, im], ...]`` for the entries of ``values`` in row-major order."""
+    return [[float(z.real), float(z.imag)] for z in np.ravel(values)]
+
+
+def _complex_from_json(entries) -> np.ndarray:
+    """Complex vector from a list of ``[re, im]`` pairs of JSON numbers."""
+    out = []
+    try:
+        for re, im in entries:
+            if type(re) not in (int, float) or type(im) not in (int, float):
+                raise TypeError
+            out.append(complex(re, im))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise PreconditionError(
+            f"complex entry {len(out)} is not a [re, im] pair of numbers"
+        ) from exc
+    return np.array(out, dtype=complex)
 
 
 def matrix_to_json(M) -> dict:
     A = as_matrix(M)
-    entries = [[float(z.real), float(z.imag)] for z in A.ravel()]
-    return {"rows": A.shape[0], "cols": A.shape[1], "entries": entries}
+    return {"rows": A.shape[0], "cols": A.shape[1], "entries": _complex_to_json(A)}
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
@@ -101,13 +121,11 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         entries = obj["entries"]
     except (KeyError, TypeError) as exc:
         raise PreconditionError(f"malformed matrix object: {exc}") from exc
-    if len(entries) != rows * cols:
+    flat = _complex_from_json(entries)
+    if len(flat) != rows * cols:
         raise PreconditionError(
-            f"matrix claims {rows}x{cols} but has {len(entries)} entries"
+            f"matrix claims {rows}x{cols} but has {len(flat)} entries"
         )
-    flat = np.array(
-        [complex(re, im) for re, im in entries], dtype=complex
-    )
     return as_matrix(flat.reshape(rows, cols))
 
 

@@ -16,7 +16,13 @@ import numpy as np
 
 from .coorbit import MixedSpaceSpec, mixed_norm
 from .frames import Frame, FramePair, IndexSet, cross_gram, linear_index_set
-from .numeric import PreconditionError, as_matrix, as_vector
+from .numeric import (
+    PreconditionError,
+    _complex_from_json,
+    _complex_to_json,
+    as_matrix,
+    as_vector,
+)
 
 
 def simple_tensor(f1, f2) -> np.ndarray:
@@ -150,7 +156,7 @@ def galerkin_to_json(k, index_i: IndexSet, index_j: IndexSet) -> dict:
         raise PreconditionError(
             f"coefficient array shape {K.shape} does not match index sets"
         )
-    entries = [[float(z.real), float(z.imag)] for z in K.ravel()]
+    entries = _complex_to_json(K)
     return {"I": index_i.to_json(), "J": index_j.to_json(), "entries": entries}
 
 
@@ -162,9 +168,9 @@ def galerkin_from_json(obj: dict) -> tuple[np.ndarray, IndexSet, IndexSet]:
     except (KeyError, TypeError) as exc:
         raise PreconditionError(f"malformed coefficient object: {exc}") from exc
     n1, n2 = len(index_i), len(index_j)
-    if len(entries) != n1 * n2:
+    flat = _complex_from_json(entries)
+    if len(flat) != n1 * n2:
         raise PreconditionError(
-            f"index sets imply {n1}x{n2} entries, got {len(entries)}"
+            f"index sets imply {n1}x{n2} entries, got {len(flat)}"
         )
-    flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
     return flat.reshape(n1, n2), index_i, index_j

@@ -63,13 +63,25 @@ class VerificationReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankOneDecomposition:
-    """Rank-one expansion ``O = sum_r <., f_r> g_r`` together with the
-    nuclear-type sum of factor norms."""
+    """Rank-one expansion ``O = sum_r <., f_r> g_r`` with
+    ``(f_r, g_r) = (psi1_i, c_ij psi2_j)`` over the nonzero Galerkin
+    coefficients ``c``, together with the nuclear-type sum of factor
+    norms.  The term list is built on access from ``c``."""
 
-    terms: list
     nuclear_sum: float
+    _coefficients: np.ndarray
+    _vectors1: np.ndarray
+    _vectors2: np.ndarray
+
+    @property
+    def terms(self) -> list:
+        c = self._coefficients
+        return [
+            (self._vectors1[i], c[i, j] * self._vectors2[j])
+            for i, j in zip(*np.nonzero(c))
+        ]
 
 
 @dataclass(frozen=True)
@@ -288,11 +300,7 @@ def verify_inner(
     w1, w2 = _check_weights(pair1, pair2, w1, w2)
     K = as_matrix(K)
     c, rhs, nuclear, budget = _projective_sides(K, pair1, pair2, w1, w2)
-    terms = [
-        (pair1.frame.vectors[i], c[i, j] * pair2.frame.vectors[j])
-        for i, j in zip(*np.nonzero(c))
-    ]
-    deco = RankOneDecomposition(terms=terms, nuclear_sum=nuclear)
+    deco = RankOneDecomposition(nuclear, c, pair1.frame.vectors, pair2.frame.vectors)
 
     rebuilt = synthesize_kernel(c, pair1, pair2)
     residual = float(np.linalg.norm(rebuilt - K) / max(np.linalg.norm(K), 1.0))
@@ -305,7 +313,10 @@ def verify_inner(
         ratio=ratio,
         constant_budget=budget,
         passed=bool(passed),
-        details={"reconstruction_residual": residual, "terms": len(terms)},
+        details={
+            "reconstruction_residual": residual,
+            "terms": int(np.count_nonzero(c)),
+        },
     )
     return deco, report
 

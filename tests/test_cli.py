@@ -113,6 +113,13 @@ class TestSimpleVerbs:
         )
         assert json.loads(capsys.readouterr().out)["norm"] == pytest.approx(3.0)
 
+    def test_coorbit_norm_extreme_exponent(self, onb4, tmp_path, capsys):
+        vec = tmp_path / "v.json"
+        write_json(vec, [[10.0, 0.0]] * 4)
+        assert dispatch(["coorbit-norm", str(onb4), str(vec), "--p", "400"]) == 0
+        norm = json.loads(capsys.readouterr().out)["norm"]
+        assert norm == pytest.approx(10.0 * 4 ** (1 / 400))
+
     def test_missing_file(self, tmp_path):
         assert dispatch(["bounds", str(tmp_path / "nope.json")]) == 3
 
@@ -234,6 +241,38 @@ class TestVerify:
             )
             == 3
         )
+
+
+class TestMalformedComplexEntries:
+    """An entry that is not a ``[re, im]`` pair of numbers is a validation
+    error (exit 3), never a traceback."""
+
+    def test_operator_entries(self, onb4, tmp_path, capsys):
+        op = tmp_path / "O.json"
+        write_json(op, {"rows": 1, "cols": 2, "entries": [1, 2]})
+        argv = ["verify", "outer", "--frame1", str(onb4), "--frame2", str(onb4)]
+        assert dispatch(argv + ["--op", str(op)]) == 3
+        assert "not a [re, im] pair" in capsys.readouterr().err
+
+    def test_frame_vectors(self, tmp_path, capsys):
+        frame = tmp_path / "f.json"
+        write_json(
+            frame,
+            {
+                "space_dim": 2,
+                "index_set": {"kind": "linear", "size": 2},
+                "vectors": [[1, 0], [0, 1]],
+            },
+        )
+        assert dispatch(["bounds", str(frame)]) == 3
+        assert "not a [re, im] pair" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entries", [[1, 2], [[1.0, 0.0], [1.0, "0"]], 7])
+    def test_coorbit_norm_vector(self, onb4, tmp_path, capsys, entries):
+        vec = tmp_path / "v.json"
+        write_json(vec, entries)
+        assert dispatch(["coorbit-norm", str(onb4), str(vec), "--p", "2"]) == 3
+        assert "not a [re, im] pair" in capsys.readouterr().err
 
 
 class TestCompress:

@@ -1,13 +1,20 @@
 """Sequence-space norms, coorbit norms/pairings and operator-norm
 intervals."""
 
+import sys
+
 import numpy as np
 import pytest
 
+import framelab.numeric
 from framelab.coorbit import (
     CoorbitSpec,
     MixedSpaceSpec,
+    OpNormInterval,
     SeqSpaceSpec,
+    _holder_conjugate,
+    _pnorm,
+    _pnorm_along,
     atomic_decomposition,
     coorbit_norm,
     coorbit_opnorm,
@@ -22,6 +29,7 @@ from framelab.frames import (
     cross_gram,
     dual_pair,
     gram,
+    is_orthonormal_basis,
     synthesis,
 )
 from framelab.generators import (
@@ -30,10 +38,12 @@ from framelab.generators import (
     gaussian_window,
     mercedes,
     onb,
+    random_operator,
     substream,
 )
 from framelab.localisation import poly_weight, schur_weighted_bound
-from framelab.numeric import PreconditionError
+from framelab.numeric import PreconditionError, as_matrix
+from framelab.theorems import schur_characterization
 
 
 def e1e1e2_pair():
@@ -274,6 +284,178 @@ class TestCoorbitOpnorm:
         src = CoorbitSpec(pair, SeqSpaceSpec(1.0, np.ones(2)))
         with pytest.raises(PreconditionError):
             coorbit_opnorm(np.ones((3, 3)), src, src)
+
+
+def _reference_holder_extremizer(row, p):
+    x = np.zeros_like(row)
+    if not np.any(row):
+        x[0] = 1.0
+        return x
+    if p == 1.0:
+        i = int(np.argmax(np.abs(row)))
+        x[i] = np.conj(row[i]) / abs(row[i])
+        return x
+    if np.isinf(p):
+        nz = row != 0
+        x[nz] = np.conj(row[nz]) / np.abs(row[nz])
+        x[~nz] = 1.0
+        return x
+    q = _holder_conjugate(p)
+    mag = np.abs(row) ** (q - 1.0)
+    phase = np.ones_like(row)
+    nz = row != 0
+    phase[nz] = np.conj(row[nz]) / np.abs(row[nz])
+    x = phase * mag
+    return x / _pnorm(x, p)
+
+
+def _reference_opnorm(O, src, dst, seed=0):
+    """The earlier one-probe-at-a-time sweep with its orthonormal-basis
+    branch, kept as the oracle for the blocked sweep."""
+    A = as_matrix(O)
+    d1 = src.pair.frame.space_dim
+    p, q = src.seq.p, dst.seq.p
+    w1, w2 = src.seq.weight, dst.seq.weight
+    if p == 1.0 and is_orthonormal_basis(src.pair):
+        best = 0.0
+        for i in range(src.pair.frame.cardinality):
+            image = A @ src.pair.frame.vectors[i]
+            best = max(best, coorbit_norm(dst, image) / w1[i])
+        return OpNormInterval(best, best)
+    M = dst.pair.dual.vectors.conj() @ A @ src.pair.frame.vectors.T
+    B = M * w2[:, None] / w1[None, :]
+    uppers = [_pnorm(_pnorm_along(B, _holder_conjugate(p), axis=1), q)]
+    if p == 1.0:
+        uppers.append(float(np.max(_pnorm_along(B, q, axis=0), initial=0.0)))
+    if p == q:
+        c_row = float(np.max(np.abs(B).sum(axis=1), initial=0.0))
+        c_col = float(np.max(np.abs(B).sum(axis=0), initial=0.0))
+        theta = 0.0 if np.isinf(p) else 1.0 / p
+        uppers.append(c_row ** (1.0 - theta) * c_col**theta)
+    if p == 2.0 and q == 2.0:
+        uppers.append(float(np.linalg.norm(B, 2)))
+    upper = min(uppers)
+    candidates = list(src.pair.frame.vectors)
+    candidates.extend(np.eye(d1, dtype=complex))
+    for j in range(B.shape[0]):
+        x = _reference_holder_extremizer(B[j], p)
+        candidates.append(synthesis(src.pair.frame, x / w1))
+    rng = substream(seed, "coorbit", "opnorm")
+    for _ in range(10 * d1):
+        candidates.append(rng.standard_normal(d1) + 1j * rng.standard_normal(d1))
+    lower = 0.0
+    for f in candidates:
+        denom = coorbit_norm(src, f)
+        if denom > 0.0:
+            lower = max(lower, coorbit_norm(dst, A @ f) / denom)
+    return OpNormInterval(min(lower, upper), upper)
+
+
+EXPONENTS = [1.0, 1.5, 2.0, 3.0, np.inf]
+FAMILIES = {
+    "onb": lambda: onb(4),
+    "mercedes": mercedes,
+    "gabor": lambda: finite_gabor(8, 2, 2, gaussian_window(8)),
+    "decaying": lambda: decaying_perturbation(8, 2.0, 0.2, seed=4),
+}
+
+
+class TestBlockedProbeSweep:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_matches_per_probe_reference(self, family, t):
+        pair = canonical_dual(FAMILIES[family]())
+        w = poly_weight(pair.frame.index_set, t)
+        d = pair.frame.space_dim
+        O = random_operator(d, d, seed=9)
+        for p in EXPONENTS:
+            for q in EXPONENTS:
+                src = CoorbitSpec(pair, SeqSpaceSpec(p, w))
+                dst = CoorbitSpec(pair, SeqSpaceSpec(q, w))
+                got = coorbit_opnorm(O, src, dst, seed=5)
+                ref = _reference_opnorm(O, src, dst, seed=5)
+                assert got.lower <= got.upper
+                np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_orthonormal_basis_l1_source_is_exact(self, seed):
+        rng = substream(seed, "test-coorbit", "onb-exact")
+        d = 5
+        U, _ = np.linalg.qr(random_operator(d, d, seed=100 + seed))
+        for frame in (onb(d), Frame.from_vectors(U)):
+            pair = canonical_dual(frame)
+            assert is_orthonormal_basis(pair)
+            w1 = rng.uniform(0.5, 3.0, d)
+            w2 = rng.uniform(0.5, 3.0, d)
+            O = random_operator(d, d, seed=seed)
+            for q in EXPONENTS:
+                src = CoorbitSpec(pair, SeqSpaceSpec(1.0, w1))
+                dst = CoorbitSpec(pair, SeqSpaceSpec(q, w2))
+                assert coorbit_opnorm(O, src, dst, seed=seed).exact
+
+    def test_probes_skip_per_vector_validation(self, monkeypatch):
+        calls = []
+        real = framelab.numeric.as_vector
+
+        def counting(f):
+            calls.append(1)
+            return real(f)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("framelab") and getattr(module, "as_vector", 0) is real:
+                monkeypatch.setattr(module, "as_vector", counting)
+        pair = canonical_dual(finite_gabor(8, 2, 2, gaussian_window(8)))
+        w = np.ones(pair.frame.cardinality)
+        src = CoorbitSpec(pair, SeqSpaceSpec(1.5, w))
+        dst = CoorbitSpec(pair, SeqSpaceSpec(3.0, w))
+        coorbit_opnorm(random_operator(8, 8, seed=1), src, dst)
+        assert calls == []
+
+
+class TestIntervalOrder:
+    """``lower <= upper`` is checked, not clamped away: rounding within
+    16 eps relative is absorbed, a larger excess raises."""
+
+    @staticmethod
+    def diagonal_case():
+        pair = canonical_dual(onb(3))
+        spec = CoorbitSpec(pair, SeqSpaceSpec(2.0, np.ones(3)))
+        return np.diag([3.0, 1.0, 1.0]), spec
+
+    def _shrink_spectral_norm(self, monkeypatch, factor):
+        real = np.linalg.norm
+        monkeypatch.setattr(
+            np.linalg, "norm", lambda B, ord=None: factor * real(B, ord)
+        )
+
+    def test_rounding_excess_is_clamped(self, monkeypatch):
+        O, spec = self.diagonal_case()
+        self._shrink_spectral_norm(monkeypatch, 1.0 - 4 * np.finfo(float).eps)
+        interval = coorbit_opnorm(O, spec, spec)
+        assert interval.lower == interval.upper < 3.0
+
+    def test_broken_upper_bound_raises(self, monkeypatch):
+        O, spec = self.diagonal_case()
+        self._shrink_spectral_norm(monkeypatch, 0.5)
+        with pytest.raises(FloatingPointError, match=r"3\.0 exceeds upper bound 1\.5"):
+            coorbit_opnorm(O, spec, spec)
+
+
+class TestExtremeExponents:
+    def test_large_exponent_does_not_overflow(self):
+        assert _pnorm(10.0 * np.ones(4), 400) == pytest.approx(10.0 * 4 ** 0.0025)
+
+    def test_tiny_entries_do_not_underflow(self):
+        assert _pnorm(np.full(4, 1e-200), 2.0) == pytest.approx(2e-200, abs=0)
+
+    def test_schur_near_l1_stays_finite(self):
+        pair = canonical_dual(finite_gabor(8, 2, 2, gaussian_window(8)))
+        w = np.ones(pair.frame.cardinality)
+        O = 10.0 * random_operator(8, 8, seed=0)
+        for variant in ("i", "ii"):
+            rep = schur_characterization(O, pair, pair, w, w, 1.001, variant)
+            assert np.isfinite(rep.details["opnorm_upper"])
+            assert 0 < rep.details["opnorm_lower"] <= rep.details["opnorm_upper"]
 
 
 class TestTensorWeights:

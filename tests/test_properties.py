@@ -1,13 +1,25 @@
 """Property tests: every verifier passes on random decaying frames with
-polynomial weights, and operator-norm enclosures stay ordered."""
+polynomial weights, operator-norm enclosures stay ordered, and JSON
+round trips are bit-exact."""
+
+import json
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framelab.frames import canonical_dual
+from framelab.frames import (
+    Frame,
+    canonical_dual,
+    cyclic_index_set,
+    frame_from_json,
+    frame_to_json,
+    linear_index_set,
+)
 from framelab.generators import decaying_perturbation, random_operator
 from framelab.localisation import poly_weight
+from framelab.numeric import matrix_from_json, matrix_to_json
+from framelab.tensor_kernels import galerkin_from_json, galerkin_to_json
 from framelab.theorems import (
     schur_characterization,
     verify_inner,
@@ -43,3 +55,47 @@ def test_verifiers_pass_on_decaying_frames(d, decay, eps, seed, t, p):
     assert inner.passed, inner.to_json()
     projective = verify_projective(O, pair, pair, w, w)
     assert projective.passed, projective.to_json()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def complex_arrays(draw, shape, elements=FINITE):
+    n = int(np.prod(shape))
+    parts = draw(st.lists(elements, min_size=2 * n, max_size=2 * n))
+    A = np.empty(n, dtype=complex)
+    A.real = parts[:n]
+    A.imag = parts[n:]
+    return A.reshape(shape)
+
+
+def _through_json(obj):
+    return json.loads(json.dumps(obj))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(data=st.data(), rows=st.integers(1, 4), cols=st.integers(1, 4))
+def test_json_round_trips_are_bit_exact(data, rows, cols):
+    M = data.draw(complex_arrays((rows, cols)))
+    back = matrix_from_json(_through_json(matrix_to_json(M)))
+    assert back.tobytes() == M.tobytes()
+
+    index_i, index_j = linear_index_set(rows), cyclic_index_set(cols)
+    k, back_i, back_j = galerkin_from_json(
+        _through_json(galerkin_to_json(M, index_i, index_j))
+    )
+    assert k.tobytes() == M.tobytes()
+    assert (back_i, back_j) == (index_i, index_j)
+
+    # a scaled basis with signed-zero off-diagonals keeps the family spanning
+    head = data.draw(complex_arrays((cols, cols), st.sampled_from([0.0, -0.0])))
+    scale = st.floats(1.0, 2.0) | st.floats(-2.0, -1.0)
+    head.real[np.diag_indices(cols)] = data.draw(
+        st.lists(scale, min_size=cols, max_size=cols)
+    )
+    tail = data.draw(complex_arrays((rows, cols), st.floats(-10.0, 10.0)))
+    frame = Frame.from_vectors(np.vstack([head, tail]))
+    back = frame_from_json(_through_json(frame_to_json(frame)))
+    assert back.vectors.tobytes() == frame.vectors.tobytes()
+    assert back.index_set == frame.index_set

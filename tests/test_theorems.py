@@ -1,12 +1,15 @@
 """Verification suites: worked examples with independent oracles, plus
 budget behavior on non-orthonormal frames."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from framelab.coorbit import MixedSpaceSpec
 from framelab.frames import Frame, canonical_dual, gram
 from framelab.generators import (
+    decaying_perturbation,
     finite_gabor,
     gaussian_window,
     mercedes,
@@ -117,6 +120,20 @@ class TestVerifyInner:
         assert rep.passed
         assert rep.ratio >= 1.0 - 1e-9
         assert rep.ratio <= rep.constant_budget * (1 + 1e-9)
+
+    def test_terms_are_not_built_unless_read(self):
+        pair = canonical_dual(decaying_perturbation(64, 2.0, 0.2, seed=1))
+        K = random_operator(64, 64, seed=1)
+        w = np.ones(64)
+        verify_inner(K, pair, pair, w, w)
+        tracemalloc.start()
+        try:
+            deco, rep = verify_inner(K, pair, pair, w, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert len(deco.terms) == rep.details["terms"] == 64 * 64
 
 
 class TestVerifyProjective:
