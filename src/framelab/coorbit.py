@@ -68,7 +68,7 @@ class SeqSpaceSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "p", _check_exponent(self.p))
-        w = as_weight(self.weight)
+        w = as_weight(np.array(self.weight, dtype=float))
         w.flags.writeable = False
         object.__setattr__(self, "weight", w)
 
@@ -100,7 +100,7 @@ class MixedSpaceSpec:
         object.__setattr__(self, "q", _check_exponent(self.q))
         if self.inner_axis not in (0, 1):
             raise PreconditionError("inner_axis must be 0 or 1")
-        W = np.asarray(self.weights, dtype=float)
+        W = np.array(self.weights, dtype=float)
         if W.ndim != 2 or not np.all(np.isfinite(W)) or np.any(W <= 0):
             raise PreconditionError("weight grid must be 2-D, positive, finite")
         W.flags.writeable = False

@@ -43,9 +43,14 @@ class NotAFrameError(ValueError):
 # index sets
 
 
-def _cyclic_dist(delta: np.ndarray, n: int) -> np.ndarray:
-    d = np.abs(delta) % n
-    return np.minimum(d, n - d)
+def _axis_distances(n: int, cyclic: bool, full: bool) -> np.ndarray:
+    """Float distances ``|i - i'|`` on one axis ``0..n-1`` (``min(d, n - d)``
+    when cyclic): all ``n x n`` of them, or only the row of ``i = 0``."""
+    idx = np.arange(n, dtype=float)
+    d = np.abs(idx[:, None] - idx) if full else idx[None, :]
+    if cyclic:
+        d = np.minimum(d, n - d)
+    return d
 
 
 @dataclass(frozen=True)
@@ -101,26 +106,27 @@ class IndexSet:
             return [(c1, c2) for c1 in range(n1) for c2 in range(n2)]
         return list(range(self.size))
 
-    def distance_matrix(self) -> np.ndarray:
-        n = len(self)
-        if self.kind == "linear":
-            idx = np.arange(n)
-            return np.abs(idx[:, None] - idx[None, :]).astype(float)
-        if self.kind == "cyclic":
-            idx = np.arange(n)
-            return _cyclic_dist(idx[:, None] - idx[None, :], self.size).astype(float)
+    def _distances(self, full: bool) -> np.ndarray:
+        if self.kind != "product_cyclic":
+            return _axis_distances(self.size, self.kind == "cyclic", full)
         n1, n2 = self.size
-        c1 = np.repeat(np.arange(n1), n2)
-        c2 = np.tile(np.arange(n2), n1)
-        d1 = _cyclic_dist(c1[:, None] - c1[None, :], n1)
-        d2 = _cyclic_dist(c2[:, None] - c2[None, :], n2)
-        if self.metric == "max":
-            return np.maximum(d1, d2).astype(float)
-        return (d1 + d2).astype(float)
+        d1 = _axis_distances(n1, True, full)
+        d2 = _axis_distances(n2, True, full)
+        combine = np.maximum if self.metric == "max" else np.add
+        # axes (c1, c2, c1', c2') flatten to row-major labels on both sides
+        grid = combine(d1[:, None, :, None], d2[None, :, None, :])
+        return grid.reshape(d1.shape[0] * d2.shape[0], n1 * n2)
+
+    def distance_matrix(self) -> np.ndarray:
+        """Float ``n x n`` matrix of ``rho(i, i')`` with rows and columns in
+        :meth:`labels` order (row-major on product grids).  It holds ``n^2``
+        doubles, so a product grid of 1024 labels takes 8 MB."""
+        return self._distances(full=True)
 
     def distances_from_origin(self) -> np.ndarray:
-        """Distances to the first label (used by polynomial weights)."""
-        return self.distance_matrix()[0]
+        """Distances to the first label (used by polynomial weights); row 0
+        of :meth:`distance_matrix`, computed in ``O(n)``."""
+        return self._distances(full=False)[0]
 
     def to_json(self) -> dict:
         size = list(self.size) if self.kind == "product_cyclic" else self.size
@@ -166,7 +172,9 @@ class Frame:
     bounds: tuple[float, float] = field(init=False)
 
     def __post_init__(self):
-        V = as_matrix(self.vectors)
+        # a private copy: freezing it leaves the caller's array writable,
+        # and later writes there cannot invalidate ``bounds``
+        V = as_matrix(np.array(self.vectors, dtype=complex))
         if V.shape != (len(self.index_set), self.space_dim):
             raise PreconditionError(
                 f"vectors have shape {V.shape}, expected "
@@ -309,7 +317,6 @@ def frame_from_json(obj: dict) -> Frame:
         rows = [_complex_from_json(row) for row in obj["vectors"]]
     except (KeyError, TypeError) as exc:
         raise PreconditionError(f"malformed frame object: {exc}") from exc
-    V = np.array(rows, dtype=complex)
-    if V.ndim != 2:
+    if len({len(row) for row in rows}) != 1:
         raise PreconditionError("frame vectors must form a rectangular table")
-    return Frame(space_dim=d, index_set=index_set, vectors=V)
+    return Frame(space_dim=d, index_set=index_set, vectors=rows)

@@ -88,13 +88,11 @@ def finite_gabor(N: int, a: int, b: int, window) -> Frame:
         raise PreconditionError("window must be nonzero")
     n_freq, n_time = N // b, N // a
     t = np.arange(N)
-    vectors = np.empty((n_freq * n_time, N), dtype=complex)
-    row = 0
-    for m in range(n_freq):
-        phase = np.exp(2j * np.pi * m * b * t / N)
-        for n in range(n_time):
-            vectors[row] = phase * np.roll(g, n * a)
-            row += 1
+    m = np.arange(n_freq)[:, None]
+    n = np.arange(n_time)[:, None]
+    phases = np.exp(2j * np.pi * m * b * t / N)
+    translates = g[(t - n * a) % N]
+    vectors = (phases[:, None, :] * translates[None, :, :]).reshape(-1, N)
     index_set = product_cyclic_index_set(n_freq, n_time, metric="max")
     return Frame(space_dim=N, index_set=index_set, vectors=vectors)
 

@@ -46,17 +46,27 @@ def as_weight(w, n: int | None = None) -> np.ndarray:
     return v
 
 
+def _decay_grid(params: JaffardParams) -> np.ndarray:
+    """``(1 + rho(i,i'))^s`` over the index set."""
+    return (1.0 + params.index_set.distance_matrix()) ** params.exponent
+
+
+def _weighted_sup(M, grid: np.ndarray) -> float:
+    A = as_matrix(M)
+    if A.shape != grid.shape:
+        raise PreconditionError(
+            f"matrix shape {A.shape} does not match index set of size "
+            f"{grid.shape[0]}"
+        )
+    a = np.abs(A)
+    a *= grid
+    return float(np.max(a, initial=0.0))
+
+
 def jaffard_norm(M, params: JaffardParams) -> float:
     """Smallest ``C`` with ``|M[i,i']| <= C (1 + rho(i,i'))^-s``,
     computed as ``sup |M[i,i']| (1 + rho(i,i'))^s``."""
-    A = as_matrix(M)
-    n = len(params.index_set)
-    if A.shape != (n, n):
-        raise PreconditionError(
-            f"matrix shape {A.shape} does not match index set of size {n}"
-        )
-    rho = params.index_set.distance_matrix()
-    return float(np.max(np.abs(A) * (1.0 + rho) ** params.exponent, initial=0.0))
+    return _weighted_sup(M, _decay_grid(params))
 
 
 def schur_weighted_bound(M, w, p, w_out=None) -> float:
@@ -123,9 +133,10 @@ def localisation_report(
     """Evaluate decay constants for ``G``, ``G_dual`` and the cross Gram
     of dual against primal; verdict is true when all stay below the
     threshold."""
-    g = jaffard_norm(cross_gram(pair.frame, pair.frame), params)
-    g_dual = jaffard_norm(cross_gram(pair.dual, pair.dual), params)
-    g_cross = jaffard_norm(cross_gram(pair.dual, pair.frame), params)
+    grid = _decay_grid(params)
+    g = _weighted_sup(cross_gram(pair.frame, pair.frame), grid)
+    g_dual = _weighted_sup(cross_gram(pair.dual, pair.dual), grid)
+    g_cross = _weighted_sup(cross_gram(pair.dual, pair.frame), grid)
     verdict = bool(max(g, g_dual, g_cross) <= threshold)
     return LocalisationReport(
         jaffard_gram=g,

@@ -35,7 +35,7 @@ def as_matrix(M) -> np.ndarray:
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2:
         raise PreconditionError(f"expected a 2-D matrix, got ndim={A.ndim}")
-    if not (np.all(np.isfinite(A.real)) and np.all(np.isfinite(A.imag))):
+    if not np.isfinite(A).all():
         raise PreconditionError("matrix contains NaN or Inf entries")
     return A
 
@@ -44,7 +44,7 @@ def as_vector(f) -> np.ndarray:
     A = np.asarray(f, dtype=complex)
     if A.ndim != 1:
         raise PreconditionError(f"expected a 1-D vector, got ndim={A.ndim}")
-    if not (np.all(np.isfinite(A.real)) and np.all(np.isfinite(A.imag))):
+    if not np.isfinite(A).all():
         raise PreconditionError("vector contains NaN or Inf entries")
     return A
 
@@ -72,7 +72,7 @@ def solve_posdef(M, B) -> np.ndarray:
     if A.shape[0] != A.shape[1]:
         raise PreconditionError(f"matrix is {A.shape}, not square")
     rhs = np.asarray(B, dtype=complex)
-    if not (np.all(np.isfinite(rhs.real)) and np.all(np.isfinite(rhs.imag))):
+    if not np.isfinite(rhs).all():
         raise PreconditionError("right-hand side contains NaN or Inf")
     eigs = np.linalg.eigvalsh(A)
     scale = max(float(eigs[-1]), 1e-300)

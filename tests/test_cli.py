@@ -135,6 +135,21 @@ class TestSimpleVerbs:
         )
         assert dispatch(["bounds", str(bad)]) == 3
 
+    def test_ragged_frame(self, tmp_path, capsys):
+        bad = tmp_path / "ragged.json"
+        write_json(
+            bad,
+            {
+                "space_dim": 2,
+                "index_set": {"kind": "linear", "size": 2},
+                "vectors": [[[1, 0], [0, 0]], [[0, 0]]],
+            },
+        )
+        assert dispatch(["bounds", str(bad)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: frame vectors must form a rectangular table\n"
+
 
 class TestKernelVerbs:
     def test_galerkin_synth_round_trip(self, onb4, op44, tmp_path):

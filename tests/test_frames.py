@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framelab.coorbit import CoorbitSpec, MixedSpaceSpec, SeqSpaceSpec
 from framelab.frames import (
@@ -42,6 +44,35 @@ def random_frame(n, d, seed):
     return Frame.from_vectors(V)
 
 
+def label_loop_distances(index_set):
+    """``rho(u, v)`` written out for every pair of labels, in label order."""
+
+    def cyclic(x, y, n):
+        k = abs(x - y)
+        return min(k, n - k)
+
+    if index_set.kind == "linear":
+        rho = lambda u, v: abs(u - v)
+    elif index_set.kind == "cyclic":
+        rho = lambda u, v: cyclic(u, v, index_set.size)
+    else:
+        n1, n2 = index_set.size
+        combine = max if index_set.metric == "max" else (lambda x, y: x + y)
+        rho = lambda u, v: combine(cyclic(u[0], v[0], n1), cyclic(u[1], v[1], n2))
+    labels = index_set.labels()
+    return np.array([[float(rho(u, v)) for v in labels] for u in labels])
+
+
+def assert_distances_match_loop(index_set):
+    D = index_set.distance_matrix()
+    expected = label_loop_distances(index_set)
+    assert D.dtype == np.float64 and D.shape == expected.shape
+    assert D.tobytes() == expected.tobytes()
+    origin = index_set.distances_from_origin()
+    assert origin.shape == (len(index_set),)
+    assert origin.tobytes() == D[0].tobytes()
+
+
 def random_vec(d, seed):
     rng = substream(seed, "test", "vec", d)
     return rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -72,6 +103,34 @@ class TestIndexSet:
         labels = s.labels()
         D = s.distance_matrix()
         assert D[labels.index((0, 0)), labels.index((1, 2))] == 3
+
+    @pytest.mark.parametrize(
+        "index_set",
+        [linear_index_set(n) for n in (1, 2, 7)]
+        + [cyclic_index_set(n) for n in (1, 2, 5, 8)]
+        + [
+            product_cyclic_index_set(n1, n2, metric)
+            for n1, n2 in ((1, 1), (4, 6), (5, 3), (1, 4), (3, 1), (4, 4))
+            for metric in ("max", "sum")
+        ],
+        ids=lambda s: f"{s.kind}-{s.size}-{s.metric}",
+    )
+    def test_distances_match_label_loop(self, index_set):
+        assert_distances_match_loop(index_set)
+
+    @settings(derandomize=True, max_examples=25, deadline=None, database=None)
+    @given(
+        kind=st.sampled_from(["linear", "cyclic", "product_cyclic"]),
+        n1=st.integers(1, 9),
+        n2=st.integers(1, 9),
+        metric=st.sampled_from(["max", "sum"]),
+    )
+    def test_random_index_sets_match_label_loop(self, kind, n1, n2, metric):
+        if kind == "product_cyclic":
+            index_set = product_cyclic_index_set(n1, n2, metric)
+        else:
+            index_set = IndexSet(kind, n1 * n2)
+        assert_distances_match_loop(index_set)
 
     def test_bad_kind(self):
         with pytest.raises(PreconditionError):
@@ -301,6 +360,32 @@ class TestValidation:
         assert not is_orthonormal_basis(canonical_dual(mercedes()))
 
 
+class TestCallerArraysStayWritable:
+    """Constructors freeze a private copy, never the caller's array."""
+
+    def test_frame(self):
+        V = np.eye(2, dtype=complex)
+        frame = Frame.from_vectors(V)
+        V[0, 0] = 2.0
+        assert frame.vectors[0, 0] == 1.0
+        assert frame.bounds == (1.0, 1.0)
+        assert not frame.vectors.flags.writeable
+
+    def test_seq_space_spec(self):
+        w = np.ones(4)
+        spec = SeqSpaceSpec(2.0, w)
+        w[0] = 3.0
+        assert spec.weight[0] == 1.0
+        assert not spec.weight.flags.writeable
+
+    def test_mixed_space_spec(self):
+        W = np.ones((2, 3))
+        spec = MixedSpaceSpec(1.0, 2.0, 0, W)
+        W[0, 0] = 3.0
+        assert spec.weights[0, 0] == 1.0
+        assert not spec.weights.flags.writeable
+
+
 class TestSerialization:
     def test_round_trip(self):
         frame = finite_gabor(4, 2, 1, gaussian_window(4))
@@ -315,6 +400,21 @@ class TestSerialization:
             "vectors": [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
         }
         with pytest.raises(NotAFrameError):
+            frame_from_json(bad)
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [[[[1, 0], [0, 0]], [[0, 0]]], [[[1, 0]], [[0, 0], [1, 0]]], []],
+        ids=["short-last", "short-first", "empty"],
+    )
+    def test_ragged_vectors_rejected(self, vectors):
+        bad = {
+            "space_dim": 2,
+            "index_set": {"kind": "linear", "size": 2},
+            "vectors": vectors,
+        }
+        message = "^frame vectors must form a rectangular table$"
+        with pytest.raises(PreconditionError, match=message):
             frame_from_json(bad)
 
 

@@ -5,7 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from framelab.frames import frame_bounds, frame_operator, gram
+from framelab.frames import (
+    Frame,
+    frame_bounds,
+    frame_operator,
+    gram,
+    product_cyclic_index_set,
+)
 from framelab.generators import (
     GeneratorSpec,
     decaying_perturbation,
@@ -19,6 +25,22 @@ from framelab.generators import (
 from framelab.localisation import JaffardParams, jaffard_norm, localisation_report
 from framelab.frames import canonical_dual
 from framelab.numeric import PreconditionError, svd_values
+
+
+def reference_gabor(N, a, b, g):
+    """The per-vector loop ``finite_gabor`` replaced: one ``np.roll`` per
+    translate."""
+    n_freq, n_time = N // b, N // a
+    t = np.arange(N)
+    vectors = np.empty((n_freq * n_time, N), dtype=complex)
+    row = 0
+    for m in range(n_freq):
+        phase = np.exp(2j * np.pi * m * b * t / N)
+        for n in range(n_time):
+            vectors[row] = phase * np.roll(g, n * a)
+            row += 1
+    index_set = product_cyclic_index_set(n_freq, n_time, metric="max")
+    return Frame(space_dim=N, index_set=index_set, vectors=vectors)
 
 
 class TestOnb:
@@ -98,6 +120,23 @@ class TestFiniteGabor:
         for row, (m, n) in enumerate(labels):
             expected = np.exp(2j * np.pi * m * b * t / N) * np.roll(g, n * a)
             np.testing.assert_allclose(frame.vectors[row], expected, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "N, a, b", [(16, 2, 2), (64, 2, 2), (32, 1, 1), (12, 3, 4), (8, 8, 1)]
+    )
+    @pytest.mark.parametrize("window", ["gaussian", "random"])
+    def test_matches_reference_loop_exactly(self, N, a, b, window):
+        if window == "gaussian":
+            g = gaussian_window(N)
+        else:
+            rng = substream(1, "test-gen", "gabor-ref", N)
+            g = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        frame = finite_gabor(N, a, b, g)
+        ref = reference_gabor(N, a, b, g)
+        assert frame.vectors.shape == ref.vectors.shape
+        assert frame.vectors.tobytes() == ref.vectors.tobytes()
+        assert frame.bounds == ref.bounds
+        assert frame.index_set == ref.index_set
 
     def test_non_divisor_steps(self):
         with pytest.raises(PreconditionError):

@@ -5,9 +5,11 @@ import pytest
 
 from framelab.frames import (
     canonical_dual,
+    cross_gram,
     cyclic_index_set,
     gram,
     linear_index_set,
+    product_cyclic_index_set,
 )
 from framelab.generators import (
     decaying_perturbation,
@@ -178,3 +180,26 @@ class TestLocalisationReport:
         params = JaffardParams(2.0, pair.frame.index_set)
         rep = localisation_report(pair, params)
         assert rep.jaffard_gram >= np.max(np.abs(np.diag(gram(pair.frame))))
+
+    @pytest.mark.parametrize("s", [0.0, 1.0, 2.5, 3.0])
+    @pytest.mark.parametrize("family", ["gabor-max", "gabor-sum", "decaying"])
+    def test_fields_equal_jaffard_norms(self, family, s):
+        if family == "decaying":
+            pair = canonical_dual(decaying_perturbation(12, 3.0, 0.1, seed=4))
+            index_set = pair.frame.index_set
+        else:
+            pair = canonical_dual(finite_gabor(16, 2, 2, gaussian_window(16)))
+            metric = family.split("-")[1]
+            index_set = product_cyclic_index_set(8, 8, metric)
+        params = JaffardParams(s, index_set)
+        rep = localisation_report(pair, params)
+        assert rep.jaffard_gram == jaffard_norm(gram(pair.frame), params)
+        assert rep.jaffard_dual_gram == jaffard_norm(gram(pair.dual), params)
+        cross = cross_gram(pair.dual, pair.frame)
+        assert rep.jaffard_cross == jaffard_norm(cross, params)
+
+    def test_index_set_size_mismatch(self):
+        pair = canonical_dual(onb(4))
+        message = "does not match index set of size 5"
+        with pytest.raises(PreconditionError, match=message):
+            localisation_report(pair, JaffardParams(1.0, linear_index_set(5)))

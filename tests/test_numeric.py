@@ -12,6 +12,8 @@ import framelab
 from framelab.numeric import (
     ConditioningError,
     PreconditionError,
+    as_matrix,
+    as_vector,
     inner,
     matrix_from_json,
     matrix_to_csv,
@@ -102,6 +104,43 @@ class TestSolvePosdef:
     def test_indefinite_raises(self):
         with pytest.raises(ConditioningError):
             solve_posdef(np.diag([1.0, -1.0]), np.array([1.0, 1.0]))
+
+
+NON_FINITE = [
+    complex(np.nan, 0.0),
+    complex(np.inf, 0.0),
+    complex(-np.inf, 1.0),
+    complex(0.0, np.nan),
+    complex(1.0, np.inf),
+    complex(0.0, -np.inf),
+]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+class TestNonFiniteRejected:
+    """A NaN or Inf in either the real or the imaginary part alone is
+    rejected, with the same message as before."""
+
+    def test_as_matrix(self, bad):
+        M = np.zeros((2, 2), dtype=complex)
+        M[1, 0] = bad
+        message = "^matrix contains NaN or Inf entries$"
+        with pytest.raises(PreconditionError, match=message):
+            as_matrix(M)
+
+    def test_as_vector(self, bad):
+        v = np.zeros(3, dtype=complex)
+        v[2] = bad
+        message = "^vector contains NaN or Inf entries$"
+        with pytest.raises(PreconditionError, match=message):
+            as_vector(v)
+
+    def test_solve_posdef_rhs(self, bad):
+        rhs = np.ones((2, 2), dtype=complex)
+        rhs[0, 1] = bad
+        message = "^right-hand side contains NaN or Inf$"
+        with pytest.raises(PreconditionError, match=message):
+            solve_posdef(np.eye(2), rhs)
 
 
 def test_import_needs_no_scipy():

@@ -1,6 +1,7 @@
 """Property tests: every verifier passes on random decaying frames with
-polynomial weights, operator-norm enclosures stay ordered, and JSON
-round trips are bit-exact."""
+polynomial weights, operator-norm enclosures stay ordered, the canonical
+dual reconstructs, the Galerkin projection is idempotent, and JSON round
+trips are bit-exact."""
 
 import json
 
@@ -15,11 +16,18 @@ from framelab.frames import (
     frame_from_json,
     frame_to_json,
     linear_index_set,
+    reconstruction_residual,
 )
 from framelab.generators import decaying_perturbation, random_operator
 from framelab.localisation import poly_weight
 from framelab.numeric import matrix_from_json, matrix_to_json
-from framelab.tensor_kernels import galerkin_from_json, galerkin_to_json
+from framelab.tensor_kernels import (
+    correspondence_residual,
+    galerkin,
+    galerkin_from_json,
+    galerkin_to_json,
+    synthesize_kernel,
+)
 from framelab.theorems import (
     schur_characterization,
     verify_inner,
@@ -28,12 +36,21 @@ from framelab.theorems import (
 )
 
 
-@settings(derandomize=True, max_examples=25, deadline=None, database=None)
-@given(
+# random decaying frames: decaying_perturbation(d, decay, eps, seed=seed)
+DECAYING = dict(
     d=st.sampled_from([4, 6, 8]),
     decay=st.floats(2.0, 4.0),
     eps=st.floats(0.0, 0.2),
     seed=st.integers(0, 2**16),
+)
+PROPERTY_SETTINGS = settings(
+    derandomize=True, max_examples=25, deadline=None, database=None
+)
+
+
+@PROPERTY_SETTINGS
+@given(
+    **DECAYING,
     t=st.sampled_from([0.0, 1.0]),
     p=st.sampled_from([1.0, 1.5, 2.0, 3.0, np.inf]),
 )
@@ -58,6 +75,7 @@ def test_verifiers_pass_on_decaying_frames(d, decay, eps, seed, t, p):
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+MODERATE = st.floats(-1e3, 1e3)
 
 
 @st.composite
@@ -68,6 +86,28 @@ def complex_arrays(draw, shape, elements=FINITE):
     A.real = parts[:n]
     A.imag = parts[n:]
     return A.reshape(shape)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), **DECAYING)
+def test_canonical_dual_reconstructs(data, d, decay, eps, seed):
+    pair = canonical_dual(decaying_perturbation(d, decay, eps, seed=seed))
+    f = data.draw(complex_arrays((d,), MODERATE))
+    assert reconstruction_residual(pair, f) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), **DECAYING)
+def test_galerkin_projection_is_idempotent(data, d, decay, eps, seed):
+    pair = canonical_dual(decaying_perturbation(d, decay, eps, seed=seed))
+    O = random_operator(d, d, seed=seed)
+    assert correspondence_residual(galerkin(O, pair, pair), pair, pair) <= 1e-12
+
+    k = data.draw(complex_arrays((d, d), MODERATE))
+    once = galerkin(synthesize_kernel(k, pair, pair), pair, pair)
+    twice = galerkin(synthesize_kernel(once, pair, pair), pair, pair)
+    scale = max(float(np.max(np.abs(once))), 1.0)
+    assert float(np.max(np.abs(twice - once))) / scale <= 1e-12
 
 
 def _through_json(obj):
