@@ -16,7 +16,7 @@ import numpy as np
 
 from .frames import FramePair, analysis
 from .generators import substream
-from .localisation import as_weight, schur_weighted_bound
+from .localisation import _positive_finite, as_weight, schur_weighted_bound
 from .numeric import PreconditionError, as_matrix, as_vector
 
 
@@ -40,16 +40,22 @@ def _pnorm(v: np.ndarray, p: float) -> float:
 
 
 def _pnorm_along(A: np.ndarray, p: float, axis) -> np.ndarray:
-    """``l^p`` norms of ``|A|`` along ``axis`` (``None``: all of it).  For
-    finite ``p > 1`` each slice is divided by its largest entry before the
-    power, so it neither overflows nor underflows (Blue, ACM TOMS 4, 1978)."""
-    a = np.abs(A)
+    """``l^p`` norms of ``|A|`` along ``axis`` (``None``: all of it)."""
+    return _pnorm_of_abs(np.abs(A), p, axis)
+
+
+def _pnorm_of_abs(a: np.ndarray, p: float, axis) -> np.ndarray:
+    """``l^p`` norms of the non-negative array ``a`` along ``axis``,
+    overwriting ``a``.  For finite ``p > 1`` each slice is divided by its
+    largest entry before the power, so it neither overflows nor underflows
+    (Blue, ACM TOMS 4, 1978); a slice whose largest entry is 0 or inf is
+    left unscaled, so its norm is 0 or inf, not inf/inf = NaN."""
     if np.isinf(p):
         return a.max(axis=axis, initial=0.0)
     if p == 1.0:
         return a.sum(axis=axis)
     s = a.max(axis=axis, keepdims=True, initial=0.0)
-    s[s == 0.0] = 1.0
+    s[(s == 0.0) | (s == np.inf)] = 1.0
     a /= s
     np.power(a, p, out=a)
     return a.sum(axis=axis) ** (1.0 / p) * np.squeeze(s, axis=axis)
@@ -101,7 +107,7 @@ class MixedSpaceSpec:
         if self.inner_axis not in (0, 1):
             raise PreconditionError("inner_axis must be 0 or 1")
         W = np.array(self.weights, dtype=float)
-        if W.ndim != 2 or not np.all(np.isfinite(W)) or np.any(W <= 0):
+        if W.ndim != 2 or not _positive_finite(W):
             raise PreconditionError("weight grid must be 2-D, positive, finite")
         W.flags.writeable = False
         object.__setattr__(self, "weights", W)
@@ -148,8 +154,9 @@ def mixed_norm(C, spec: MixedSpaceSpec) -> float:
         raise PreconditionError(
             f"array shape {A.shape} does not match weight grid {spec.weights.shape}"
         )
-    weighted = np.abs(A) * spec.weights
-    inner = _pnorm_along(weighted, spec.p, axis=spec.inner_axis)
+    a = np.abs(A)
+    a *= spec.weights
+    inner = _pnorm_of_abs(a, spec.p, axis=spec.inner_axis)
     return _pnorm(inner, spec.q)
 
 

@@ -34,6 +34,12 @@ class JaffardParams:
         object.__setattr__(self, "exponent", s)
 
 
+def _positive_finite(v: np.ndarray) -> bool:
+    """Whether every entry of ``v`` is positive and finite, from two
+    reductions and no boolean temporaries; NaN fails the first."""
+    return bool(v.min(initial=np.inf) > 0.0 and v.max(initial=0.0) < np.inf)
+
+
 def as_weight(w, n: int | None = None) -> np.ndarray:
     """Validate a positive finite weight vector."""
     v = np.asarray(w, dtype=float)
@@ -41,7 +47,7 @@ def as_weight(w, n: int | None = None) -> np.ndarray:
         raise PreconditionError("weights must form a 1-D sequence")
     if n is not None and v.shape[0] != n:
         raise PreconditionError(f"{v.shape[0]} weights for {n} indices")
-    if not np.all(np.isfinite(v)) or np.any(v <= 0):
+    if not _positive_finite(v):
         raise PreconditionError("weights must be positive and finite")
     return v
 

@@ -59,9 +59,11 @@ def galerkin(O, pair1: FramePair, pair2: FramePair) -> np.ndarray:
     Under the Hilbert-Schmidt identification these are exactly the
     coefficients of the kernel against the dual tensor frame, so
     ``synthesize_kernel(galerkin(O)) == O`` in finite dimensions.
+
+    The result is a row-major (C-contiguous) ``n1 x n2`` array.
     """
     A = _check_operator(O, pair1, pair2)
-    return (pair2.dual.vectors.conj() @ A @ pair1.dual.vectors.T).T
+    return pair1.dual.vectors @ (A.T @ pair2.dual.vectors.conj().T)
 
 
 def synthesize_kernel(k, pair1: FramePair, pair2: FramePair) -> np.ndarray:

@@ -43,6 +43,7 @@ from framelab.generators import (
 )
 from framelab.localisation import poly_weight, schur_weighted_bound
 from framelab.numeric import PreconditionError, as_matrix
+from framelab.tensor_kernels import galerkin
 from framelab.theorems import schur_characterization
 
 
@@ -102,6 +103,123 @@ class TestMixedNorm:
     def test_shape_mismatch(self):
         with pytest.raises(PreconditionError):
             mixed_norm(np.ones((2, 3)), MixedSpaceSpec(1.0, 1.0, 0, np.ones((2, 2))))
+
+
+def _reference_pnorm_along(A, p, axis):
+    a = np.abs(A)
+    if np.isinf(p):
+        return a.max(axis=axis, initial=0.0)
+    if p == 1.0:
+        return a.sum(axis=axis)
+    s = a.max(axis=axis, keepdims=True, initial=0.0)
+    s[s == 0.0] = 1.0
+    a /= s
+    np.power(a, p, out=a)
+    return a.sum(axis=axis) ** (1.0 / p) * np.squeeze(s, axis=axis)
+
+
+def _reference_mixed_norm(C, spec):
+    """The earlier two-``abs`` formula, kept as the bit-for-bit oracle
+    for the one-pass weighted mixed norm on finite input."""
+    weighted = np.abs(as_matrix(C)) * spec.weights
+    inner = _reference_pnorm_along(weighted, spec.p, axis=spec.inner_axis)
+    return float(_reference_pnorm_along(inner, spec.q, axis=None))
+
+
+# the (p, q, inner_axis) triples of the galerkin-scale benchmark
+BENCHMARK_MIXED = [(1.0, np.inf, 0), (2.0, 2.0, 0), (np.inf, 1.0, 1), (1.5, 3.0, 1)]
+MIXED_EXPONENTS = [1.0, 1.5, 2.0, 3.0, np.inf]
+MIXED_TRIPLES = BENCHMARK_MIXED + [
+    (p, q, axis) for p in MIXED_EXPONENTS for q in MIXED_EXPONENTS for axis in (0, 1)
+]
+
+
+class TestOnePassMixedNorm:
+    """The one-pass norm sums ``|k| * W`` in the memory layout of ``k``.
+    The reference's product ``abs(k) * W`` takes that layout only when
+    numpy reuses the ``abs`` temporary in place, which it does for
+    arrays of at least 256 KiB; a smaller column-major product comes out
+    row-major, so its sums may round differently in the last bit."""
+
+    @staticmethod
+    def galerkin_case(N):
+        pair = canonical_dual(finite_gabor(N, 2, 2, gaussian_window(N)))
+        w = poly_weight(pair.frame.index_set, 1.0)
+        k = galerkin(random_operator(N, N, seed=3), pair, pair)
+        return k, tensor_weights(w, w)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_bit_identical_to_reference(self, layout):
+        k, W = self.galerkin_case(32)  # 256 x 256 complex: 512 KiB of |k|
+        if layout == "F":
+            k = np.asfortranarray(k)
+        elif layout == "strided":
+            k, W = k[::2, ::3], W[::2, ::3]
+        for p, q, axis in MIXED_TRIPLES:
+            spec = MixedSpaceSpec(p, q, axis, W)
+            assert mixed_norm(k, spec) == _reference_mixed_norm(k, spec), (p, q, axis)
+
+    def test_small_column_major_within_rounding(self):
+        k, W = self.galerkin_case(16)  # 64 x 64: below numpy's reuse size
+        kf = np.asfortranarray(k)
+        rtol = k.shape[0] * np.finfo(float).eps
+        for p, q, axis in MIXED_TRIPLES:
+            spec = MixedSpaceSpec(p, q, axis, W)
+            ref = _reference_mixed_norm(kf, spec)
+            assert mixed_norm(kf, spec) == pytest.approx(ref, rel=rtol, abs=0)
+            assert mixed_norm(k, spec) == ref
+
+
+class TestWeightGridValidation:
+    MESSAGE = "^weight grid must be 2-D, positive, finite$"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_rejects_entry(self, bad):
+        W = np.ones((2, 3))
+        W[1, 2] = bad
+        with pytest.raises(PreconditionError, match=self.MESSAGE):
+            MixedSpaceSpec(1.0, 1.0, 0, W)
+
+    @pytest.mark.parametrize("shape", [(6,), (1, 2, 3)])
+    def test_rejects_non_2d(self, shape):
+        with pytest.raises(PreconditionError, match=self.MESSAGE):
+            MixedSpaceSpec(1.0, 1.0, 0, np.ones(shape))
+
+
+class TestOverflowGivesInf:
+    """A slice whose largest entry overflows has norm inf, not NaN."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 400.0, np.inf])
+    def test_pnorm_along_inf_slice(self, p):
+        A = np.ones((3, 2))
+        A[1, 0] = np.inf
+        np.testing.assert_array_equal(
+            _pnorm_along(A, p, axis=0), [np.inf, _pnorm(np.ones(3), p)]
+        )
+
+    def test_complex_entries_overflowing_abs(self):
+        spec = MixedSpaceSpec(2.0, 2.0, 0, np.ones((3, 3)))
+        with np.errstate(over="ignore"):
+            assert mixed_norm(np.full((3, 3), 1e308 + 1e308j), spec) == np.inf
+
+    def test_weight_times_entry_overflows(self):
+        k = np.ones((3, 3))
+        W = np.ones((3, 3))
+        k[1, 2] = W[1, 2] = 1e200
+        spec = MixedSpaceSpec(2.0, 2.0, 0, W)
+        with np.errstate(over="ignore"):
+            assert mixed_norm(k, spec) == np.inf
+
+    @pytest.mark.parametrize("p, q", [(1.5, 3.0), (1.0, 2.0), (3.0, np.inf)])
+    def test_opnorm_upper_bound(self, p, q):
+        pair = canonical_dual(finite_gabor(8, 2, 2, gaussian_window(8)))
+        n = pair.frame.cardinality
+        src = CoorbitSpec(pair, SeqSpaceSpec(p, np.full(n, 1e-160)))
+        dst = CoorbitSpec(pair, SeqSpaceSpec(q, np.full(n, 1e160)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            interval = coorbit_opnorm(random_operator(8, 8, seed=0), src, dst)
+        assert interval.upper == np.inf
+        assert 0.0 < interval.lower <= interval.upper
 
 
 class TestCoorbitNorm:

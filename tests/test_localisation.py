@@ -20,6 +20,7 @@ from framelab.generators import (
 )
 from framelab.localisation import (
     JaffardParams,
+    as_weight,
     jaffard_norm,
     localisation_report,
     poly_weight,
@@ -85,6 +86,24 @@ class TestJaffardNorm:
     def test_shape_mismatch(self):
         with pytest.raises(PreconditionError):
             jaffard_norm(np.eye(3), JaffardParams(1.0, linear_index_set(4)))
+
+
+class TestAsWeight:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_rejects_entry(self, bad):
+        with pytest.raises(
+            PreconditionError, match="^weights must be positive and finite$"
+        ):
+            as_weight(np.array([1.0, bad, 2.0]))
+
+    @pytest.mark.parametrize("shape", [(), (2, 3)])
+    def test_rejects_non_1d(self, shape):
+        with pytest.raises(PreconditionError, match="^weights must form a 1-D sequence$"):
+            as_weight(np.ones(shape))
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(PreconditionError, match="^3 weights for 4 indices$"):
+            as_weight(np.ones(3), 4)
 
 
 class TestSchurWeightedBound:

@@ -9,6 +9,7 @@ import pytest
 from framelab.coorbit import MixedSpaceSpec, tensor_weights
 from framelab.frames import Frame, canonical_dual, cross_gram, frame_bounds
 from framelab.generators import (
+    decaying_perturbation,
     finite_gabor,
     gaussian_window,
     mercedes,
@@ -206,6 +207,38 @@ class TestGalerkin:
     def test_shape_mismatch(self):
         with pytest.raises(PreconditionError):
             galerkin(np.eye(3), e1e1e2_pair(), e1e1e2_pair())
+
+
+def _reference_galerkin(O, pair1, pair2):
+    """The earlier formula, whose final transpose left a column-major
+    array; kept as the oracle for the row-major product."""
+    return (pair2.dual.vectors.conj() @ O @ pair1.dual.vectors.T).T
+
+
+GALERKIN_PAIRS = {
+    "onb": lambda: (onb(4), onb(4)),
+    "mercedes": lambda: (mercedes(), mercedes()),
+    "gabor": lambda: 2 * (finite_gabor(16, 2, 2, gaussian_window(16)),),
+    "decaying": lambda: 2 * (decaying_perturbation(16, 4.0, 0.05, seed=3),),
+    "gabor-to-decaying": lambda: (
+        finite_gabor(8, 2, 2, gaussian_window(8)),
+        decaying_perturbation(6, 2.0, 0.2, seed=1),
+    ),
+}
+
+
+class TestRowMajorGalerkin:
+    @pytest.mark.parametrize("name", sorted(GALERKIN_PAIRS))
+    def test_matches_reference_and_is_row_major(self, name):
+        frame1, frame2 = GALERKIN_PAIRS[name]()
+        pair1, pair2 = canonical_dual(frame1), canonical_dual(frame2)
+        O = random_operator(frame2.space_dim, frame1.space_dim, seed=7)
+        k = galerkin(O, pair1, pair2)
+        assert k.shape == (frame1.cardinality, frame2.cardinality)
+        assert k.flags.c_contiguous
+        scale = np.max(np.abs(k))
+        tol = 4 * np.finfo(float).eps * scale
+        assert np.max(np.abs(k - _reference_galerkin(O, pair1, pair2))) <= tol
 
 
 class TestSynthesizeKernel:
