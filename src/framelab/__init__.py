@@ -29,7 +29,6 @@ from .numeric import (  # noqa: F401
     PreconditionError,
     inner,
     matrix_from_json,
-    matrix_to_csv,
     matrix_to_json,
     solve_posdef,
     svd_values,

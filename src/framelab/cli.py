@@ -270,31 +270,7 @@ def _cmd_verify(args) -> int:
     tol = args.tol if args.tol is not None else REPORT_TOL
 
     which = args.which
-    if which == "outer":
-        report = verify_outer(
-            _load_matrix(args.op), pair1, pair2, w1, w2, seed=args.seed, tol=tol
-        )
-    elif which == "inner":
-        _, report = verify_inner(
-            _load_matrix(args.op), pair1, pair2, w1, w2, tol=tol
-        )
-    elif which == "projective":
-        report = verify_projective(
-            _load_matrix(args.op), pair1, pair2, w1, w2, tol=tol
-        )
-    elif which == "schur":
-        report = schur_characterization(
-            _load_matrix(args.op),
-            pair1,
-            pair2,
-            w1,
-            w2,
-            _parse_exponent(args.p),
-            args.variant,
-            seed=args.seed,
-            tol=tol,
-        )
-    elif which == "independence":
+    if which == "independence":
         if not (args.frame1b and args.frame2b):
             raise PreconditionError(
                 "independence needs --frame1b and --frame2b for the second family"
@@ -304,13 +280,24 @@ def _cmd_verify(args) -> int:
         p = _parse_exponent(args.p)
         q = _parse_exponent(args.q)
         spec = MixedSpaceSpec(p, q, args.inner_axis, tensor_weights(w1, w2))
+    O = _load_matrix(args.op)
+    if which == "outer":
+        report = verify_outer(O, pair1, pair2, w1, w2, seed=args.seed, tol=tol)
+    elif which == "inner":
+        _, report = verify_inner(O, pair1, pair2, w1, w2, tol=tol)
+    elif which == "projective":
+        report = verify_projective(O, pair1, pair2, w1, w2, tol=tol)
+    elif which == "schur":
+        p = _parse_exponent(args.p)
+        report = schur_characterization(
+            O, pair1, pair2, w1, w2, p, args.variant, seed=args.seed, tol=tol
+        )
+    elif which == "independence":
         report = verify_frame_independence(
-            _load_matrix(args.op), (pair1, pair2), (pair1b, pair2b), spec, tol=tol
+            O, (pair1, pair2), (pair1b, pair2b), spec, tol=tol
         )
     elif which == "schatten":
-        report = schatten_check(
-            _load_matrix(args.op), pair1, pair2, _parse_exponent(args.p), tol=tol
-        )
+        report = schatten_check(O, pair1, pair2, _parse_exponent(args.p), tol=tol)
     else:  # pragma: no cover - blocked by argparse choices
         raise PreconditionError(f"unknown verification {which!r}")
 

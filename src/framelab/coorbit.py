@@ -14,17 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import FramePair, analysis
+from .frames import FramePair, _check_operator, analysis
 from .generators import substream
-from .localisation import _positive_finite, as_weight, schur_weighted_bound
-from .numeric import PreconditionError, as_matrix, as_vector
-
-
-def _check_exponent(p) -> float:
-    p = float(p)
-    if not (1.0 <= p):
-        raise PreconditionError(f"exponent {p} outside [1, inf]")
-    return p
+from .localisation import _positive_finite, _schur_bound, as_weight
+from .numeric import PreconditionError, _check_exponent, as_matrix, as_vector
 
 
 def _holder_conjugate(p: float) -> float:
@@ -245,23 +238,18 @@ def coorbit_opnorm(
     through the source coefficients), combining the column bound (exact
     for ``p=1``), the row Hoelder bound (exact for ``q=inf``), the Schur
     interpolation bound for ``p=q`` and the spectral norm for
-    ``p=q=2``.  The lower bound is the best ratio ``||O f|| / ||f||``
-    over frame vectors, standard basis vectors, synthesized Hoelder
-    extremizers (``p > 1``) and ``10 * d1`` seeded random probes, scored
-    in blocks of at most ``d1`` probes.  On an orthonormal basis at
-    ``p=1`` the frame vectors attain the column bound, so the interval
-    is exact up to rounding.
+    ``p=q=2``; weights that overflow the scaled matrix give the upper
+    bound inf, and the spectral norm is then skipped.  The lower bound
+    is the best ratio ``||O f|| / ||f||`` over frame vectors, standard
+    basis vectors, synthesized Hoelder extremizers (``p > 1``) and
+    ``10 * d1`` seeded random probes, scored in blocks of at most ``d1``
+    probes.  On an orthonormal basis at ``p=1`` the frame vectors attain
+    the column bound, so the interval is exact up to rounding.
 
     A lower bound above the upper one by at most ``16 eps`` relative is
     clamped to it; a larger excess raises ``FloatingPointError``.
     """
-    A = as_matrix(O)
-    d1 = src.pair.frame.space_dim
-    d2 = dst.pair.frame.space_dim
-    if A.shape != (d2, d1):
-        raise PreconditionError(
-            f"operator shape {A.shape} does not map C^{d1} to C^{d2}"
-        )
+    A = _check_operator(O, src.pair, dst.pair)
     p = src.seq.p
     q = dst.seq.p
     w1 = src.seq.weight
@@ -275,9 +263,8 @@ def coorbit_opnorm(
     if p == 1.0:
         uppers.append(float(np.max(_pnorm_along(B, q, axis=0), initial=0.0)))
     if p == q:
-        n2, n1 = B.shape
-        uppers.append(schur_weighted_bound(B, np.ones(n1), p, np.ones(n2)))
-    if p == 2.0 and q == 2.0:
+        uppers.append(_schur_bound(np.abs(B), p))
+    if p == 2.0 and q == 2.0 and np.isfinite(B).all():
         uppers.append(float(np.linalg.norm(B, 2)))
     upper = min(uppers)
 

@@ -281,14 +281,27 @@ def dual_pair(pair: FramePair) -> FramePair:
     return FramePair(frame=pair.dual, dual=pair.frame, bounds=(1.0 / b, 1.0 / a))
 
 
-def is_orthonormal_basis(pair: FramePair, tol: float = 1e-12) -> bool:
+def is_orthonormal_basis(pair: FramePair) -> bool:
     """Whether the primal frame is an orthonormal basis (Gram equals the
-    identity and the cardinality matches the dimension)."""
+    identity to ``1e-12`` and the cardinality matches the dimension)."""
     frame = pair.frame
     if frame.cardinality != frame.space_dim:
         return False
     G = frame.vectors.conj() @ frame.vectors.T
-    return float(np.max(np.abs(G - np.eye(frame.space_dim)))) <= tol
+    return float(np.max(np.abs(G - np.eye(frame.space_dim)))) <= 1e-12
+
+
+def _check_operator(O, pair1: FramePair, pair2: FramePair) -> np.ndarray:
+    """``O`` as a validated ``d2 x d1`` matrix mapping the space of
+    ``pair1`` into that of ``pair2``."""
+    A = as_matrix(O)
+    d1 = pair1.frame.space_dim
+    d2 = pair2.frame.space_dim
+    if A.shape != (d2, d1):
+        raise PreconditionError(
+            f"operator shape {A.shape} does not map C^{d1} to C^{d2}"
+        )
+    return A
 
 
 def reconstruction_residual(pair: FramePair, f) -> float:

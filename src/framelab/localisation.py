@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import FramePair, IndexSet, cross_gram
-from .numeric import PreconditionError, as_matrix
+from .numeric import PreconditionError, _check_exponent, as_matrix
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,8 @@ def _decay_grid(params: JaffardParams) -> np.ndarray:
     return (1.0 + params.index_set.distance_matrix()) ** params.exponent
 
 
-def _weighted_sup(M, grid: np.ndarray) -> float:
-    A = as_matrix(M)
+def _weighted_sup(A: np.ndarray, grid: np.ndarray) -> float:
+    """``max |A| * grid`` for a validated matrix ``A`` of the grid's shape."""
     if A.shape != grid.shape:
         raise PreconditionError(
             f"matrix shape {A.shape} does not match index set of size "
@@ -72,7 +72,18 @@ def _weighted_sup(M, grid: np.ndarray) -> float:
 def jaffard_norm(M, params: JaffardParams) -> float:
     """Smallest ``C`` with ``|M[i,i']| <= C (1 + rho(i,i'))^-s``,
     computed as ``sup |M[i,i']| (1 + rho(i,i'))^s``."""
-    return _weighted_sup(M, _decay_grid(params))
+    return _weighted_sup(as_matrix(M), _decay_grid(params))
+
+
+def _schur_bound(a: np.ndarray, p: float) -> float:
+    """``C_row^(1-1/p) * C_col^(1/p)`` from the row and column sums of
+    the non-negative matrix ``a``; inf sums give inf."""
+    c_row = float(np.max(a.sum(axis=1), initial=0.0))
+    c_col = float(np.max(a.sum(axis=0), initial=0.0))
+    if np.isinf(p):
+        return c_row
+    theta = 1.0 / p
+    return c_row ** (1.0 - theta) * c_col**theta
 
 
 def schur_weighted_bound(M, w, p, w_out=None) -> float:
@@ -86,20 +97,12 @@ def schur_weighted_bound(M, w, p, w_out=None) -> float:
     operator norm for every ``p`` in ``[1, inf]``.
     """
     A = np.abs(as_matrix(M))
-    p = float(p)
-    if not (1.0 <= p):
-        raise PreconditionError(f"exponent p={p} outside [1, inf]")
+    p = _check_exponent(p, "p=")
     w_in = as_weight(w, A.shape[1])
     w_o = w_in if w_out is None else as_weight(w_out, A.shape[0])
     if A.shape[0] != w_o.shape[0]:
         raise PreconditionError("row weights do not match matrix shape")
-    scaled = A * w_o[:, None] / w_in[None, :]
-    c_row = float(np.max(scaled.sum(axis=1), initial=0.0))
-    c_col = float(np.max(scaled.sum(axis=0), initial=0.0))
-    if np.isinf(p):
-        return c_row
-    theta = 1.0 / p
-    return c_row ** (1.0 - theta) * c_col**theta
+    return _schur_bound(A * w_o[:, None] / w_in[None, :], p)
 
 
 def poly_weight(index_set: IndexSet, t: float) -> np.ndarray:

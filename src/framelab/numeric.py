@@ -1,8 +1,8 @@
 """Dense complex linear-algebra backend.
 
-Input validation, inner products, singular values, a checked
-positive-definite solve and matrix serialization live here so that
-numerical conventions are fixed in exactly one place:
+Input validation (arrays and norm exponents), inner products, singular
+values, a checked positive-definite solve and matrix serialization live
+here so that numerical conventions are fixed in exactly one place:
 
 * scalars are complex doubles,
 * the inner product ``inner(f, g)`` is linear in ``f`` and
@@ -47,6 +47,15 @@ def as_vector(f) -> np.ndarray:
     if not np.isfinite(A).all():
         raise PreconditionError("vector contains NaN or Inf entries")
     return A
+
+
+def _check_exponent(p, prefix: str = "") -> float:
+    """``p`` as a float, rejected unless ``1 <= p <= inf``; ``prefix``
+    goes before ``p`` in the error message."""
+    p = float(p)
+    if not (1.0 <= p):
+        raise PreconditionError(f"exponent {prefix}{p} outside [1, inf]")
+    return p
 
 
 def inner(f, g) -> complex:
@@ -128,11 +137,3 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         )
     return as_matrix(flat.reshape(rows, cols))
 
-
-def matrix_to_csv(M) -> str:
-    """CSV export with ``re+imi`` cells.  Export only; no parser."""
-    A = as_matrix(M)
-    def cell(z: complex) -> str:
-        sign = "+" if z.imag >= 0 else "-"
-        return f"{float(z.real)!r}{sign}{abs(float(z.imag))!r}i"
-    return "\n".join(",".join(cell(z) for z in row) for row in A) + "\n"

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coorbit import MixedSpaceSpec, mixed_norm
-from .frames import Frame, FramePair, IndexSet, cross_gram, linear_index_set
+from .frames import (
+    Frame,
+    FramePair,
+    IndexSet,
+    _check_operator,
+    cross_gram,
+    linear_index_set,
+)
 from .numeric import (
     PreconditionError,
     _complex_from_json,
@@ -40,17 +47,6 @@ def hs_inner(K1, K2) -> complex:
     if A.shape != B.shape:
         raise PreconditionError(f"kernel shapes differ: {A.shape} vs {B.shape}")
     return complex(np.vdot(B, A))
-
-
-def _check_operator(O, pair1: FramePair, pair2: FramePair) -> np.ndarray:
-    A = as_matrix(O)
-    d1 = pair1.frame.space_dim
-    d2 = pair2.frame.space_dim
-    if A.shape != (d2, d1):
-        raise PreconditionError(
-            f"operator shape {A.shape} does not map C^{d1} to C^{d2}"
-        )
-    return A
 
 
 def galerkin(O, pair1: FramePair, pair2: FramePair) -> np.ndarray:
@@ -86,8 +82,8 @@ def correspondence_residual(k, pair1: FramePair, pair2: FramePair) -> float:
     The projection is idempotent, so a vanishing residual certifies
     that ``k`` is the coefficient array of an actual kernel.
     """
-    K = as_matrix(k)
-    projected = galerkin(synthesize_kernel(K, pair1, pair2), pair1, pair2)
+    projected = galerkin(synthesize_kernel(k, pair1, pair2), pair1, pair2)
+    K = np.asarray(k, dtype=complex)  # validated by synthesize_kernel
     denom = max(float(np.max(np.abs(K), initial=0.0)), 1.0)
     return float(np.max(np.abs(K - projected), initial=0.0)) / denom
 
@@ -130,9 +126,6 @@ class TensorFrame:
 
     def element(self, i: int, j: int) -> np.ndarray:
         return simple_tensor(self.pair1.frame.vectors[i], self.pair2.frame.vectors[j])
-
-    def dual_element(self, i: int, j: int) -> np.ndarray:
-        return simple_tensor(self.pair1.dual.vectors[i], self.pair2.dual.vectors[j])
 
     def as_frame(self) -> Frame:
         """Materialize as an ordinary frame of flattened kernels (the

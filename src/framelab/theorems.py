@@ -24,14 +24,16 @@ from .coorbit import (
     MixedSpaceSpec,
     SeqSpaceSpec,
     _holder_conjugate,
+    _pnorm,
+    _pnorm_along,
     coorbit_opnorm,
     mixed_norm,
     tensor_weights,
 )
-from .frames import FramePair, cross_gram, gram, is_orthonormal_basis
+from .frames import FramePair, _check_operator, cross_gram, gram, is_orthonormal_basis
 from .localisation import as_weight, schur_weighted_bound
-from .numeric import PreconditionError, as_matrix, svd_values
-from .tensor_kernels import _check_operator, galerkin, synthesize_kernel
+from .numeric import PreconditionError, _check_exponent, as_matrix, svd_values
+from .tensor_kernels import galerkin, synthesize_kernel
 
 REPORT_TOL = 1e-9
 
@@ -223,9 +225,7 @@ def schur_characterization(
     """
     if variant not in ("i", "ii"):
         raise PreconditionError(f"variant must be 'i' or 'ii', got {variant!r}")
-    p = float(p)
-    if not (1.0 <= p):
-        raise PreconditionError(f"exponent p={p} outside [1, inf]")
+    p = _check_exponent(p, "p=")
     w1, w2 = _check_weights(pair1, pair2, w1, w2)
     if variant == "i":
         p_src, p_dst, kernel_exp, inner_axis = 1.0, p, p, 1
@@ -422,15 +422,14 @@ def verify_frame_independence(
     pairs_a: tuple[FramePair, FramePair],
     pairs_b: tuple[FramePair, FramePair],
     spec: MixedSpaceSpec,
-    spec_b: MixedSpaceSpec | None = None,
     tol: float = REPORT_TOL,
 ) -> VerificationReport:
     """Measure the same operator's kernel in two tensor frames and check
     the norm ratio against the cross-Gram change-of-frame budget.
 
     ``spec`` describes the norm on the first family's index grid; when
-    the families have different cardinalities a matching ``spec_b`` must
-    be given (it is inferred automatically for constant weight grids).
+    the families have different cardinalities its weight grid must be
+    constant, and the second family gets the same constant.
     """
     a1, a2 = pairs_a
     b1, b2 = pairs_b
@@ -440,21 +439,21 @@ def verify_frame_independence(
     ):
         raise PreconditionError("frame families act on different spaces")
     k_a = galerkin(O, a1, a2)
-    if spec_b is None:
-        shape_b = (b1.frame.cardinality, b2.frame.cardinality)
-        if spec.weights.shape == shape_b:
-            spec_b = spec
-        elif np.ptp(spec.weights) == 0.0:
-            spec_b = MixedSpaceSpec(
-                spec.p,
-                spec.q,
-                spec.inner_axis,
-                np.full(shape_b, float(spec.weights.flat[0])),
-            )
-        else:
-            raise PreconditionError(
-                "families have different index grids; pass spec_b explicitly"
-            )
+    shape_b = (b1.frame.cardinality, b2.frame.cardinality)
+    if spec.weights.shape == shape_b:
+        spec_b = spec
+    elif np.ptp(spec.weights) == 0.0:
+        spec_b = MixedSpaceSpec(
+            spec.p,
+            spec.q,
+            spec.inner_axis,
+            np.full(shape_b, float(spec.weights.flat[0])),
+        )
+    else:
+        raise PreconditionError(
+            "families have different index grids; the weight grid must be "
+            "constant"
+        )
     norm_a = mixed_norm(k_a, spec)
     norm_b = mixed_norm(galerkin(O, b1, b2), spec_b)
     budget_ab, budget_ba = _independence_budget(pairs_a, pairs_b, spec, spec_b)
@@ -500,11 +499,9 @@ def schatten_check(
     if not (1.0 <= p <= 2.0):
         raise PreconditionError(f"Schatten exponent p={p} outside [1, 2]")
     A = _check_operator(O, pair1, pair2)
-    sigma = svd_values(A)
-    lhs = float(np.sum(sigma**p) ** (1.0 / p))
-    images = A @ pair1.dual.vectors.T
-    col_norms = np.linalg.norm(images, axis=0)
-    rhs = float(np.sum(col_norms**p) ** (1.0 / p))
+    lhs = _pnorm(svd_values(A), p)
+    col_norms = _pnorm_along(A @ pair1.dual.vectors.T, 2.0, axis=0)
+    rhs = _pnorm(col_norms, p)
 
     onb = is_orthonormal_basis(pair1)
     budget = 1.0 if onb else float(np.sqrt(pair1.bounds[1]))
@@ -524,7 +521,7 @@ def schatten_check(
         details={
             "p": p,
             "one_sided": True,
-            "frobenius": float(np.linalg.norm(A)),
+            "frobenius": _pnorm(A, 2.0),
             "kernel_h2p": kernel_h2p,
             "source_bounds": list(pair1.bounds),
         },

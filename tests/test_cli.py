@@ -244,6 +244,14 @@ class TestVerify:
         )
         assert code == 1
 
+    def test_independence_checks_exponents_before_operator(
+        self, onb4, tmp_path, capsys
+    ):
+        argv = ["verify", "independence", "--frame1", str(onb4), "--frame2", str(onb4)]
+        argv += ["--frame1b", str(onb4), "--frame2b", str(onb4), "--p", "0.5"]
+        assert dispatch(argv + ["--op", str(tmp_path / "missing.json")]) == 3
+        assert "exponent 0.5 outside [1, inf]" in capsys.readouterr().err
+
     def test_independence_needs_second_family(self, onb4, op44):
         assert (
             dispatch(

@@ -1,8 +1,11 @@
 """Decay norms, weighted Schur bounds, polynomial weights, reports."""
 
+import sys
+
 import numpy as np
 import pytest
 
+import framelab.numeric
 from framelab.frames import (
     canonical_dual,
     cross_gram,
@@ -16,10 +19,12 @@ from framelab.generators import (
     finite_gabor,
     gaussian_window,
     onb,
+    random_operator,
     substream,
 )
 from framelab.localisation import (
     JaffardParams,
+    _schur_bound,
     as_weight,
     jaffard_norm,
     localisation_report,
@@ -27,6 +32,7 @@ from framelab.localisation import (
     schur_weighted_bound,
 )
 from framelab.numeric import PreconditionError, svd_values
+from framelab.tensor_kernels import correspondence_residual, galerkin
 
 
 def decaying_matrix(n, s, seed):
@@ -137,6 +143,13 @@ class TestSchurWeightedBound:
                 truth = svd_values(np.diag(w) @ M @ np.diag(1.0 / w))[0]
             assert schur_weighted_bound(M, w, p) >= truth - 1e-10
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, np.inf])
+    def test_core_matches_unit_weights_exactly(self, p):
+        rng = substream(4, "test", "schur-core", str(p))
+        M = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
+        public = schur_weighted_bound(M, np.ones(7), p, np.ones(5))
+        assert _schur_bound(np.abs(M), p) == public
+
 
 class TestPolyWeight:
     def test_linear_grid(self):
@@ -222,3 +235,37 @@ class TestLocalisationReport:
         message = "does not match index set of size 5"
         with pytest.raises(PreconditionError, match=message):
             localisation_report(pair, JaffardParams(1.0, linear_index_set(5)))
+
+
+class TestValidatedOnce:
+    """Arrays the package builds itself are not validated again."""
+
+    @pytest.fixture
+    def as_matrix_calls(self, monkeypatch):
+        calls = []
+        real = framelab.numeric.as_matrix
+
+        def counting(M):
+            calls.append(1)
+            return real(M)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("framelab") and getattr(module, "as_matrix", 0) is real:
+                monkeypatch.setattr(module, "as_matrix", counting)
+        return calls
+
+    def test_localisation_report_checks_no_gram(self, as_matrix_calls):
+        pair = canonical_dual(finite_gabor(8, 2, 2, gaussian_window(8)))
+        as_matrix_calls.clear()
+        localisation_report(pair, JaffardParams(1.0, pair.frame.index_set))
+        assert as_matrix_calls == []
+        # the shape check stays without the validation
+        with pytest.raises(PreconditionError, match="index set of size 5"):
+            localisation_report(pair, JaffardParams(1.0, linear_index_set(5)))
+
+    def test_correspondence_residual_checks_input_once(self, as_matrix_calls):
+        pair = canonical_dual(onb(3))
+        k = galerkin(random_operator(3, 3, seed=1), pair, pair)
+        as_matrix_calls.clear()
+        assert correspondence_residual(k, pair, pair) < 1e-12
+        assert len(as_matrix_calls) == 2  # synthesize_kernel, then galerkin

@@ -16,7 +16,6 @@ from framelab.numeric import (
     as_vector,
     inner,
     matrix_from_json,
-    matrix_to_csv,
     matrix_to_json,
     solve_posdef,
     svd_values,
@@ -170,7 +169,3 @@ class TestSerialization:
             matrix_from_json(
                 {"rows": 1, "cols": 1, "entries": [[float("nan"), 0.0]]}
             )
-
-    def test_csv_cells(self):
-        text = matrix_to_csv(np.array([[1.5 + 2.0j, -1.0 - 0.5j]]))
-        assert text.splitlines()[0] == "1.5+2.0i,-1.0-0.5i"

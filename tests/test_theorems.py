@@ -275,6 +275,15 @@ class TestFrameIndependence:
         rep = verify_frame_independence(O, (pair_a, pair_a), (pair_b, pair_b), spec)
         assert rep.passed
 
+    def test_different_grid_needs_constant_weights(self):
+        pair_a = canonical_dual(onb(2))
+        pair_b = e1e1e2_pair()
+        spec = MixedSpaceSpec(1.0, 1.0, 0, np.array([[1.0, 2.0], [1.0, 2.0]]))
+        with pytest.raises(PreconditionError, match="weight grid must be constant"):
+            verify_frame_independence(
+                random_operator(2, 2, seed=7), (pair_a, pair_a), (pair_b, pair_b), spec
+            )
+
     def test_unsupported_mixed_exponents(self):
         pair = canonical_dual(onb(2))
         spec = MixedSpaceSpec(1.0, 2.0, 0, np.ones((2, 2)))
@@ -334,6 +343,23 @@ class TestSchattenCheck:
         pair = canonical_dual(onb(2))
         with pytest.raises(PreconditionError):
             schatten_check(np.eye(2), pair, pair, 3.0)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_huge_operator_scales_exactly(self, p):
+        """Sums of p-th powers would overflow at 1e200; the scaled norms
+        keep both sides finite, so the report is not a vacuous pass."""
+        pair = canonical_dual(onb(4))
+        O = random_operator(4, 4, seed=2)
+        small = schatten_check(O, pair, pair, p)
+        big = schatten_check(1e200 * O, pair, pair, p)
+        assert big.passed
+        for b, s in [
+            (big.lhs, small.lhs),
+            (big.rhs, small.rhs),
+            (big.details["frobenius"], small.details["frobenius"]),
+        ]:
+            assert np.isfinite(b)
+            assert b == pytest.approx(1e200 * s, rel=4 * np.finfo(float).eps)
 
 
 class TestCompressOperator:
