@@ -42,7 +42,6 @@ from .tensor_kernels import (
     synthesize_kernel,
 )
 from .theorems import (
-    REPORT_TOL,
     compress_operator,
     compressions_to_csv,
     reports_to_csv,
@@ -267,7 +266,6 @@ def _cmd_verify(args) -> int:
     pair1 = canonical_dual(_load_frame(args.frame1))
     pair2 = canonical_dual(_load_frame(args.frame2))
     w1, w2 = _weights_for(args, pair1.frame, pair2.frame)
-    tol = args.tol if args.tol is not None else REPORT_TOL
 
     which = args.which
     if which == "independence":
@@ -282,22 +280,22 @@ def _cmd_verify(args) -> int:
         spec = MixedSpaceSpec(p, q, args.inner_axis, tensor_weights(w1, w2))
     O = _load_matrix(args.op)
     if which == "outer":
-        report = verify_outer(O, pair1, pair2, w1, w2, seed=args.seed, tol=tol)
+        report = verify_outer(O, pair1, pair2, w1, w2, seed=args.seed)
     elif which == "inner":
-        _, report = verify_inner(O, pair1, pair2, w1, w2, tol=tol)
+        _, report = verify_inner(O, pair1, pair2, w1, w2)
     elif which == "projective":
-        report = verify_projective(O, pair1, pair2, w1, w2, tol=tol)
+        report = verify_projective(O, pair1, pair2, w1, w2)
     elif which == "schur":
         p = _parse_exponent(args.p)
         report = schur_characterization(
-            O, pair1, pair2, w1, w2, p, args.variant, seed=args.seed, tol=tol
+            O, pair1, pair2, w1, w2, p, args.variant, seed=args.seed
         )
     elif which == "independence":
         report = verify_frame_independence(
-            O, (pair1, pair2), (pair1b, pair2b), spec, tol=tol
+            O, (pair1, pair2), (pair1b, pair2b), spec
         )
     elif which == "schatten":
-        report = schatten_check(O, pair1, pair2, _parse_exponent(args.p), tol=tol)
+        report = schatten_check(O, pair1, pair2, _parse_exponent(args.p))
     else:  # pragma: no cover - blocked by argparse choices
         raise PreconditionError(f"unknown verification {which!r}")
 
@@ -436,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inner-axis", type=int, default=0, choices=[0, 1])
     p.add_argument("--variant", default="i", choices=["i", "ii"])
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--tol", type=float)
     p.add_argument("--format", default="json", choices=["json", "csv"])
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_verify)

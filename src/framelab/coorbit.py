@@ -208,7 +208,8 @@ _CLAMP_RTOL = 16 * np.finfo(float).eps
 def _probe_blocks(B: np.ndarray, frame, w1: np.ndarray, p: float, seed: int):
     """Lower-bound probes in ``d x k`` blocks, ``k <= d``: frame vectors,
     basis vectors, synthesized Hoelder extremizers of the rows of ``B``
-    and ``10 * d`` seeded random probes."""
+    whose largest magnitude is finite, and ``10 * d`` seeded random
+    probes."""
     V = frame.vectors
     d = frame.space_dim
     for i in range(0, len(V), d):
@@ -217,10 +218,15 @@ def _probe_blocks(B: np.ndarray, frame, w1: np.ndarray, p: float, seed: int):
     if p > 1.0:  # at p=1 each extremizer is a multiple of a frame vector
         expo = _holder_conjugate(p) - 1.0
         for j in range(0, B.shape[0], d):
-            mag = np.abs(B[j : j + d])
+            rows = B[j : j + d]
+            mag = np.abs(rows)
             top = mag.max(axis=1, keepdims=True)
+            finite = np.isfinite(top[:, 0])
+            if not finite.any():
+                continue
+            rows, mag, top = rows[finite], mag[finite], top[finite]
             top[top == 0.0] = 1.0
-            X = np.exp(-1j * np.angle(B[j : j + d])) * (mag / top) ** expo
+            X = np.exp(-1j * np.angle(rows)) * (mag / top) ** expo
             yield V.T @ (X / w1).T
     rng = substream(seed, "coorbit", "opnorm")
     for _ in range(10):

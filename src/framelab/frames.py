@@ -287,8 +287,7 @@ def is_orthonormal_basis(pair: FramePair) -> bool:
     frame = pair.frame
     if frame.cardinality != frame.space_dim:
         return False
-    G = frame.vectors.conj() @ frame.vectors.T
-    return float(np.max(np.abs(G - np.eye(frame.space_dim)))) <= 1e-12
+    return float(np.max(np.abs(gram(frame) - np.eye(frame.space_dim)))) <= 1e-12
 
 
 def _check_operator(O, pair1: FramePair, pair2: FramePair) -> np.ndarray:

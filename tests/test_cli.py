@@ -213,6 +213,16 @@ class TestVerify:
         )
         capsys.readouterr()
 
+    def test_tolerance_is_not_an_option(self, onb4, op44, capsys):
+        argv = [
+            "verify", "outer",
+            "--frame1", str(onb4),
+            "--frame2", str(onb4),
+            "--op", str(op44),
+        ]
+        assert dispatch(argv + ["--tol", "1"]) == 2
+        assert "unrecognized arguments: --tol 1" in capsys.readouterr().err
+
     def test_csv_format(self, onb4, op44, capsys):
         code = dispatch(
             [

@@ -15,6 +15,7 @@ from framelab.coorbit import (
     _holder_conjugate,
     _pnorm,
     _pnorm_along,
+    _probe_blocks,
     atomic_decomposition,
     coorbit_norm,
     coorbit_opnorm,
@@ -229,6 +230,31 @@ class TestOverflowGivesInf:
             interval = coorbit_opnorm(random_operator(8, 8, seed=0), src, dst)
         assert interval == (np.inf, np.inf)
         assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("p", [2.0, np.inf])
+    def test_probe_blocks_skip_overflowed_rows(self, p):
+        """An extremizer row of ``B`` whose largest entry overflows would
+        divide inf/inf; it is skipped, every other row keeps its probe,
+        and the interval is unchanged."""
+        pair = canonical_dual(finite_gabor(8, 2, 2, gaussian_window(8)))
+        n, d = pair.frame.cardinality, pair.frame.space_dim
+        A = random_operator(8, 8, seed=0)
+        w1 = np.full(n, 1e-160)
+        M = pair.dual.vectors.conj() @ A @ pair.frame.vectors.T
+        for w2, extremizers in (
+            (np.full(n, 1e160), 0),
+            (np.where(np.arange(n) < d, 1e160, 1.0), n - d),
+        ):
+            with np.errstate(over="ignore", invalid="raise"):
+                B = M * w2[:, None] / w1[None, :]
+                blocks = list(_probe_blocks(B, pair.frame, w1, p, seed=0))
+            assert all(np.isfinite(P).all() for P in blocks)
+            probes = sum(P.shape[1] for P in blocks)
+            assert probes == n + d + extremizers + 10 * d
+        src = CoorbitSpec(pair, SeqSpaceSpec(p, w1))
+        dst = CoorbitSpec(pair, SeqSpaceSpec(p, np.full(n, 1e160)))
+        with np.errstate(over="ignore", invalid="raise"):
+            assert coorbit_opnorm(A, src, dst) == (np.inf, np.inf)
 
 
 class TestCoorbitNorm:

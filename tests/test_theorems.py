@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from framelab.coorbit import MixedSpaceSpec
+from framelab.coorbit import MixedSpaceSpec, mixed_norm
 from framelab.frames import Frame, canonical_dual, gram
 from framelab.generators import (
     decaying_perturbation,
@@ -509,9 +509,41 @@ class TestSharedSkeleton:
             assert got == bounds[p_src]
 
     def test_unit_budget_demands_unit_ratio(self):
-        assert _onb_equality(True, 1.0 + 1e-10, 1.0, 1e-9)
-        assert not _onb_equality(True, 1.0 + 1e-6, 1.0, 1e-9)
-        assert not _onb_equality(False, 1.0, 1.0, 1e-9)
+        assert _onb_equality(True, 1.0 + 1e-10, 1.0)
+        assert not _onb_equality(True, 1.0 + 1e-6, 1.0)
+        assert not _onb_equality(False, 1.0, 1.0)
         # redundant frames (budget > 1) and infinite ratios skip the clause
-        assert _onb_equality(True, 1.5, 1.1, 1e-9)
-        assert _onb_equality(True, np.inf, 1.0, 1e-9)
+        assert _onb_equality(True, 1.5, 1.1)
+        assert _onb_equality(True, np.inf, 1.0)
+
+
+class TestFixedTolerance:
+    """Every verdict uses ``REPORT_TOL``; no verifier takes a tolerance."""
+
+    def test_verifiers_reject_tol(self):
+        pair = canonical_dual(onb(2))
+        w = np.ones(2)
+        spec = MixedSpaceSpec(2.0, np.inf, 0, np.ones((2, 2)))
+        calls = [
+            lambda **kw: verify_outer(O22, pair, pair, w, w, **kw),
+            lambda **kw: schur_characterization(O22, pair, pair, w, w, 2.0, "i", **kw),
+            lambda **kw: verify_inner(O22, pair, pair, w, w, **kw),
+            lambda **kw: verify_projective(O22, pair, pair, w, w, **kw),
+            lambda **kw: verify_frame_independence(
+                O22, (pair, pair), (pair, pair), spec, **kw
+            ),
+            lambda **kw: schatten_check(O22, pair, pair, 1.5, **kw),
+        ]
+        for call in calls:
+            call()
+            with pytest.raises(TypeError, match="tol"):
+                call(tol=10.0)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_schatten_kernel_h2p_is_the_unit_grid_mixed_norm(self, p):
+        pair = canonical_dual(gabor_pair())
+        O = random_operator(8, 8, seed=4)
+        k = galerkin(O, pair, pair)
+        spec = MixedSpaceSpec(2.0, p, 1, np.ones(k.shape))
+        rep = schatten_check(O, pair, pair, p)
+        assert rep.details["kernel_h2p"] == mixed_norm(k, spec)
