@@ -12,7 +12,6 @@ from .frames import (  # noqa: F401
     canonical_dual,
     cross_gram,
     cyclic_index_set,
-    dual_pair,
     frame_bounds,
     frame_from_json,
     frame_operator,
@@ -21,13 +20,11 @@ from .frames import (  # noqa: F401
     is_orthonormal_basis,
     linear_index_set,
     product_cyclic_index_set,
-    reconstruction_residual,
     synthesis,
 )
 from .numeric import (  # noqa: F401
     ConditioningError,
     PreconditionError,
-    inner,
     matrix_from_json,
     matrix_to_json,
     solve_posdef,
@@ -46,26 +43,18 @@ from .coorbit import (  # noqa: F401
     MixedSpaceSpec,
     OpNormInterval,
     SeqSpaceSpec,
-    atomic_decomposition,
     coorbit_norm,
     coorbit_opnorm,
-    coorbit_pairing,
     mixed_norm,
     tensor_weights,
     weighted_seq_norm,
 )
 from .tensor_kernels import (  # noqa: F401
-    TensorFrame,
     correspondence_residual,
     galerkin,
     galerkin_from_json,
     galerkin_to_json,
-    hs_inner,
-    kernel_norm,
-    simple_tensor,
     synthesize_kernel,
-    tensor_frame,
-    tensor_gram,
 )
 from .theorems import (  # noqa: F401
     CompressionReport,

@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__
 from .coorbit import CoorbitSpec, MixedSpaceSpec, SeqSpaceSpec, coorbit_norm, tensor_weights
 from .frames import (
-    NotAFrameError,
     canonical_dual,
     frame_bounds,
     frame_from_json,
@@ -28,7 +27,6 @@ from .frames import (
 from .generators import GeneratorSpec, load_generator_spec
 from .localisation import JaffardParams, as_weight, localisation_report
 from .numeric import (
-    ConditioningError,
     PreconditionError,
     _complex_from_json,
     matrix_from_json,
@@ -471,15 +469,9 @@ def dispatch(argv) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (
-        PreconditionError,
-        ConditioningError,
-        NotAFrameError,
-        FileNotFoundError,
-        json.JSONDecodeError,
-        KeyError,
-        ValueError,
-    ) as exc:
+    # PreconditionError, ConditioningError, NotAFrameError and
+    # json.JSONDecodeError are all ValueErrors
+    except (FileNotFoundError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VALIDATION_ERROR
 

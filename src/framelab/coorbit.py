@@ -128,7 +128,7 @@ class CoorbitSpec:
 
 
 # ---------------------------------------------------------------------------
-# norms and pairings
+# norms
 
 
 def weighted_seq_norm(c, spec: SeqSpaceSpec) -> float:
@@ -156,21 +156,6 @@ def mixed_norm(C, spec: MixedSpaceSpec) -> float:
 def coorbit_norm(spec: CoorbitSpec, f) -> float:
     """``|| analysis(dual, f) ||_{l^p_w}``."""
     return weighted_seq_norm(analysis(spec.pair.dual, f), spec.seq)
-
-
-def coorbit_pairing(spec: CoorbitSpec, f, g) -> complex:
-    """Duality pairing ``sum_i (C_dual f)_i conj((C_frame g)_i)``."""
-    a = analysis(spec.pair.dual, f)
-    b = analysis(spec.pair.frame, g)
-    return complex(np.sum(a * b.conj()))
-
-
-def atomic_decomposition(spec: CoorbitSpec, f) -> np.ndarray:
-    """Coefficients ``c`` with ``synthesis(frame, c) = f`` and
-    ``||c||_{l^1_w}`` equal to the coorbit norm; only defined at p=1."""
-    if spec.seq.p != 1.0:
-        raise PreconditionError("atomic decomposition requires p = 1")
-    return analysis(spec.pair.dual, f)
 
 
 # ---------------------------------------------------------------------------

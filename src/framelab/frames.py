@@ -2,8 +2,7 @@
 
 A frame is a spanning family ``{psi_i}`` indexed by an :class:`IndexSet`
 with a metric; the module provides analysis/synthesis, Gram and cross
-Gram matrices, frame bounds, canonical duals and reconstruction
-diagnostics.
+Gram matrices, frame bounds and canonical duals.
 
 Conventions (fixed once, tested everywhere):
 
@@ -209,11 +208,15 @@ class Frame:
 
 @dataclass(frozen=True, eq=False)
 class FramePair:
-    """A frame bundled with its canonical dual and optimal bounds."""
+    """A frame bundled with its canonical dual."""
 
     frame: Frame
     dual: Frame
-    bounds: tuple[float, float]
+
+    @property
+    def bounds(self) -> tuple[float, float]:
+        """The optimal bounds of ``frame``."""
+        return self.frame.bounds
 
 
 def analysis(frame: Frame, f) -> np.ndarray:
@@ -260,7 +263,7 @@ def frame_bounds(frame: Frame) -> tuple[float, float]:
 
 
 def canonical_dual(frame: Frame) -> FramePair:
-    """Pair the frame with ``{S^-1 psi_i}`` and its optimal bounds."""
+    """Pair the frame with ``{S^-1 psi_i}``."""
     a, b = frame.bounds
     if a < CONDITION_RTOL * b:
         raise ConditioningError(
@@ -271,14 +274,7 @@ def canonical_dual(frame: Frame) -> FramePair:
     dual = Frame(
         space_dim=frame.space_dim, index_set=frame.index_set, vectors=dual_vectors
     )
-    return FramePair(frame=frame, dual=dual, bounds=(a, b))
-
-
-def dual_pair(pair: FramePair) -> FramePair:
-    """The pair seen from the dual side: the canonical dual of the dual
-    frame is the original frame and the bounds invert."""
-    a, b = pair.bounds
-    return FramePair(frame=pair.dual, dual=pair.frame, bounds=(1.0 / b, 1.0 / a))
+    return FramePair(frame=frame, dual=dual)
 
 
 def is_orthonormal_basis(pair: FramePair) -> bool:
@@ -301,13 +297,6 @@ def _check_operator(O, pair1: FramePair, pair2: FramePair) -> np.ndarray:
             f"operator shape {A.shape} does not map C^{d1} to C^{d2}"
         )
     return A
-
-
-def reconstruction_residual(pair: FramePair, f) -> float:
-    """``|| D_dual C_frame f - f || / max(||f||, 1)``."""
-    v = as_vector(f)
-    rebuilt = synthesis(pair.dual, analysis(pair.frame, v))
-    return float(np.linalg.norm(rebuilt - v) / max(np.linalg.norm(v), 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,8 @@ def localisation_report(
     """Evaluate decay constants for ``G``, ``G_dual`` and the cross Gram
     of dual against primal; verdict is true when all stay below the
     threshold."""
+    if np.isnan(threshold):
+        raise PreconditionError("threshold must not be NaN")
     grid = _decay_grid(params)
     g = _weighted_sup(cross_gram(pair.frame, pair.frame), grid)
     g_dual = _weighted_sup(cross_gram(pair.dual, pair.dual), grid)

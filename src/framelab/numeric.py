@@ -1,11 +1,11 @@
 """Dense complex linear-algebra backend.
 
-Input validation (arrays and norm exponents), inner products, singular
-values, a checked positive-definite solve and matrix serialization live
-here so that numerical conventions are fixed in exactly one place:
+Input validation (arrays and norm exponents), singular values, a
+checked positive-definite solve and matrix serialization live here so
+that numerical conventions are fixed in exactly one place:
 
 * scalars are complex doubles,
-* the inner product ``inner(f, g)`` is linear in ``f`` and
+* the inner product ``<f, g> = np.vdot(g, f)`` is linear in ``f`` and
   conjugate-linear in ``g``,
 * singular values are reported descending.
 """
@@ -56,11 +56,6 @@ def _check_exponent(p, prefix: str = "") -> float:
     if not (1.0 <= p):
         raise PreconditionError(f"exponent {prefix}{p} outside [1, inf]")
     return p
-
-
-def inner(f, g) -> complex:
-    """Inner product, linear in ``f``, conjugate-linear in ``g``."""
-    return complex(np.vdot(g, f))
 
 
 def svd_values(M) -> np.ndarray:
@@ -130,6 +125,10 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         entries = obj["entries"]
     except (KeyError, TypeError) as exc:
         raise PreconditionError(f"malformed matrix object: {exc}") from exc
+    if rows < 0 or cols < 0:
+        raise PreconditionError(
+            f"matrix claims {rows}x{cols}; dimensions must be nonnegative"
+        )
     flat = _complex_from_json(entries)
     if len(flat) != rows * cols:
         raise PreconditionError(

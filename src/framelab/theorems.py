@@ -546,8 +546,8 @@ def compress_operator(
     re-synthesized operator is added to the details (small dimensions
     only).
     """
-    if tau < 0:
-        raise PreconditionError("threshold must be nonnegative")
+    if not tau >= 0:  # also rejects NaN
+        raise PreconditionError(f"threshold must be nonnegative, got {tau}")
     w1, w2 = _check_weights(pair1, pair2, w1, w2)
     k = galerkin(O, pair1, pair2)
     normalized = np.abs(k) / tensor_weights(w1, w2)

@@ -100,6 +100,11 @@ class TestSimpleVerbs:
         assert data["jaffard_gram"] == 1.0
         assert data["version"]
 
+    def test_localize_nan_threshold(self, onb4, capsys):
+        argv = ["localize", str(onb4), "--s", "2", "--threshold", "nan"]
+        assert dispatch(argv) == 3
+        assert "threshold must not be NaN" in capsys.readouterr().err
+
     def test_coorbit_norm(self, onb4, tmp_path, capsys):
         vec = tmp_path / "v.json"
         write_json(vec, [[1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
@@ -335,6 +340,11 @@ class TestCompress:
         assert len(lines) == 4
         kept = [int(line.split(",")[1]) for line in lines[1:]]
         assert kept[0] >= kept[1] >= kept[2]
+
+    def test_nan_tau_is_a_validation_error(self, onb4, op44, capsys):
+        argv = ["compress", str(op44), str(onb4), str(onb4), "--tau", "nan"]
+        assert dispatch(argv) == 3
+        assert "threshold must be nonnegative, got nan" in capsys.readouterr().err
 
 
 class TestUsageErrors:

@@ -1,6 +1,7 @@
 """Frame machinery: spec examples, adjoint/composition identities,
 duals and reconstruction."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -11,13 +12,13 @@ from hypothesis import strategies as st
 from framelab.coorbit import CoorbitSpec, MixedSpaceSpec, SeqSpaceSpec
 from framelab.frames import (
     Frame,
+    FramePair,
     IndexSet,
     NotAFrameError,
     analysis,
     canonical_dual,
     cross_gram,
     cyclic_index_set,
-    dual_pair,
     frame_bounds,
     frame_from_json,
     frame_operator,
@@ -26,12 +27,10 @@ from framelab.frames import (
     is_orthonormal_basis,
     linear_index_set,
     product_cyclic_index_set,
-    reconstruction_residual,
     synthesis,
 )
 from framelab.generators import finite_gabor, gaussian_window, mercedes, onb, substream
 from framelab.numeric import ConditioningError, PreconditionError
-from framelab.tensor_kernels import tensor_frame
 
 
 def e1e1e2():
@@ -288,12 +287,17 @@ class TestCanonicalDual:
         assert excinfo.value.smallest_eigenvalue == 1e-11
 
     def test_dual_pair_swaps_and_inverts_bounds(self):
+        # a pair reads its bounds from its frame, so the swapped pair has
+        # the dual's bounds: the inverted primal bounds (1, 2)
         pair = canonical_dual(e1e1e2())
-        swapped = dual_pair(pair)
-        assert swapped.frame is pair.dual
+        swapped = FramePair(frame=pair.dual, dual=pair.frame)
+        assert swapped.bounds == frame_bounds(pair.dual)
         assert swapped.bounds == pytest.approx((0.5, 1.0))
-        a, b = frame_bounds(pair.dual)
-        assert (a, b) == pytest.approx(swapped.bounds)
+
+    def test_pair_stores_frame_and_dual_only(self):
+        assert [f.name for f in dataclasses.fields(FramePair)] == ["frame", "dual"]
+        pair = canonical_dual(e1e1e2())
+        assert pair.bounds is pair.frame.bounds
 
 
 class TestOneFactorization:
@@ -327,18 +331,25 @@ class TestOneFactorization:
 
 
 class TestReconstructionResidual:
+    """``|| D_dual C_frame f - f ||``, relative to ``max(||f||, 1)``."""
+
+    @staticmethod
+    def residual(pair, f):
+        rebuilt = synthesis(pair.dual, analysis(pair.frame, f))
+        return np.linalg.norm(rebuilt - f) / max(np.linalg.norm(f), 1.0)
+
     def test_zero_vector(self):
         pair = canonical_dual(mercedes())
-        assert reconstruction_residual(pair, np.zeros(2)) == 0.0
+        assert self.residual(pair, np.zeros(2)) == 0.0
 
     def test_onb_exact(self):
         pair = canonical_dual(onb(3))
-        assert reconstruction_residual(pair, np.array([1.0, 2.0, 3.0])) <= 1e-12
+        assert self.residual(pair, np.array([1.0, 2.0, 3.0])) <= 1e-12
 
     def test_gabor_pair(self):
         pair = canonical_dual(finite_gabor(8, 2, 2, gaussian_window(8)))
         f = random_vec(8, seed=11)
-        assert reconstruction_residual(pair, f) <= 1e-9
+        assert self.residual(pair, f) <= 1e-9
 
 
 class TestValidation:
@@ -434,13 +445,12 @@ class TestIdentitySemantics:
         assert {pair, pair, other} == {pair, other}
         assert len({pair, pair, other}) == 2
 
-    def test_specs_and_tensor_frames_hash(self):
+    def test_specs_hash(self):
         pair = canonical_dual(onb(2))
         objects = [
             SeqSpaceSpec(1.0, np.ones(2)),
             MixedSpaceSpec(1.0, 1.0, 0, np.ones((2, 2))),
             CoorbitSpec(pair, SeqSpaceSpec(1.0, np.ones(2))),
-            tensor_frame(pair, pair),
         ]
         for obj in objects:
             assert obj == obj

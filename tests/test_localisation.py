@@ -236,6 +236,12 @@ class TestLocalisationReport:
         with pytest.raises(PreconditionError, match=message):
             localisation_report(pair, JaffardParams(1.0, linear_index_set(5)))
 
+    def test_nan_threshold(self):
+        pair = canonical_dual(onb(4))
+        params = JaffardParams(1.0, pair.frame.index_set)
+        with pytest.raises(PreconditionError, match="threshold must not be NaN"):
+            localisation_report(pair, params, threshold=float("nan"))
+
 
 class TestValidatedOnce:
     """Arrays the package builds itself are not validated again."""

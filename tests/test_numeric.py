@@ -14,7 +14,6 @@ from framelab.numeric import (
     PreconditionError,
     as_matrix,
     as_vector,
-    inner,
     matrix_from_json,
     matrix_to_json,
     solve_posdef,
@@ -27,20 +26,6 @@ def random_unitary(d, seed):
     A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, _ = np.linalg.qr(A)
     return q
-
-
-class TestInner:
-    def test_first_argument_linear(self):
-        f = np.array([1 + 2j, 3.0])
-        g = np.array([0.5j, 1.0])
-        assert inner(2j * f, g) == pytest.approx(2j * inner(f, g))
-        assert inner(f, 2j * g) == pytest.approx(-2j * inner(f, g))
-
-    def test_against_sum(self):
-        f = np.array([1 + 1j, 2.0])
-        g = np.array([1j, 1.0])
-        expected = sum(fi * np.conj(gi) for fi, gi in zip(f, g))
-        assert inner(f, g) == pytest.approx(expected)
 
 
 class TestSvdValues:
@@ -169,3 +154,10 @@ class TestSerialization:
             matrix_from_json(
                 {"rows": 1, "cols": 1, "entries": [[float("nan"), 0.0]]}
             )
+
+    @pytest.mark.parametrize("rows, cols", [(-1, -1), (0, -1), (-2, -3)])
+    def test_rejects_negative_dimensions(self, rows, cols):
+        entries = [[1.0, 0.0]] * (rows * cols)
+        message = f"^matrix claims {rows}x{cols}; dimensions must be nonnegative$"
+        with pytest.raises(PreconditionError, match=message):
+            matrix_from_json({"rows": rows, "cols": cols, "entries": entries})

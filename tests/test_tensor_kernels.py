@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from framelab.coorbit import MixedSpaceSpec, tensor_weights
-from framelab.frames import Frame, canonical_dual, cross_gram, frame_bounds
+from framelab.coorbit import MixedSpaceSpec, mixed_norm, tensor_weights
+from framelab.frames import Frame, analysis, canonical_dual, cross_gram
 from framelab.generators import (
     decaying_perturbation,
     finite_gabor,
@@ -17,18 +17,13 @@ from framelab.generators import (
     random_operator,
     substream,
 )
-from framelab.numeric import PreconditionError, inner
+from framelab.numeric import PreconditionError
 from framelab.tensor_kernels import (
     correspondence_residual,
     galerkin,
     galerkin_from_json,
     galerkin_to_json,
-    hs_inner,
-    kernel_norm,
-    simple_tensor,
     synthesize_kernel,
-    tensor_frame,
-    tensor_gram,
 )
 
 
@@ -43,138 +38,6 @@ def rvec(d, seed):
     return rng.standard_normal(d) + 1j * rng.standard_normal(d)
 
 
-class TestSimpleTensor:
-    def test_basis_tensor(self):
-        e1 = np.array([1.0, 0.0])
-        e2 = np.array([0.0, 1.0])
-        np.testing.assert_array_equal(
-            simple_tensor(e1, e2), [[0.0, 0.0], [1.0, 0.0]]
-        )
-
-    def test_conjugate_homogeneity(self):
-        f1, f2 = rvec(3, 1), rvec(2, 2)
-        alpha = 0.7 - 1.3j
-        np.testing.assert_allclose(
-            alpha * simple_tensor(f1, f2),
-            simple_tensor(np.conj(alpha) * f1, f2),
-            atol=1e-12,
-        )
-        np.testing.assert_allclose(
-            alpha * simple_tensor(f1, f2),
-            simple_tensor(f1, alpha * f2),
-            atol=1e-12,
-        )
-
-    def test_inner_product_factorizes(self):
-        f1, f2 = rvec(4, 3), rvec(3, 4)
-        g1, g2 = rvec(4, 5), rvec(3, 6)
-        lhs = hs_inner(simple_tensor(f1, f2), simple_tensor(g1, g2))
-        rhs = np.conj(inner(f1, g1)) * inner(f2, g2)
-        assert lhs == pytest.approx(rhs)
-
-    def test_action_as_operator(self):
-        f1, f2 = rvec(4, 7), rvec(3, 8)
-        f = rvec(4, 9)
-        np.testing.assert_allclose(
-            simple_tensor(f1, f2) @ f, inner(f, f1) * f2, atol=1e-12
-        )
-
-
-class TestHsInner:
-    def test_identity_with_itself(self):
-        assert hs_inner(np.eye(5), np.eye(5)) == pytest.approx(5.0)
-
-    def test_orthogonal_matrix_units(self):
-        E01 = np.zeros((2, 2)); E01[0, 1] = 1.0
-        E10 = np.zeros((2, 2)); E10[1, 0] = 1.0
-        assert hs_inner(E01, E10) == 0.0
-
-    def test_pairing_with_rank_one(self):
-        rng = substream(10, "test-tensor", "K")
-        K = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        f1, f2 = rvec(4, 11), rvec(3, 12)
-        assert hs_inner(K, simple_tensor(f1, f2)) == pytest.approx(
-            inner(K @ f1, f2)
-        )
-
-    def test_shape_mismatch(self):
-        with pytest.raises(PreconditionError):
-            hs_inner(np.eye(2), np.eye(3))
-
-
-class TestTensorFrame:
-    def test_onb_matrix_units(self):
-        pair = canonical_dual(onb(2))
-        tf = tensor_frame(pair, pair)
-        assert tf.cardinality == 4
-        assert tf.bounds == (1.0, 1.0)
-        units = [tf.element(i, j) for i in range(2) for j in range(2)]
-        total = sum(np.abs(u).sum() for u in units)
-        assert total == pytest.approx(4.0)
-
-    def test_mercedes_bounds_eigen_oracle(self):
-        pair = canonical_dual(mercedes())
-        tf = tensor_frame(pair, pair)
-        flat = tf.as_frame()
-        eigs = np.linalg.eigvalsh(flat.vectors.T @ flat.vectors.conj())
-        assert eigs[0] == pytest.approx(2.25, rel=1e-9)
-        assert eigs[-1] == pytest.approx(2.25, rel=1e-9)
-        assert tf.bounds == pytest.approx((2.25, 2.25))
-
-    def test_cardinality(self):
-        tf = tensor_frame(e1e1e2_pair(), canonical_dual(onb(2)))
-        assert tf.cardinality == 6
-        assert tf.index_shape == (3, 2)
-
-    def test_dual_elements_are_tensor_duals(self):
-        pair1 = e1e1e2_pair()
-        pair2 = canonical_dual(mercedes())
-        tf = tensor_frame(pair1, pair2)
-        flat_pair = canonical_dual(tf.as_frame())
-        n1, n2 = tf.index_shape
-        for i, j in [(0, 0), (2, 1), (1, 2)]:
-            expected = simple_tensor(pair1.dual.vectors[i], pair2.dual.vectors[j])
-            got = flat_pair.dual.vectors[i * n2 + j].reshape(expected.shape)
-            np.testing.assert_allclose(got, expected, atol=1e-10)
-
-
-class TestTensorGram:
-    def test_onb_identity(self):
-        pair = canonical_dual(onb(2))
-        np.testing.assert_allclose(tensor_gram(pair, pair), np.eye(4))
-
-    def test_real_frames_plain_kron(self):
-        pair1, pair2 = e1e1e2_pair(), canonical_dual(mercedes())
-        g1 = cross_gram(pair1.frame, pair1.frame)
-        g2 = cross_gram(pair2.frame, pair2.frame)
-        np.testing.assert_allclose(tensor_gram(pair1, pair2), np.kron(g1, g2))
-
-    def test_entrywise_hs_oracle(self):
-        rng = substream(13, "test-tensor", "frames")
-        f1 = Frame.from_vectors(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
-        f2 = Frame.from_vectors(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
-        pair1, pair2 = canonical_dual(f1), canonical_dual(f2)
-        tf = tensor_frame(pair1, pair2)
-        G = tensor_gram(pair1, pair2)
-        n1, n2 = tf.index_shape
-        for a in range(n1 * n2):
-            for b in range(n1 * n2):
-                i, j = divmod(a, n2)
-                ip, jp = divmod(b, n2)
-                direct = hs_inner(tf.element(ip, jp), tf.element(i, j))
-                assert abs(G[a, b] - direct) <= 1e-10
-
-    def test_matches_flat_frame_gram(self):
-        pair = canonical_dual(mercedes())
-        tf = tensor_frame(pair, pair)
-        flat = tf.as_frame()
-        np.testing.assert_allclose(
-            tensor_gram(pair, pair),
-            cross_gram(flat, flat),
-            atol=1e-12,
-        )
-
-
 class TestGalerkin:
     def test_identity_onb(self):
         pair = canonical_dual(onb(2))
@@ -182,7 +45,8 @@ class TestGalerkin:
 
     def test_rank_one_basis_tensor(self):
         pair = canonical_dual(onb(2))
-        K = simple_tensor(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        # the rank-one tensor e1 (x) e2 is the matrix e2 e1^H
+        K = np.outer(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
         k = galerkin(K, pair, pair)
         expected = np.zeros((2, 2))
         expected[0, 1] = 1.0
@@ -201,7 +65,7 @@ class TestGalerkin:
         k = galerkin(O, pair1, pair2)
         for i in range(3):
             for j in range(3):
-                expected = inner(O @ pair1.dual.vectors[i], pair2.dual.vectors[j])
+                expected = np.vdot(pair2.dual.vectors[j], O @ pair1.dual.vectors[i])
                 assert k[i, j] == pytest.approx(expected)
 
     def test_shape_mismatch(self):
@@ -268,7 +132,7 @@ class TestSynthesizeKernel:
         expected = np.zeros(2, dtype=complex)
         for i in range(3):
             for j in range(3):
-                expected += k[i, j] * inner(f, pair1.frame.vectors[i]) * pair2.frame.vectors[j]
+                expected += k[i, j] * np.vdot(pair1.frame.vectors[i], f) * pair2.frame.vectors[j]
         np.testing.assert_allclose(K @ f, expected, atol=1e-10)
 
     def test_round_trip_gabor(self):
@@ -316,14 +180,15 @@ class TestKernelNorm:
         pair = canonical_dual(onb(2))
         K = np.array([[1.0, 2.0], [3.0, 4.0]])
         spec = MixedSpaceSpec(1.0, 1.0, 0, np.ones((2, 2)))
-        assert kernel_norm(K, pair, pair, spec) == pytest.approx(10.0)
+        assert mixed_norm(galerkin(K, pair, pair), spec) == pytest.approx(10.0)
 
     def test_frobenius(self):
         pair = canonical_dual(onb(2))
         K = np.array([[1.0, 2.0], [3.0, 4.0]])
         spec = MixedSpaceSpec(2.0, 2.0, 0, np.ones((2, 2)))
-        assert kernel_norm(K, pair, pair, spec) == pytest.approx(np.sqrt(30.0))
-        assert kernel_norm(K, pair, pair, spec) == pytest.approx(np.linalg.norm(K))
+        norm = mixed_norm(galerkin(K, pair, pair), spec)
+        assert norm == pytest.approx(np.sqrt(30.0))
+        assert norm == pytest.approx(np.linalg.norm(K))
 
     def test_weighted_sum(self):
         pair = canonical_dual(onb(2))
@@ -333,12 +198,12 @@ class TestKernelNorm:
         )
         # direct summation: sum |<K e_i, e_j>| w1_i w2_j
         expected = sum(
-            abs(inner(K @ np.eye(2)[i], np.eye(2)[j])) * [1.0, 2.0][i]
+            abs(np.vdot(np.eye(2)[j], K @ np.eye(2)[i])) * [1.0, 2.0][i]
             for i in range(2)
             for j in range(2)
         )
         assert expected == 16.0
-        assert kernel_norm(K, pair, pair, spec) == pytest.approx(16.0)
+        assert mixed_norm(galerkin(K, pair, pair), spec) == pytest.approx(16.0)
 
 
 class TestOuterKernelIdentity:
@@ -348,19 +213,33 @@ class TestOuterKernelIdentity:
         K = synthesize_kernel(galerkin(O, pair1, pair2), pair1, pair2)
         for t in range(10):
             f1, f2 = rvec(2, 60 + t), rvec(2, 80 + t)
-            lhs = hs_inner(K, simple_tensor(f1, f2))
-            rhs = inner(O @ f1, f2)
+            # Hilbert-Schmidt pairing of K with the rank-one tensor f2 f1^H
+            lhs = np.vdot(np.outer(f2, f1.conj()), K)
+            rhs = np.vdot(f2, O @ f1)
             assert abs(lhs - rhs) <= 1e-9 * max(abs(rhs), 1.0)
 
-    def test_tensor_bounds_multiply(self):
-        pair1 = e1e1e2_pair()
-        pair2 = canonical_dual(mercedes())
-        tf = tensor_frame(pair1, pair2)
-        a, b = frame_bounds(tf.as_frame())
-        a1, b1 = pair1.bounds
-        a2, b2 = pair2.bounds
-        assert a == pytest.approx(a1 * a2, rel=1e-9)
-        assert b == pytest.approx(b1 * b2, rel=1e-9)
+
+class TestFlatTensorFrame:
+    """The tensor frame ``{psi1_i (x) psi2_j}`` of ``d2 x d1`` kernels,
+    flattened row-major; the flat inner product is the Hilbert-Schmidt
+    one."""
+
+    def test_galerkin_and_bounds(self):
+        """``galerkin(O)`` is the analysis of ``O`` against the flat frame's
+        canonical dual, and the flat bounds are the factor bounds' products."""
+        pair1, pair2 = e1e1e2_pair(), canonical_dual(mercedes())
+        V1, V2 = pair1.frame.vectors, pair2.frame.vectors
+        (n1, d1), (n2, d2) = V1.shape, V2.shape
+        # element (i, j) is the rank-one matrix psi2_j psi1_i^H
+        flat = Frame.from_vectors(
+            np.einsum("ja,ib->ijab", V2, V1.conj()).reshape(n1 * n2, d2 * d1)
+        )
+        O = random_operator(d2, d1, seed=90)
+        coefficients = analysis(canonical_dual(flat).dual, O.ravel())
+        k = galerkin(O, pair1, pair2)
+        assert np.max(np.abs(k.ravel() - coefficients)) <= 1e-12
+        (a1, b1), (a2, b2) = pair1.bounds, pair2.bounds
+        assert flat.bounds == pytest.approx((a1 * a2, b1 * b2), rel=1e-9)
 
 
 class TestGalerkinSerialization:

@@ -425,6 +425,15 @@ class TestCompressOperator:
         with pytest.raises(PreconditionError):
             compress_operator(np.eye(2), pair, pair, np.ones(2), np.ones(2), -1.0)
 
+    def test_nan_tau(self):
+        # every comparison with NaN is false, so no entry would be kept
+        # and the error surrogate could not be bounded by tau
+        pair = canonical_dual(onb(3))
+        with pytest.raises(PreconditionError, match="got nan"):
+            compress_operator(
+                np.eye(3), pair, pair, np.ones(3), np.ones(3), float("nan")
+            )
+
 
 class TestCsvExport:
     def test_verification_rows(self):
