@@ -33,9 +33,121 @@ def e1e1e2_pair():
     )
 
 
+def tensor_element(pair1, pair2, i, j):
+    """Tensor-frame element ``psi1_i (x) psi2_j``: the ``d2 x d1`` matrix
+    ``psi2_j psi1_i^H``."""
+    return np.outer(pair2.frame.vectors[j], pair1.frame.vectors[i].conj())
+
+
+def flat_tensor_frame(pair1, pair2):
+    """The tensor frame of ``d2 x d1`` kernels with index ``(i, j)``
+    flattened row-major (``i`` slowest); the flat inner product is the
+    Hilbert-Schmidt one."""
+    V1, V2 = pair1.frame.vectors, pair2.frame.vectors
+    (n1, d1), (n2, d2) = V1.shape, V2.shape
+    return Frame.from_vectors(
+        np.einsum("ja,ib->ijab", V2, V1.conj()).reshape(n1 * n2, d2 * d1)
+    )
+
+
 def rvec(d, seed):
     rng = substream(seed, "test-tensor", "vec", d)
     return rng.standard_normal(d) + 1j * rng.standard_normal(d)
+
+
+class TestTensorFrame:
+    def test_onb_matrix_units(self):
+        pair = canonical_dual(onb(2))
+        flat = flat_tensor_frame(pair, pair)
+        assert flat.cardinality == 4
+        assert flat.bounds == (1.0, 1.0)
+        units = [tensor_element(pair, pair, i, j) for i in range(2) for j in range(2)]
+        total = sum(np.abs(u).sum() for u in units)
+        assert total == pytest.approx(4.0)
+
+    def test_mercedes_bounds_eigen_oracle(self):
+        pair = canonical_dual(mercedes())
+        flat = flat_tensor_frame(pair, pair)
+        eigs = np.linalg.eigvalsh(flat.vectors.T @ flat.vectors.conj())
+        assert eigs[0] == pytest.approx(2.25, rel=1e-9)
+        assert eigs[-1] == pytest.approx(2.25, rel=1e-9)
+        assert flat.bounds == pytest.approx((2.25, 2.25))
+
+    def test_cardinality(self):
+        flat = flat_tensor_frame(e1e1e2_pair(), canonical_dual(onb(2)))
+        assert flat.cardinality == 6
+        assert flat.space_dim == 4
+
+    def test_dual_elements_are_tensor_duals(self):
+        pair1 = e1e1e2_pair()
+        pair2 = canonical_dual(mercedes())
+        flat_pair = canonical_dual(flat_tensor_frame(pair1, pair2))
+        n2 = pair2.frame.cardinality
+        for i, j in [(0, 0), (2, 1), (1, 2)]:
+            expected = np.outer(pair2.dual.vectors[j], pair1.dual.vectors[i].conj())
+            got = flat_pair.dual.vectors[i * n2 + j].reshape(expected.shape)
+            np.testing.assert_allclose(got, expected, atol=1e-10)
+
+    def test_galerkin_is_flat_dual_analysis(self):
+        """``galerkin(O)`` is the analysis of ``O`` against the flat tensor
+        frame's canonical dual."""
+        pair1, pair2 = e1e1e2_pair(), canonical_dual(mercedes())
+        flat = flat_tensor_frame(pair1, pair2)
+        O = random_operator(pair2.frame.space_dim, pair1.frame.space_dim, seed=90)
+        coefficients = analysis(canonical_dual(flat).dual, O.ravel())
+        k = galerkin(O, pair1, pair2)
+        assert np.max(np.abs(k.ravel() - coefficients)) <= 1e-12
+
+
+class TestTensorGram:
+    """The tensor frame's Gram matrix is ``kron(conj(G1), G2)`` in the
+    row-major ordering."""
+
+    @staticmethod
+    def kron_gram(pair1, pair2):
+        g1 = cross_gram(pair1.frame, pair1.frame)
+        g2 = cross_gram(pair2.frame, pair2.frame)
+        return np.kron(g1.conj(), g2)
+
+    def test_onb_identity(self):
+        pair = canonical_dual(onb(2))
+        flat = flat_tensor_frame(pair, pair)
+        np.testing.assert_allclose(cross_gram(flat, flat), np.eye(4))
+
+    def test_real_frames_plain_kron(self):
+        pair1, pair2 = e1e1e2_pair(), canonical_dual(mercedes())
+        g1 = cross_gram(pair1.frame, pair1.frame)
+        g2 = cross_gram(pair2.frame, pair2.frame)
+        np.testing.assert_allclose(self.kron_gram(pair1, pair2), np.kron(g1, g2))
+        flat = flat_tensor_frame(pair1, pair2)
+        np.testing.assert_allclose(cross_gram(flat, flat), np.kron(g1, g2), atol=1e-12)
+
+    def test_entrywise_hs_oracle(self):
+        rng = substream(13, "test-tensor", "frames")
+        f1 = Frame.from_vectors(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
+        f2 = Frame.from_vectors(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
+        pair1, pair2 = canonical_dual(f1), canonical_dual(f2)
+        G = self.kron_gram(pair1, pair2)
+        n1, n2 = f1.cardinality, f2.cardinality
+        for a in range(n1 * n2):
+            for b in range(n1 * n2):
+                i, j = divmod(a, n2)
+                ip, jp = divmod(b, n2)
+                # Hilbert-Schmidt inner product <element(ip, jp), element(i, j)>
+                direct = np.vdot(
+                    tensor_element(pair1, pair2, i, j),
+                    tensor_element(pair1, pair2, ip, jp),
+                )
+                assert abs(G[a, b] - direct) <= 1e-10
+
+    def test_matches_flat_frame_gram(self):
+        pair = canonical_dual(mercedes())
+        flat = flat_tensor_frame(pair, pair)
+        np.testing.assert_allclose(
+            self.kron_gram(pair, pair),
+            cross_gram(flat, flat),
+            atol=1e-12,
+        )
 
 
 class TestGalerkin:
@@ -218,28 +330,14 @@ class TestOuterKernelIdentity:
             rhs = np.vdot(f2, O @ f1)
             assert abs(lhs - rhs) <= 1e-9 * max(abs(rhs), 1.0)
 
-
-class TestFlatTensorFrame:
-    """The tensor frame ``{psi1_i (x) psi2_j}`` of ``d2 x d1`` kernels,
-    flattened row-major; the flat inner product is the Hilbert-Schmidt
-    one."""
-
-    def test_galerkin_and_bounds(self):
-        """``galerkin(O)`` is the analysis of ``O`` against the flat frame's
-        canonical dual, and the flat bounds are the factor bounds' products."""
-        pair1, pair2 = e1e1e2_pair(), canonical_dual(mercedes())
-        V1, V2 = pair1.frame.vectors, pair2.frame.vectors
-        (n1, d1), (n2, d2) = V1.shape, V2.shape
-        # element (i, j) is the rank-one matrix psi2_j psi1_i^H
-        flat = Frame.from_vectors(
-            np.einsum("ja,ib->ijab", V2, V1.conj()).reshape(n1 * n2, d2 * d1)
-        )
-        O = random_operator(d2, d1, seed=90)
-        coefficients = analysis(canonical_dual(flat).dual, O.ravel())
-        k = galerkin(O, pair1, pair2)
-        assert np.max(np.abs(k.ravel() - coefficients)) <= 1e-12
-        (a1, b1), (a2, b2) = pair1.bounds, pair2.bounds
-        assert flat.bounds == pytest.approx((a1 * a2, b1 * b2), rel=1e-9)
+    def test_tensor_bounds_multiply(self):
+        pair1 = e1e1e2_pair()
+        pair2 = canonical_dual(mercedes())
+        a, b = flat_tensor_frame(pair1, pair2).bounds
+        a1, b1 = pair1.bounds
+        a2, b2 = pair2.bounds
+        assert a == pytest.approx(a1 * a2, rel=1e-9)
+        assert b == pytest.approx(b1 * b2, rel=1e-9)
 
 
 class TestGalerkinSerialization:
