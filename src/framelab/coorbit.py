@@ -190,16 +190,19 @@ class OpNormInterval(tuple):
 _CLAMP_RTOL = 16 * np.finfo(float).eps
 
 
-def _probe_blocks(B: np.ndarray, frame, w1: np.ndarray, p: float, seed: int):
-    """Lower-bound probes in ``d x k`` blocks, ``k <= d``: frame vectors,
-    basis vectors, synthesized Hoelder extremizers of the rows of ``B``
-    whose largest magnitude is finite, and ``10 * d`` seeded random
-    probes."""
+# elements allowed in each ``n x k`` intermediate of one scoring pass
+_SCORE_ELEMENTS = 2**14
+
+
+def _probes(B: np.ndarray, frame, w1: np.ndarray, p: float, seed: int) -> np.ndarray:
+    """Lower-bound probes as the columns of one ``d x K`` matrix: frame
+    vectors, basis vectors, synthesized Hoelder extremizers of the rows
+    of ``B`` whose largest magnitude is finite, and ``10 * d`` seeded
+    random probes.  The extremizers are synthesized from ``d`` rows of
+    ``B`` at a time, so no ``n x n`` temporary is built."""
     V = frame.vectors
     d = frame.space_dim
-    for i in range(0, len(V), d):
-        yield V[i : i + d].T
-    yield np.eye(d, dtype=complex)
+    parts = [V.T, np.eye(d, dtype=complex)]
     if p > 1.0:  # at p=1 each extremizer is a multiple of a frame vector
         expo = _holder_conjugate(p) - 1.0
         for j in range(0, B.shape[0], d):
@@ -212,11 +215,11 @@ def _probe_blocks(B: np.ndarray, frame, w1: np.ndarray, p: float, seed: int):
             rows, mag, top = rows[finite], mag[finite], top[finite]
             top[top == 0.0] = 1.0
             X = np.exp(-1j * np.angle(rows)) * (mag / top) ** expo
-            yield V.T @ (X / w1).T
-    rng = substream(seed, "coorbit", "opnorm")
-    for _ in range(10):
-        z = rng.standard_normal((d, 2, d))
-        yield (z[:, 0] + 1j * z[:, 1]).T
+            parts.append(V.T @ (X / w1).T)
+    # one draw, bit-identical to ten successive (d, 2, d) draws
+    z = substream(seed, "coorbit", "opnorm").standard_normal((10, d, 2, d))
+    parts.append((z[:, :, 0] + 1j * z[:, :, 1]).reshape(10 * d, d).T)
+    return np.concatenate(parts, axis=1)
 
 
 def coorbit_opnorm(
@@ -233,8 +236,11 @@ def coorbit_opnorm(
     bound inf, and the spectral norm is then skipped.  The lower bound
     is the best ratio ``||O f|| / ||f||`` over frame vectors, standard
     basis vectors, synthesized Hoelder extremizers (``p > 1``) and
-    ``10 * d1`` seeded random probes, scored in blocks of at most ``d1``
-    probes.  On an orthonormal basis at ``p=1`` the frame vectors attain
+    ``10 * d1`` seeded random probes.  All probes form the columns of
+    one ``d1 x K`` matrix, scored in chunks of ``k`` columns whose
+    ``n x k`` intermediates hold at most ``2**14`` elements (``k >= 1``):
+    small problems score in one pass, and memory stays bounded at large
+    ``n``.  On an orthonormal basis at ``p=1`` the frame vectors attain
     the column bound, so the interval is exact up to rounding.
 
     A lower bound above the upper one by at most ``16 eps`` relative is
@@ -260,10 +266,13 @@ def coorbit_opnorm(
     upper = min(uppers)
 
     analysis1 = src.pair.dual.vectors.conj()
+    P = _probes(B, src.pair.frame, w1, p, seed)
+    step = max(1, _SCORE_ELEMENTS // max(len(w1), len(w2)))
     lower = 0.0
-    for P in _probe_blocks(B, src.pair.frame, w1, p, seed):
-        den = _pnorm_along((analysis1 @ P) * w1[:, None], p, axis=0)
-        num = _pnorm_along((analysis2 @ P) * w2[:, None], q, axis=0)
+    for c in range(0, P.shape[1], step):
+        chunk = P[:, c : c + step]
+        den = _pnorm_along((analysis1 @ chunk) * w1[:, None], p, axis=0)
+        num = _pnorm_along((analysis2 @ chunk) * w2[:, None], q, axis=0)
         live = den > 0.0
         lower = max(lower, float(np.max(num[live] / den[live], initial=0.0)))
     if lower - upper > _CLAMP_RTOL * upper:

@@ -23,6 +23,7 @@ from .numeric import (
     ConditioningError,
     _complex_from_json,
     _complex_to_json,
+    _json_int,
     as_matrix,
     as_vector,
 )
@@ -135,7 +136,11 @@ class IndexSet:
     def from_json(obj: dict) -> "IndexSet":
         size = obj["size"]
         if isinstance(size, list):
-            size = tuple(size)
+            if len(size) != 2:
+                raise PreconditionError(f"size must be N or [N1, N2], got {size!r}")
+            size = tuple(_json_int(s, "size") for s in size)
+        else:
+            size = _json_int(size, "size")
         return IndexSet(kind=obj["kind"], size=size, metric=obj.get("metric", ""))
 
 
@@ -313,7 +318,7 @@ def frame_to_json(frame: Frame) -> dict:
 
 def frame_from_json(obj: dict) -> Frame:
     try:
-        d = int(obj["space_dim"])
+        d = _json_int(obj["space_dim"], "space_dim")
         index_set = IndexSet.from_json(obj["index_set"])
         rows = [_complex_from_json(row) for row in obj["vectors"]]
     except (KeyError, TypeError) as exc:

@@ -119,9 +119,18 @@ def matrix_to_json(M) -> dict:
     return {"rows": A.shape[0], "cols": A.shape[1], "entries": _complex_to_json(A)}
 
 
+def _json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer; floats, strings and booleans
+    are rejected rather than coerced."""
+    if type(value) is not int:
+        raise PreconditionError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows = _json_int(obj["rows"], "rows")
+        cols = _json_int(obj["cols"], "cols")
         entries = obj["entries"]
     except (KeyError, TypeError) as exc:
         raise PreconditionError(f"malformed matrix object: {exc}") from exc

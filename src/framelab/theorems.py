@@ -35,7 +35,7 @@ from .coorbit import (
     tensor_weights,
 )
 from .frames import FramePair, _check_operator, cross_gram, gram, is_orthonormal_basis
-from .localisation import as_weight, schur_weighted_bound
+from .localisation import _schur_bound, as_weight, schur_weighted_bound
 from .numeric import PreconditionError, _check_exponent, as_matrix, svd_values
 from .tensor_kernels import galerkin, synthesize_kernel
 
@@ -158,8 +158,9 @@ def _opnorm_sides(
     dst = CoorbitSpec(pair2, SeqSpaceSpec(p_dst, 1.0 / w2))
     interval = coorbit_opnorm(O, src, dst, seed=seed)
 
-    c_a = schur_weighted_bound(gram(pair1.frame), w1, p_src)
-    c_b = schur_weighted_bound(gram(pair1.dual), w1, p_src)
+    # the Grams are built just here and _check_weights checked w1
+    c_a = _schur_bound(np.abs(gram(pair1.frame)) * w1[:, None] / w1[None, :], p_src)
+    c_b = _schur_bound(np.abs(gram(pair1.dual)) * w1[:, None] / w1[None, :], p_src)
     passed = (
         kernel <= c_b * interval.upper * _SLACK
         and interval.lower <= c_a * kernel * _SLACK

@@ -155,6 +155,29 @@ class TestSimpleVerbs:
         assert captured.out == ""
         assert captured.err == "error: frame vectors must form a rectangular table\n"
 
+    @pytest.mark.parametrize(
+        "space_dim, size", [(2.9, 2), ("2", 2), (True, 2), (2, 2.5)]
+    )
+    def test_non_integer_dimension(self, tmp_path, capsys, space_dim, size):
+        bad = tmp_path / "dims.json"
+        write_json(
+            bad,
+            {
+                "space_dim": space_dim,
+                "index_set": {"kind": "linear", "size": size},
+                "vectors": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+            },
+        )
+        assert dispatch(["bounds", str(bad)]) == 3
+        assert "must be an integer" in capsys.readouterr().err
+
+    def test_non_integer_operator_rows(self, onb4, tmp_path, capsys):
+        op = tmp_path / "O.json"
+        write_json(op, {"rows": 2.9, "cols": 1, "entries": [[1, 0], [0, 0]]})
+        argv = ["verify", "outer", "--frame1", str(onb4), "--frame2", str(onb4)]
+        assert dispatch(argv + ["--op", str(op)]) == 3
+        assert capsys.readouterr().err.endswith("error: rows must be an integer, got 2.9\n")
+
 
 class TestKernelVerbs:
     def test_galerkin_synth_round_trip(self, onb4, op44, tmp_path):

@@ -429,6 +429,41 @@ class TestSerialization:
             frame_from_json(bad)
 
 
+    @pytest.mark.parametrize(
+        "space_dim, size, message",
+        [
+            (2.0, 2, "space_dim must be an integer"),
+            (True, 2, "space_dim must be an integer"),
+            ("2", 2, "space_dim must be an integer"),
+            (2, 2.5, "size must be an integer"),
+            (2, "2", "size must be an integer"),
+            (2, True, "size must be an integer"),
+        ],
+    )
+    def test_non_integer_dimensions_rejected(self, space_dim, size, message):
+        bad = {
+            "space_dim": space_dim,
+            "index_set": {"kind": "linear", "size": size},
+            "vectors": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+        }
+        with pytest.raises(PreconditionError, match=f"^{message}, got "):
+            frame_from_json(bad)
+
+    @pytest.mark.parametrize(
+        "size, message",
+        [
+            ([2, 2.5], "size must be an integer"),
+            ([True, 2], "size must be an integer"),
+            ([4], r"size must be N or \[N1, N2\]"),
+            ([1, 2, 2], r"size must be N or \[N1, N2\]"),
+        ],
+    )
+    def test_index_set_size_must_be_integers(self, size, message):
+        obj = {"kind": "product_cyclic", "size": size, "metric": "max"}
+        with pytest.raises(PreconditionError, match=f"^{message}, got "):
+            IndexSet.from_json(obj)
+
+
 class TestIdentitySemantics:
     """Array-holding frozen dataclasses compare by identity and hash."""
 

@@ -155,6 +155,16 @@ class TestSerialization:
                 {"rows": 1, "cols": 1, "entries": [[float("nan"), 0.0]]}
             )
 
+    @pytest.mark.parametrize(
+        "rows, cols, name",
+        [(2.9, 1, "rows"), ("2", 1, "rows"), (2, True, "cols"), (2.0, 1, "rows")],
+    )
+    def test_rejects_non_integer_dimensions(self, rows, cols, name):
+        entries = [[1.0, 0.0]] * 2
+        message = f"^{name} must be an integer, got "
+        with pytest.raises(PreconditionError, match=message):
+            matrix_from_json({"rows": rows, "cols": cols, "entries": entries})
+
     @pytest.mark.parametrize("rows, cols", [(-1, -1), (0, -1), (-2, -3)])
     def test_rejects_negative_dimensions(self, rows, cols):
         entries = [[1.0, 0.0]] * (rows * cols)

@@ -517,6 +517,27 @@ class TestSharedSkeleton:
             )
             assert got == bounds[p_src]
 
+    @pytest.mark.parametrize("family", ["onb", "gabor", "mercedes"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_gram_bounds_equal_public_schur_bound(self, family, weighted):
+        """The verifiers score their Grams without re-validating them;
+        the bounds are those of ``schur_weighted_bound`` to the bit."""
+        pair, w = self.pair_and_weight(family, weighted)
+        d = pair.frame.space_dim
+        O = random_operator(d, d, seed=47)
+        reports = [verify_outer(O, pair, pair, w, w)]
+        for p in (1.0, 1.5, 2.0, 3.0, np.inf):
+            for variant in ("i", "ii"):
+                reports.append(schur_characterization(O, pair, pair, w, w, p, variant))
+        for rep in reports:
+            p_src = rep.details["p"] if rep.name == "schur-ii" else 1.0
+            assert rep.details["gram_schur_bound"] == schur_weighted_bound(
+                gram(pair.frame), w, p_src
+            )
+            assert rep.details["dual_gram_schur_bound"] == schur_weighted_bound(
+                gram(pair.dual), w, p_src
+            )
+
     def test_unit_budget_demands_unit_ratio(self):
         assert _onb_equality(True, 1.0 + 1e-10, 1.0)
         assert not _onb_equality(True, 1.0 + 1e-6, 1.0)
