@@ -10,6 +10,7 @@ cases where an extreme-point sweep is provably exact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,11 +100,16 @@ class MixedSpaceSpec:
         object.__setattr__(self, "q", _check_exponent(self.q))
         if self.inner_axis not in (0, 1):
             raise PreconditionError("inner_axis must be 0 or 1")
-        W = np.array(self.weights, dtype=float)
-        if W.ndim != 2 or not _positive_finite(W):
-            raise PreconditionError("weight grid must be 2-D, positive, finite")
+        W = _check_grid(np.array(self.weights, dtype=float))
         W.flags.writeable = False
         object.__setattr__(self, "weights", W)
+
+
+def _check_grid(W: np.ndarray) -> np.ndarray:
+    """``W`` itself, rejected unless it is 2-D, positive and finite."""
+    if W.ndim != 2 or not _positive_finite(W):
+        raise PreconditionError("weight grid must be 2-D, positive, finite")
+    return W
 
 
 def tensor_weights(w1, w2) -> np.ndarray:
@@ -182,7 +188,9 @@ class OpNormInterval(tuple):
 
     @property
     def exact(self) -> bool:
-        return self[1] - self[0] <= 1e-12 * max(self[1], 1.0)
+        """Whether the enclosure is a point up to rounding; never with an
+        infinite upper bound."""
+        return self[1] < np.inf and self[1] - self[0] <= 1e-12 * max(self[1], 1.0)
 
 
 # rounding may lift the probe lower bound this far (relative) above the
@@ -192,6 +200,18 @@ _CLAMP_RTOL = 16 * np.finfo(float).eps
 
 # elements allowed in each ``n x k`` intermediate of one scoring pass
 _SCORE_ELEMENTS = 2**14
+
+
+@functools.lru_cache(maxsize=4)
+def _random_probes(seed: int, d: int) -> np.ndarray:
+    """The ``d x 10d`` block of seeded random probes for ``(seed, d)``,
+    drawn on the first call and read-only.  The memo keeps the four most
+    recent blocks; ``_probes`` copies a block, so none leaves the module."""
+    # one draw, bit-identical to ten successive (d, 2, d) draws
+    z = substream(seed, "coorbit", "opnorm").standard_normal((10, d, 2, d))
+    block = (z[:, :, 0] + 1j * z[:, :, 1]).reshape(10 * d, d).T
+    block.flags.writeable = False
+    return block
 
 
 def _probes(B: np.ndarray, frame, w1: np.ndarray, p: float, seed: int) -> np.ndarray:
@@ -216,9 +236,7 @@ def _probes(B: np.ndarray, frame, w1: np.ndarray, p: float, seed: int) -> np.nda
             top[top == 0.0] = 1.0
             X = np.exp(-1j * np.angle(rows)) * (mag / top) ** expo
             parts.append(V.T @ (X / w1).T)
-    # one draw, bit-identical to ten successive (d, 2, d) draws
-    z = substream(seed, "coorbit", "opnorm").standard_normal((10, d, 2, d))
-    parts.append((z[:, :, 0] + 1j * z[:, :, 1]).reshape(10 * d, d).T)
+    parts.append(_random_probes(int(seed), d))
     return np.concatenate(parts, axis=1)
 
 
@@ -236,9 +254,12 @@ def coorbit_opnorm(
     bound inf, and the spectral norm is then skipped.  The lower bound
     is the best ratio ``||O f|| / ||f||`` over frame vectors, standard
     basis vectors, synthesized Hoelder extremizers (``p > 1``) and
-    ``10 * d1`` seeded random probes.  All probes form the columns of
-    one ``d1 x K`` matrix, scored in chunks of ``k`` columns whose
-    ``n x k`` intermediates hold at most ``2**14`` elements (``k >= 1``):
+    ``10 * d1`` seeded random probes.  The random block depends only on
+    ``(seed, d1)``, so it is drawn once per pair and kept read-only in a
+    memo bounded at four blocks of ``10 d1^2`` complex values.  All
+    probes form the columns of one ``d1 x K`` matrix, scored in chunks
+    of ``k`` columns whose ``n x k`` intermediates hold at most
+    ``2**14`` elements (``k >= 1``):
     small problems score in one pass, and memory stays bounded at large
     ``n``.  On an orthonormal basis at ``p=1`` the frame vectors attain
     the column bound, so the interval is exact up to rounding.
@@ -247,14 +268,27 @@ def coorbit_opnorm(
     clamped to it; a larger excess raises ``FloatingPointError``.
     """
     A = _check_operator(O, src.pair, dst.pair)
-    p = src.seq.p
-    q = dst.seq.p
-    w1 = src.seq.weight
-    w2 = dst.seq.weight
+    p, q = src.seq.p, dst.seq.p
+    w1, w2 = src.seq.weight, dst.seq.weight
+    return _opnorm_interval(A, src.pair, dst.pair, p, q, w1, w2, seed)
 
+
+def _opnorm_interval(
+    A: np.ndarray,
+    pair1: FramePair,
+    pair2: FramePair,
+    p: float,
+    q: float,
+    w1: np.ndarray,
+    w2: np.ndarray,
+    seed: int,
+) -> OpNormInterval:
+    """:func:`coorbit_opnorm` of a checked ``d2 x d1`` matrix ``A`` from
+    the ``l^p_w1`` coorbit space of ``pair1`` into the ``l^q_w2`` one of
+    ``pair2``, for exponents and weights that are already checked."""
     # coefficient-domain matrix and its weight-scaled version
-    analysis2 = dst.pair.dual.vectors.conj() @ A
-    B = (analysis2 @ src.pair.frame.vectors.T) * w2[:, None] / w1[None, :]
+    analysis2 = pair2.dual.vectors.conj() @ A
+    B = (analysis2 @ pair1.frame.vectors.T) * w2[:, None] / w1[None, :]
 
     uppers = [_pnorm(_pnorm_along(B, _holder_conjugate(p), axis=1), q)]
     if p == 1.0:
@@ -265,8 +299,8 @@ def coorbit_opnorm(
         uppers.append(float(np.linalg.norm(B, 2)))
     upper = min(uppers)
 
-    analysis1 = src.pair.dual.vectors.conj()
-    P = _probes(B, src.pair.frame, w1, p, seed)
+    analysis1 = pair1.dual.vectors.conj()
+    P = _probes(B, pair1.frame, w1, p, seed)
     step = max(1, _SCORE_ELEMENTS // max(len(w1), len(w2)))
     lower = 0.0
     for c in range(0, P.shape[1], step):

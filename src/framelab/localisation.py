@@ -47,6 +47,11 @@ def as_weight(w, n: int | None = None) -> np.ndarray:
         raise PreconditionError("weights must form a 1-D sequence")
     if n is not None and v.shape[0] != n:
         raise PreconditionError(f"{v.shape[0]} weights for {n} indices")
+    return _check_positive(v)
+
+
+def _check_positive(v: np.ndarray) -> np.ndarray:
+    """``v`` itself, rejected unless every entry is positive and finite."""
     if not _positive_finite(v):
         raise PreconditionError("weights must be positive and finite")
     return v
@@ -102,7 +107,13 @@ def schur_weighted_bound(M, w, p, w_out=None) -> float:
     w_o = w_in if w_out is None else as_weight(w_out, A.shape[0])
     if A.shape[0] != w_o.shape[0]:
         raise PreconditionError("row weights do not match matrix shape")
-    return _schur_bound(A * w_o[:, None] / w_in[None, :], p)
+    return _weighted_schur_bound(A, w_in, w_o, p)
+
+
+def _weighted_schur_bound(a: np.ndarray, w_in, w_out, p: float) -> float:
+    """:func:`schur_weighted_bound` of the non-negative matrix ``a``, for
+    weights and an exponent that are already checked."""
+    return _schur_bound(a * w_out[:, None] / w_in[None, :], p)
 
 
 def poly_weight(index_set: IndexSet, t: float) -> np.ndarray:

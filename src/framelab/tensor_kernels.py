@@ -30,7 +30,11 @@ def galerkin(O, pair1: FramePair, pair2: FramePair) -> np.ndarray:
 
     The result is a row-major (C-contiguous) ``n1 x n2`` array.
     """
-    A = _check_operator(O, pair1, pair2)
+    return _galerkin(_check_operator(O, pair1, pair2), pair1, pair2)
+
+
+def _galerkin(A: np.ndarray, pair1: FramePair, pair2: FramePair) -> np.ndarray:
+    """:func:`galerkin` of an already checked ``d2 x d1`` matrix ``A``."""
     return pair1.dual.vectors @ (A.T @ pair2.dual.vectors.conj().T)
 
 

@@ -15,6 +15,13 @@ can widen it.
 The outer correspondence is the ``l^1 -> l^inf`` case of the Schur-test
 statement, and the inner and projective checks bound one quantity from
 two sides, so each pair of verifiers shares one core.
+
+Inputs are checked once, at the public entry: the operator, the weights,
+the exponents and every weight the cores derive from them (reciprocals,
+weight grids and their factors), with the messages of the public
+checkers.  The private cores trust the arrays they build (Galerkin
+matrices, Grams, cross-Grams) and take Schur bounds and the operator-norm
+interval from the unchecked cores in ``localisation`` and ``coorbit``.
 """
 
 from __future__ import annotations
@@ -24,20 +31,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coorbit import (
-    CoorbitSpec,
     MixedSpaceSpec,
-    SeqSpaceSpec,
+    _check_grid,
     _holder_conjugate,
+    _opnorm_interval,
     _pnorm,
     _pnorm_along,
-    coorbit_opnorm,
+    _pnorm_of_abs,
     mixed_norm,
-    tensor_weights,
 )
 from .frames import FramePair, _check_operator, cross_gram, gram, is_orthonormal_basis
-from .localisation import _schur_bound, as_weight, schur_weighted_bound
-from .numeric import PreconditionError, _check_exponent, as_matrix, svd_values
-from .tensor_kernels import galerkin, synthesize_kernel
+from .localisation import _check_positive, _weighted_schur_bound, as_weight
+from .numeric import PreconditionError, _check_exponent, as_matrix
+from .tensor_kernels import _galerkin, synthesize_kernel
 
 REPORT_TOL = 1e-9
 _SLACK = 1.0 + REPORT_TOL
@@ -151,16 +157,18 @@ def _opnorm_sides(
     are the Schur bounds at ``p_src`` of the source Gram and dual Gram;
     ``passed`` checks ``kernel <= c_b upper`` and ``lower <= c_a kernel``.
     """
-    k = galerkin(O, pair1, pair2)
-    grid = 1.0 / tensor_weights(w1, w2)
-    kernel = mixed_norm(k, MixedSpaceSpec(kernel_exp, np.inf, inner_axis, grid))
-    src = CoorbitSpec(pair1, SeqSpaceSpec(p_src, w1))
-    dst = CoorbitSpec(pair2, SeqSpaceSpec(p_dst, 1.0 / w2))
-    interval = coorbit_opnorm(O, src, dst, seed=seed)
+    A = _check_operator(O, pair1, pair2)
+    k = _galerkin(A, pair1, pair2)
+    a = np.abs(k)
+    a *= _check_grid(1.0 / np.outer(w1, w2))
+    kernel = _pnorm(_pnorm_of_abs(a, kernel_exp, inner_axis), np.inf)
+    if not np.isfinite(kernel):
+        as_matrix(k)  # rejects a Galerkin matrix that overflowed
+    w2_dst = _check_positive(1.0 / w2)
+    interval = _opnorm_interval(A, pair1, pair2, p_src, p_dst, w1, w2_dst, seed)
 
-    # the Grams are built just here and _check_weights checked w1
-    c_a = _schur_bound(np.abs(gram(pair1.frame)) * w1[:, None] / w1[None, :], p_src)
-    c_b = _schur_bound(np.abs(gram(pair1.dual)) * w1[:, None] / w1[None, :], p_src)
+    c_a = _weighted_schur_bound(np.abs(gram(pair1.frame)), w1, w1, p_src)
+    c_b = _weighted_schur_bound(np.abs(gram(pair1.dual)), w1, w1, p_src)
     passed = (
         kernel <= c_b * interval.upper * _SLACK
         and interval.lower <= c_a * kernel * _SLACK
@@ -275,14 +283,14 @@ def _projective_sides(K, pair1: FramePair, pair2: FramePair, w1, w2):
     ``sum |c_ij| ||psi1_i|| ||psi2_j||`` with element norms in the
     weighted-l1 coorbit norm, and the product of the two Schur
     certificates for ``||psi_i|| <= C w_i``."""
-    c = galerkin(K, pair1, pair2)
-    lower = mixed_norm(c, MixedSpaceSpec(1.0, 1.0, 0, tensor_weights(w1, w2)))
+    c = _galerkin(K, pair1, pair2)
+    lower = mixed_norm(c, MixedSpaceSpec(1.0, 1.0, 0, np.outer(w1, w2)))
     norms = []
     budget = 1.0
     for pair, w in ((pair1, w1), (pair2, w2)):
-        coeffs = cross_gram(pair.frame, pair.dual)
-        norms.append(w @ np.abs(coeffs))
-        budget *= schur_weighted_bound(coeffs, w, 1.0)
+        coeffs = np.abs(cross_gram(pair.frame, pair.dual))
+        norms.append(w @ coeffs)
+        budget *= _weighted_schur_bound(coeffs, w, w, 1.0)
     upper = float(norms[0] @ np.abs(c) @ norms[1])
     return c, lower, upper, budget
 
@@ -301,7 +309,7 @@ def verify_inner(
     certificates.
     """
     w1, w2 = _check_weights(pair1, pair2, w1, w2)
-    K = as_matrix(K)
+    K = _check_operator(K, pair1, pair2)
     c, rhs, nuclear, budget = _projective_sides(K, pair1, pair2, w1, w2)
     deco = RankOneDecomposition(nuclear, c, pair1.frame.vectors, pair2.frame.vectors)
 
@@ -337,6 +345,7 @@ def verify_projective(
     frames with unit weights the two collapse to the same value.
     """
     w1, w2 = _check_weights(pair1, pair2, w1, w2)
+    K = _check_operator(K, pair1, pair2)
     _, lower, upper, budget = _projective_sides(K, pair1, pair2, w1, w2)
     ratio = _safe_ratio(lower, upper)
     passed = lower <= upper * _SLACK and upper <= budget * lower * _SLACK + 1e-300
@@ -372,9 +381,8 @@ def _change_bound(
 ) -> float:
     """Schur certificate for coefficient change: dual-analysis with the
     target pair applied to source-pair synthesis."""
-    return schur_weighted_bound(
-        cross_gram(pair_from.frame, pair_to.dual), w_from, p, w_out=w_to
-    )
+    G = cross_gram(pair_from.frame, pair_to.dual)
+    return _weighted_schur_bound(np.abs(G), w_from, w_to, p)
 
 
 def _independence_budget(
@@ -384,7 +392,7 @@ def _independence_budget(
     a1, a2 = pairs_a
     b1, b2 = pairs_b
     v1a, v2a = _factor_grid(spec_a.weights)
-    v1b, v2b = _factor_grid(spec_b.weights)
+    v1b, v2b = (v1a, v2a) if spec_b is spec_a else _factor_grid(spec_b.weights)
     p, q = spec_a.p, spec_a.q
 
     if p == q:
@@ -400,7 +408,7 @@ def _independence_budget(
     # outer-sup norms correspond to operator classes; route the budget
     # through the operator-norm equivalence.  The grid is interpreted as
     # the reciprocal of the operator weights.
-    w1a, w1b = 1.0 / v1a, 1.0 / v1b
+    w1a, w1b = _check_positive(1.0 / v1a), _check_positive(1.0 / v1b)
     if spec_a.inner_axis == 1:
         src_p, kernel_exp = 1.0, spec_a.p
     else:
@@ -410,8 +418,8 @@ def _independence_budget(
     def one_direction(src, dst, wsrc_1, wdst_1, vsrc_2, vdst_2):
         s1, s2 = src
         d1, d2 = dst
-        c_a = schur_weighted_bound(gram(s1.frame), wsrc_1, src_p)
-        c_b = schur_weighted_bound(gram(d1.dual), wdst_1, src_p)
+        c_a = _weighted_schur_bound(np.abs(gram(s1.frame)), wsrc_1, wsrc_1, src_p)
+        c_b = _weighted_schur_bound(np.abs(gram(d1.dual)), wdst_1, wdst_1, src_p)
         chg_src = _change_bound(d1, s1, wdst_1, wsrc_1, src_p)
         chg_dst = _change_bound(s2, d2, vsrc_2, vdst_2, kernel_exp)
         return c_b * chg_src * chg_dst * c_a
@@ -441,7 +449,8 @@ def verify_frame_independence(
         b2.frame.space_dim,
     ):
         raise PreconditionError("frame families act on different spaces")
-    k_a = galerkin(O, a1, a2)
+    A = _check_operator(O, a1, a2)
+    k_a = _galerkin(A, a1, a2)
     shape_b = (b1.frame.cardinality, b2.frame.cardinality)
     if spec.weights.shape == shape_b:
         spec_b = spec
@@ -458,7 +467,7 @@ def verify_frame_independence(
             "constant"
         )
     norm_a = mixed_norm(k_a, spec)
-    norm_b = mixed_norm(galerkin(O, b1, b2), spec_b)
+    norm_b = mixed_norm(_galerkin(A, b1, b2), spec_b)
     budget_ab, budget_ba = _independence_budget(pairs_a, pairs_b, spec, spec_b)
     budget = max(budget_ab, budget_ba)
     ratio = _safe_ratio(norm_a, norm_b)
@@ -499,7 +508,7 @@ def schatten_check(O, pair1: FramePair, pair2: FramePair, p) -> VerificationRepo
     if not (1.0 <= p <= 2.0):
         raise PreconditionError(f"Schatten exponent p={p} outside [1, 2]")
     A = _check_operator(O, pair1, pair2)
-    lhs = _pnorm(svd_values(A), p)
+    lhs = _pnorm(np.linalg.svd(A, compute_uv=False), p)
     col_norms = _pnorm_along(A @ pair1.dual.vectors.T, 2.0, axis=0)
     rhs = _pnorm(col_norms, p)
 
@@ -507,7 +516,7 @@ def schatten_check(O, pair1: FramePair, pair2: FramePair, p) -> VerificationRepo
     budget = 1.0 if onb else float(np.sqrt(pair1.bounds[1]))
     ratio = _safe_ratio(lhs, rhs)
     passed = lhs <= budget * rhs * _SLACK
-    kernel_h2p = _pnorm(_pnorm_along(galerkin(A, pair1, pair2), 2.0, axis=1), p)
+    kernel_h2p = _pnorm(_pnorm_along(_galerkin(A, pair1, pair2), 2.0, axis=1), p)
     return VerificationReport(
         name="schatten",
         lhs=lhs,
@@ -550,8 +559,9 @@ def compress_operator(
     if not tau >= 0:  # also rejects NaN
         raise PreconditionError(f"threshold must be nonnegative, got {tau}")
     w1, w2 = _check_weights(pair1, pair2, w1, w2)
-    k = galerkin(O, pair1, pair2)
-    normalized = np.abs(k) / tensor_weights(w1, w2)
+    A = _check_operator(O, pair1, pair2)
+    k = _galerkin(A, pair1, pair2)
+    normalized = np.abs(k) / np.outer(w1, w2)
     keep = normalized > tau
     k_tau = np.where(keep, k, 0.0)
     kept = int(keep.sum())
@@ -562,7 +572,7 @@ def compress_operator(
         if pair1.frame.space_dim > 64 or pair2.frame.space_dim > 64:
             raise PreconditionError("exact spectral error is limited to d <= 64")
         details["spectral_error"] = float(
-            np.linalg.norm(as_matrix(O) - synthesize_kernel(k_tau, pair1, pair2), 2)
+            np.linalg.norm(A - synthesize_kernel(k_tau, pair1, pair2), 2)
         )
     report = CompressionReport(
         threshold=float(tau),

@@ -16,6 +16,7 @@ from framelab.coorbit import (
     _pnorm,
     _pnorm_along,
     _probes,
+    _random_probes,
     coorbit_norm,
     coorbit_opnorm,
     mixed_norm,
@@ -700,6 +701,69 @@ class TestOneMatrixProbeSweep:
         rng = substream(6, "coorbit", "opnorm")
         ten = np.stack([rng.standard_normal((d, 2, d)) for _ in range(10)])
         assert np.array_equal(z, ten)
+
+
+class TestProbeMemo:
+    """The seeded random probe block is drawn once per ``(seed, d)``."""
+
+    @staticmethod
+    def fresh_block(seed, d):
+        z = substream(seed, "coorbit", "opnorm").standard_normal((10, d, 2, d))
+        return (z[:, :, 0] + 1j * z[:, :, 1]).reshape(10 * d, d).T
+
+    @pytest.mark.parametrize("d", [1, 3, 8, 16, 32])
+    def test_block_is_the_fresh_draw_bit_for_bit(self, d):
+        block = _random_probes(5, d)
+        expected = self.fresh_block(5, d)
+        assert block.shape == (d, 10 * d)
+        assert block.tobytes() == expected.tobytes()
+        assert _random_probes(5, d) is block
+
+    def test_block_is_read_only(self):
+        block = _random_probes(0, 4)
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
+
+    def test_cleared_memo_gives_the_same_interval(self):
+        pair = canonical_dual(finite_gabor(8, 2, 2, gaussian_window(8)))
+        w = poly_weight(pair.frame.index_set, 1.0)
+        src = CoorbitSpec(pair, SeqSpaceSpec(1.5, w))
+        dst = CoorbitSpec(pair, SeqSpaceSpec(3.0, 1.0 / w))
+        O = random_operator(8, 8, seed=2)
+        first = coorbit_opnorm(O, src, dst, seed=9)
+        _random_probes.cache_clear()
+        again = coorbit_opnorm(O, src, dst, seed=9)
+        assert again == first
+        assert _random_probes.cache_info().misses == 1
+        assert coorbit_opnorm(O, src, dst, seed=9) == first
+        assert _random_probes.cache_info().hits == 1
+
+    def test_seeds_give_different_blocks(self):
+        assert not np.array_equal(_random_probes(0, 8), _random_probes(1, 8))
+
+    def test_memo_is_bounded(self):
+        for seed in range(10):
+            _random_probes(seed, 2)
+        info = _random_probes.cache_info()
+        assert info.maxsize == 4
+        assert info.currsize <= 4
+
+
+class TestIntervalExact:
+    @pytest.mark.parametrize(
+        "lower, upper, exact",
+        [
+            (1.0, 1.0, True),
+            (0.0, 0.0, True),
+            (1.0, 1.0 + 1e-13, True),
+            (1.0, 1.1, False),
+            (0.5, np.inf, False),
+            (np.inf, np.inf, False),
+        ],
+    )
+    def test_exact(self, lower, upper, exact):
+        assert OpNormInterval(lower, upper).exact is exact
 
 
 class TestIntervalOrder:

@@ -83,6 +83,20 @@ class TestVerifyOuter:
             assert rep.passed
             assert rep.constant_budget >= 1.0
 
+    def test_infinite_upper_bound_is_not_exact(self):
+        """A tiny source weight overflows the scaled coefficient matrix,
+        so the upper bound is inf while the probes stay finite."""
+        pair = canonical_dual(gabor_pair())
+        n = pair.frame.cardinality
+        w1 = np.ones(n)
+        w1[0] = 1e-300
+        O = 1e10 * random_operator(8, 8, seed=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = verify_outer(O, pair, pair, w1, np.ones(n))
+        assert rep.details["opnorm_upper"] == np.inf
+        assert np.isfinite(rep.details["opnorm_lower"])
+        assert rep.details["opnorm_exact"] is False
+
 
 class TestVerifyInner:
     def test_onb_example(self):
