@@ -104,6 +104,20 @@ class MixedSpaceSpec:
         W.flags.writeable = False
         object.__setattr__(self, "weights", W)
 
+    @functools.cached_property
+    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(u, v)`` with ``weights == outer(u, v)`` to ``rtol=1e-9``,
+        found once per spec; a grid that is not rank one raises on every
+        access."""
+        W = self.weights
+        u = W[:, 0].copy()
+        v = W[0, :] / W[0, 0]
+        if not np.allclose(W, np.outer(u, v), rtol=1e-9, atol=0.0):
+            raise PreconditionError(
+                "frame-independence budgets need a rank-one weight grid"
+            )
+        return u, v
+
 
 def _check_grid(W: np.ndarray) -> np.ndarray:
     """``W`` itself, rejected unless it is 2-D, positive and finite."""

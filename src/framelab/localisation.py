@@ -11,11 +11,13 @@ only measures decay.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import FramePair, IndexSet, cross_gram
+from .frames import Frame, FramePair, IndexSet, cross_gram, gram
 from .numeric import PreconditionError, _check_exponent, as_matrix
 
 
@@ -80,15 +82,25 @@ def jaffard_norm(M, params: JaffardParams) -> float:
     return _weighted_sup(as_matrix(M), _decay_grid(params))
 
 
-def _schur_bound(a: np.ndarray, p: float) -> float:
-    """``C_row^(1-1/p) * C_col^(1/p)`` from the row and column sums of
-    the non-negative matrix ``a``; inf sums give inf."""
+def _schur_sums(a: np.ndarray) -> tuple[float, float]:
+    """``(C_row, C_col)``: the largest row sum and the largest column sum
+    of the non-negative matrix ``a``."""
     c_row = float(np.max(a.sum(axis=1), initial=0.0))
     c_col = float(np.max(a.sum(axis=0), initial=0.0))
+    return c_row, c_col
+
+
+def _schur_combine(c_row: float, c_col: float, p: float) -> float:
+    """``C_row^(1-1/p) * C_col^(1/p)``; inf sums give inf."""
     if np.isinf(p):
         return c_row
     theta = 1.0 / p
     return c_row ** (1.0 - theta) * c_col**theta
+
+
+def _schur_bound(a: np.ndarray, p: float) -> float:
+    """The Schur bound at ``p`` of the non-negative matrix ``a``."""
+    return _schur_combine(*_schur_sums(a), p)
 
 
 def schur_weighted_bound(M, w, p, w_out=None) -> float:
@@ -114,6 +126,35 @@ def _weighted_schur_bound(a: np.ndarray, w_in, w_out, p: float) -> float:
     """:func:`schur_weighted_bound` of the non-negative matrix ``a``, for
     weights and an exponent that are already checked."""
     return _schur_bound(a * w_out[:, None] / w_in[None, :], p)
+
+
+# Schur sums of ``|gram(frame)| w_i / w_j``, per frame and keyed by the
+# bytes of ``w``; each frame keeps its newest few weight vectors.  The
+# lock makes each lookup, eviction and fill one step across threads.
+_GRAM_SUMS_PER_FRAME = 4
+_gram_sums: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_gram_sums_lock = threading.Lock()
+
+
+def _gram_schur_bound(frame: Frame, w: np.ndarray, p: float) -> float:
+    """``_weighted_schur_bound(np.abs(gram(frame)), w, w, p)`` for a
+    checked float weight vector ``w``.
+
+    The two Schur sums depend only on the frame and the weight values, so
+    they are remembered: at most ``_GRAM_SUMS_PER_FRAME`` weight vectors
+    per frame, keyed by ``w.tobytes()`` (never by the array's identity,
+    so a weight array changed in place is a new key), the oldest evicted
+    first.  The memo holds the frame weakly and dies with it.
+    """
+    key = w.tobytes()
+    with _gram_sums_lock:
+        sums = _gram_sums.setdefault(frame, {})
+        if key not in sums:
+            if len(sums) >= _GRAM_SUMS_PER_FRAME:
+                del sums[next(iter(sums))]
+            sums[key] = _schur_sums(np.abs(gram(frame)) * w[:, None] / w[None, :])
+        c_row, c_col = sums[key]
+    return _schur_combine(c_row, c_col, p)
 
 
 def poly_weight(index_set: IndexSet, t: float) -> np.ndarray:

@@ -10,7 +10,8 @@ interval endpoints; the reported ratio uses the midpoint.
 
 Every verdict uses the one relative tolerance ``REPORT_TOL = 1e-9``:
 a side may exceed its budget by that factor for rounding, and no caller
-can widen it.
+can widen it.  A budget that is not finite fails the verdict, since a
+side compared against it checks nothing.
 
 The outer correspondence is the ``l^1 -> l^inf`` case of the Schur-test
 statement, and the inner and projective checks bound one quantity from
@@ -40,8 +41,13 @@ from .coorbit import (
     _pnorm_of_abs,
     mixed_norm,
 )
-from .frames import FramePair, _check_operator, cross_gram, gram, is_orthonormal_basis
-from .localisation import _check_positive, _weighted_schur_bound, as_weight
+from .frames import FramePair, _check_operator, cross_gram, is_orthonormal_basis
+from .localisation import (
+    _check_positive,
+    _gram_schur_bound,
+    _weighted_schur_bound,
+    as_weight,
+)
 from .numeric import PreconditionError, _check_exponent, as_matrix
 from .tensor_kernels import _galerkin, synthesize_kernel
 
@@ -133,6 +139,12 @@ def _check_weights(pair1: FramePair, pair2: FramePair, w1, w2):
     )
 
 
+def _finite(*budgets: float) -> bool:
+    """Whether every budget is finite: a side compared against an inf or
+    NaN budget checks nothing, so no verdict passes on one."""
+    return bool(np.isfinite(budgets).all())
+
+
 def _onb_equality(passed: bool, ratio: float, budget: float) -> bool:
     """With a unit budget (orthonormal bases) the two-sided bound is an
     equality, so the ratio itself must be one."""
@@ -155,7 +167,14 @@ def _opnorm_sides(
     ``kernel`` is the outer-sup mixed norm of the Galerkin matrix with
     inner exponent ``kernel_exp`` along ``inner_axis``; ``c_a``/``c_b``
     are the Schur bounds at ``p_src`` of the source Gram and dual Gram;
-    ``passed`` checks ``kernel <= c_b upper`` and ``lower <= c_a kernel``.
+    ``passed`` checks ``kernel <= c_b upper`` and ``lower <= c_a kernel``
+    and needs both budgets finite.
+
+    ``c_a`` and ``c_b`` come from ``localisation._gram_schur_bound``,
+    which remembers the two Schur sums (largest row and column sum of
+    ``|G| w1_i / w1_j``) of each frame, keyed by the bytes of ``w1``.  A
+    frame keeps at most four weight vectors, the oldest evicted first, and
+    its entries die with the frame; only ``p_src`` is applied per call.
     """
     A = _check_operator(O, pair1, pair2)
     k = _galerkin(A, pair1, pair2)
@@ -167,10 +186,11 @@ def _opnorm_sides(
     w2_dst = _check_positive(1.0 / w2)
     interval = _opnorm_interval(A, pair1, pair2, p_src, p_dst, w1, w2_dst, seed)
 
-    c_a = _weighted_schur_bound(np.abs(gram(pair1.frame)), w1, w1, p_src)
-    c_b = _weighted_schur_bound(np.abs(gram(pair1.dual)), w1, w1, p_src)
+    c_a = _gram_schur_bound(pair1.frame, w1, p_src)
+    c_b = _gram_schur_bound(pair1.dual, w1, p_src)
     passed = (
-        kernel <= c_b * interval.upper * _SLACK
+        _finite(c_a, c_b)
+        and kernel <= c_b * interval.upper * _SLACK
         and interval.lower <= c_a * kernel * _SLACK
     )
     return kernel, interval, c_a, c_b, bool(passed)
@@ -317,7 +337,9 @@ def verify_inner(
     residual = float(np.linalg.norm(rebuilt - K) / max(np.linalg.norm(K), 1.0))
     ratio = _safe_ratio(nuclear, rhs)
     passed = (
-        residual <= REPORT_TOL and 1.0 - REPORT_TOL <= ratio <= budget * _SLACK
+        _finite(budget)
+        and residual <= REPORT_TOL
+        and 1.0 - REPORT_TOL <= ratio <= budget * _SLACK
     )
     report = VerificationReport(
         name="inner",
@@ -351,6 +373,7 @@ def verify_projective(
     passed = lower <= upper * _SLACK and upper <= budget * lower * _SLACK + 1e-300
     if lower == 0.0 and upper == 0.0:
         passed = True
+    passed = passed and _finite(budget)
     return VerificationReport(
         name="projective",
         lhs=lower,
@@ -364,16 +387,6 @@ def verify_projective(
 
 # ---------------------------------------------------------------------------
 # frame independence of kernel norms
-
-
-def _factor_grid(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    u = W[:, 0].copy()
-    v = W[0, :] / W[0, 0]
-    if not np.allclose(W, np.outer(u, v), rtol=1e-9, atol=0.0):
-        raise PreconditionError(
-            "frame-independence budgets need a rank-one weight grid"
-        )
-    return u, v
 
 
 def _change_bound(
@@ -391,8 +404,8 @@ def _independence_budget(
     """(budget for norm_B <= c * norm_A, and the reverse)."""
     a1, a2 = pairs_a
     b1, b2 = pairs_b
-    v1a, v2a = _factor_grid(spec_a.weights)
-    v1b, v2b = (v1a, v2a) if spec_b is spec_a else _factor_grid(spec_b.weights)
+    v1a, v2a = spec_a._factors
+    v1b, v2b = spec_b._factors
     p, q = spec_a.p, spec_a.q
 
     if p == q:
@@ -418,8 +431,8 @@ def _independence_budget(
     def one_direction(src, dst, wsrc_1, wdst_1, vsrc_2, vdst_2):
         s1, s2 = src
         d1, d2 = dst
-        c_a = _weighted_schur_bound(np.abs(gram(s1.frame)), wsrc_1, wsrc_1, src_p)
-        c_b = _weighted_schur_bound(np.abs(gram(d1.dual)), wdst_1, wdst_1, src_p)
+        c_a = _gram_schur_bound(s1.frame, wsrc_1, src_p)
+        c_b = _gram_schur_bound(d1.dual, wdst_1, src_p)
         chg_src = _change_bound(d1, s1, wdst_1, wsrc_1, src_p)
         chg_dst = _change_bound(s2, d2, vsrc_2, vdst_2, kernel_exp)
         return c_b * chg_src * chg_dst * c_a
@@ -479,6 +492,7 @@ def verify_frame_independence(
             and ratio >= 1.0 / (budget_ab * _SLACK)
             and ratio <= budget_ba * _SLACK
         )
+    passed = passed and _finite(budget_ab, budget_ba)
     return VerificationReport(
         name="independence",
         lhs=norm_a,

@@ -1,11 +1,16 @@
 """Verification suites: worked examples with independent oracles, plus
 budget behavior on non-orthonormal frames."""
 
+import gc
+import sys
 import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from framelab import localisation
 from framelab.coorbit import MixedSpaceSpec, mixed_norm
 from framelab.frames import Frame, canonical_dual, gram
 from framelab.generators import (
@@ -591,3 +596,168 @@ class TestFixedTolerance:
         spec = MixedSpaceSpec(2.0, p, 1, np.ones(k.shape))
         rep = schatten_check(O, pair, pair, p)
         assert rep.details["kernel_h2p"] == mixed_norm(k, spec)
+
+
+class TestInfiniteBudgetFails:
+    """A side compared against an infinite budget checks nothing, so the
+    verdict fails; every other field of the report is what the budget
+    arithmetic gives."""
+
+    @staticmethod
+    def extreme_weights(n):
+        w = np.ones(n)
+        w[0], w[1] = 1e154, 1e-154
+        return w
+
+    def test_frame_independence(self):
+        d = 4
+        pair_a = canonical_dual(onb(d))
+        rng = substream(0, "test-theorems", "inf-budget-rot")
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        pair_b = canonical_dual(Frame.from_vectors(q))
+        spec = MixedSpaceSpec(2.0, 2.0, 0, np.outer([1e-310, 1.0, 1.0, 1.0], np.ones(d)))
+        O = random_operator(d, d, seed=3)
+        with np.errstate(over="ignore", divide="ignore"):
+            rep = verify_frame_independence(O, (pair_a, pair_a), (pair_b, pair_b), spec)
+        assert rep.details == {"budget_ab": np.inf, "budget_ba": np.inf}
+        assert np.isfinite(rep.ratio)
+        assert not rep.passed
+
+    @pytest.mark.parametrize("verifier", ["projective", "inner"])
+    def test_projective_and_inner(self, verifier):
+        pair = canonical_dual(gabor_pair())
+        w = self.extreme_weights(pair.frame.cardinality)
+        K = random_operator(8, 8, seed=1)
+        with np.errstate(over="ignore"):
+            if verifier == "projective":
+                rep = verify_projective(K, pair, pair, w, w)
+            else:
+                _, rep = verify_inner(K, pair, pair, w, w)
+        assert rep.constant_budget == np.inf
+        assert np.isfinite(rep.lhs) and np.isfinite(rep.rhs)
+        assert not rep.passed
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda O, pair, w: verify_outer(O, pair, pair, w, w),
+            lambda O, pair, w: schur_characterization(O, pair, pair, w, w, 2.0, "i"),
+            lambda O, pair, w: schur_characterization(O, pair, pair, w, w, 1.5, "ii"),
+        ],
+        ids=["outer", "schur-i", "schur-ii"],
+    )
+    def test_opnorm_sides(self, run):
+        frame = gabor_pair()
+        pair = canonical_dual(Frame(8, frame.index_set, 10.0 * frame.vectors))
+        w = self.extreme_weights(pair.frame.cardinality)
+        O = random_operator(8, 8, seed=1)
+        with np.errstate(over="ignore"):
+            rep = run(O, pair, w)
+        assert rep.details["gram_schur_bound"] == np.inf
+        assert rep.constant_budget == np.inf
+        assert np.isfinite(rep.lhs) and np.isfinite(rep.rhs)
+        assert not rep.passed
+
+
+def fresh_gram_schur_bound(frame, w, p):
+    """The Schur bound at ``p`` of ``|gram(frame)| w_i / w_j``, computed
+    from scratch with the arithmetic of the verifiers."""
+    a = np.abs(gram(frame)) * w[:, None] / w[None, :]
+    c_row = float(np.max(a.sum(axis=1)))
+    c_col = float(np.max(a.sum(axis=0)))
+    if np.isinf(p):
+        return c_row
+    return c_row ** (1.0 - 1.0 / p) * c_col ** (1.0 / p)
+
+
+class TestGramSchurMemo:
+    """The verifiers remember each frame's Gram Schur sums per weight
+    vector; the bounds they report are those of a fresh computation."""
+
+    FAMILIES = {
+        "onb": lambda: onb(4),
+        "mercedes": mercedes,
+        "gabor8": lambda: gabor_pair(8),
+        "gabor16": lambda: gabor_pair(16),
+        "decaying32": lambda: decaying_perturbation(32, 4.0, 0.05, seed=7),
+    }
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_cold_and_warm_equal_fresh(self, family, weighted, p):
+        pair = canonical_dual(self.FAMILIES[family]())
+        n, d = pair.frame.cardinality, pair.frame.space_dim
+        w = poly_weight(pair.frame.index_set, 1.0) if weighted else np.ones(n)
+        O = random_operator(d, d, seed=49)
+        expected = (
+            fresh_gram_schur_bound(pair.frame, w, p),
+            fresh_gram_schur_bound(pair.dual, w, p),
+        )
+        assert pair.frame not in localisation._gram_sums
+        for _ in ("cold", "warm"):
+            rep = schur_characterization(O, pair, pair, w, w, p, "ii")
+            got = (rep.details["gram_schur_bound"], rep.details["dual_gram_schur_bound"])
+            assert got == expected
+            assert list(localisation._gram_sums[pair.frame]) == [w.tobytes()]
+
+    def test_weights_changed_in_place_are_a_new_key(self):
+        pair = canonical_dual(gabor_pair())
+        w = poly_weight(pair.frame.index_set, 1.0)
+        O = random_operator(8, 8, seed=50)
+        first = verify_outer(O, pair, pair, w, w).details["gram_schur_bound"]
+        w[0] *= 3.0
+        second = verify_outer(O, pair, pair, w, w).details["gram_schur_bound"]
+        assert second != first
+        assert second == fresh_gram_schur_bound(pair.frame, w, 1.0)
+
+    def test_frame_keeps_its_newest_four_weight_vectors(self):
+        frame = gabor_pair()
+        weights = [poly_weight(frame.index_set, t) for t in (0.0, 0.5, 1.0, 1.5, 2.0)]
+        for w in weights:
+            assert localisation._gram_schur_bound(frame, w, 2.0) == (
+                fresh_gram_schur_bound(frame, w, 2.0)
+            )
+        kept = list(localisation._gram_sums[frame])
+        assert kept == [w.tobytes() for w in weights[1:]]
+        # the evicted vector is computed afresh and evicts the next oldest
+        assert localisation._gram_schur_bound(frame, weights[0], 2.0) == (
+            fresh_gram_schur_bound(frame, weights[0], 2.0)
+        )
+        kept = list(localisation._gram_sums[frame])
+        assert kept == [w.tobytes() for w in weights[2:] + weights[:1]]
+
+    def test_entries_die_with_the_frame(self):
+        gc.collect()
+        before = len(localisation._gram_sums)
+        frame = gabor_pair()
+        localisation._gram_schur_bound(frame, np.ones(frame.cardinality), 1.0)
+        assert len(localisation._gram_sums) == before + 1
+        alive = weakref.ref(frame)
+        del frame
+        gc.collect()
+        assert alive() is None
+        assert len(localisation._gram_sums) <= before
+
+    def test_threads_sharing_a_frame_get_fresh_bounds(self):
+        frame = gabor_pair()
+        weights = [poly_weight(frame.index_set, t) for t in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5)]
+        expected = [fresh_gram_schur_bound(frame, w, 1.5) for w in weights]
+
+        def run(k):
+            return [
+                localisation._gram_schur_bound(frame, weights[(k + i) % 6], 1.5)
+                for i in range(1000)
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(run, k) for k in range(8)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for k, got in enumerate(results):
+            assert got == [expected[(k + i) % 6] for i in range(1000)]
+        assert len(localisation._gram_sums[frame]) == 4

@@ -2,13 +2,14 @@
 trust the arrays they build.  Every input a verifier rejected before the
 cores stopped re-checking is still rejected, with the same message."""
 
+import functools
 import sys
 from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from framelab import coorbit, localisation, numeric, theorems
+from framelab import coorbit, localisation, numeric
 from framelab.coorbit import MixedSpaceSpec
 from framelab.frames import Frame, canonical_dual, linear_index_set
 from framelab.generators import (
@@ -81,17 +82,34 @@ class TestCheckedOnce:
             )
         assert calls == []
 
-    def test_one_spec_is_factored_once(self, count_calls):
-        calls = count_calls(theorems, "_factor_grid")
+    def test_one_spec_is_factored_once(self, monkeypatch):
+        real = MixedSpaceSpec._factors.func
+        calls = []
+
+        def counting(spec):
+            calls.append(spec)
+            return real(spec)
+
+        factors = functools.cached_property(counting)
+        factors.__set_name__(MixedSpaceSpec, "_factors")
+        monkeypatch.setattr(MixedSpaceSpec, "_factors", factors)
         pair, rot = canonical_dual(onb(4)), rotated_onb(4, 0)
         O = random_operator(4, 4, seed=3)
         spec = MixedSpaceSpec(np.inf, np.inf, 0, np.ones((4, 4)))
         verify_frame_independence(O, (pair, pair), (rot, rot), spec)
         assert len(calls) == 1
-        # families with different index grids get a second, constant grid
+        # families with different index grids get a second, constant grid;
+        # the first spec keeps its factors
         mixed = canonical_dual(Frame.from_vectors(np.vstack([np.eye(4), np.eye(4)])))
         verify_frame_independence(O, (pair, pair), (mixed, mixed), spec)
-        assert len(calls) == 3
+        assert len(calls) == 2
+
+    def test_grid_that_is_not_rank_one_raises_on_every_call(self):
+        pair = canonical_dual(onb(4))
+        spec = MixedSpaceSpec(2.0, 2.0, 0, np.ones((4, 4)) + np.eye(4))
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match=RANK_ONE):
+                verify_frame_independence(OP[:4, :4], (pair, pair), (pair, pair), spec)
 
     @pytest.mark.parametrize(
         "run",
