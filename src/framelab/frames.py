@@ -53,6 +53,13 @@ def _axis_distances(n: int, cyclic: bool, full: bool) -> np.ndarray:
     return d
 
 
+def _product_table(t1: np.ndarray, t2: np.ndarray, combine) -> np.ndarray:
+    """``combine(t1[c1, c1'], t2[c2, c2'])`` over a product grid, with
+    axes ``(c1, c2)`` and ``(c1', c2')`` each flattened row-major."""
+    grid = combine(t1[:, None, :, None], t2[None, :, None, :])
+    return grid.reshape(t1.shape[0] * t2.shape[0], t1.shape[1] * t2.shape[1])
+
+
 @dataclass(frozen=True)
 class IndexSet:
     """Finite index set with a metric.
@@ -113,14 +120,15 @@ class IndexSet:
         d1 = _axis_distances(n1, True, full)
         d2 = _axis_distances(n2, True, full)
         combine = np.maximum if self.metric == "max" else np.add
-        # axes (c1, c2, c1', c2') flatten to row-major labels on both sides
-        grid = combine(d1[:, None, :, None], d2[None, :, None, :])
-        return grid.reshape(d1.shape[0] * d2.shape[0], n1 * n2)
+        return _product_table(d1, d2, combine)
 
     def distance_matrix(self) -> np.ndarray:
         """Float ``n x n`` matrix of ``rho(i, i')`` with rows and columns in
         :meth:`labels` order (row-major on product grids).  It holds ``n^2``
-        doubles, so a product grid of 1024 labels takes 8 MB."""
+        doubles, so a product grid of 1024 labels takes 8 MB.  The decay
+        grids of :mod:`framelab.localisation` build it only for index sets
+        other than ``max``-metric product grids, which they form from the
+        two per-axis tables instead."""
         return self._distances(full=True)
 
     def distances_from_origin(self) -> np.ndarray:

@@ -17,8 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import Frame, FramePair, IndexSet, cross_gram, gram
-from .numeric import PreconditionError, _check_exponent, as_matrix
+from .frames import (
+    Frame,
+    FramePair,
+    IndexSet,
+    _axis_distances,
+    _product_table,
+    gram,
+)
+from .numeric import PreconditionError, _check_exponent, _row_blocks, as_matrix
 
 
 @dataclass(frozen=True)
@@ -60,26 +67,72 @@ def _check_positive(v: np.ndarray) -> np.ndarray:
 
 
 def _decay_grid(params: JaffardParams) -> np.ndarray:
-    """``(1 + rho(i,i'))^s`` over the index set."""
-    return (1.0 + params.index_set.distance_matrix()) ** params.exponent
+    """``(1 + rho(i,i'))^s`` over the index set; an overflowed weight is
+    inf, without a warning.
+
+    On a product grid with the ``max`` metric the power is monotone, so
+    the grid is the elementwise max of the two per-axis powered tables:
+    the same bits from ``n1^2 + n2^2`` powers, and the ``n x n`` distance
+    matrix is never built.
+    """
+    index_set, s = params.index_set, params.exponent
+    with np.errstate(over="ignore"):
+        if index_set.kind == "product_cyclic" and index_set.metric == "max":
+            t1, t2 = (
+                (1.0 + _axis_distances(m, True, True)) ** s for m in index_set.size
+            )
+            return _product_table(t1, t2, np.maximum)
+        return (1.0 + index_set.distance_matrix()) ** s
 
 
-def _weighted_sup(A: np.ndarray, grid: np.ndarray) -> float:
-    """``max |A| * grid`` for a validated matrix ``A`` of the grid's shape."""
-    if A.shape != grid.shape:
+def _check_grid(shape: tuple[int, int], grid: np.ndarray) -> None:
+    """Reject a matrix ``shape`` that differs from the decay grid's."""
+    if shape != grid.shape:
         raise PreconditionError(
-            f"matrix shape {A.shape} does not match index set of size "
+            f"matrix shape {shape} does not match index set of size "
             f"{grid.shape[0]}"
         )
-    a = np.abs(A)
-    a *= grid
-    return float(np.max(a, initial=0.0))
+
+
+def _weighted_max(a: np.ndarray, grid: np.ndarray) -> np.float64:
+    """``max a * grid`` for a non-negative ``a``, computed in place in
+    ``a``.  A zero entry contributes 0 at any weight, also an inf one
+    (where ``0 * inf`` would be NaN); a NaN entry stays NaN."""
+    np.multiply(a, grid, out=a, where=a > 0)
+    return np.max(a, initial=0.0)
 
 
 def jaffard_norm(M, params: JaffardParams) -> float:
     """Smallest ``C`` with ``|M[i,i']| <= C (1 + rho(i,i'))^-s``,
-    computed as ``sup |M[i,i']| (1 + rho(i,i'))^s``."""
-    return _weighted_sup(as_matrix(M), _decay_grid(params))
+    computed as ``sup |M[i,i']| (1 + rho(i,i'))^s``.  A zero entry
+    contributes 0 at any weight, even where ``(1 + rho)^s`` overflows."""
+    A = as_matrix(M)
+    grid = _decay_grid(params)
+    _check_grid(A.shape, grid)
+    return float(_weighted_max(np.abs(A), grid))
+
+
+def _gram_sup(L: np.ndarray, R: np.ndarray, grid: np.ndarray, hermitian: bool) -> float:
+    """``max |conj(L) @ R.T| * grid``, the decay norm of
+    ``cross_gram(frame with vectors R, frame with vectors L)``, one row
+    block at a time so that no ``n x n`` complex temporary is formed.
+
+    With ``hermitian`` (``L is R``, a Gram matrix) only the block upper
+    triangle is visited, from column ``r0`` rounded down to a multiple of
+    16 on: a column offset off the BLAS micro-tile grid changes the bits
+    of the entries.  The Gram and the decay grid are both symmetric, so
+    the lower triangle mirrors the upper one; the computed ``|G|`` need
+    not be bitwise symmetric, though, and where the largest entry and its
+    mirror differ in rounding the result is the upper one's.
+    """
+    n = L.shape[0]
+    _check_grid((n, R.shape[0]), grid)
+    best = np.float64(0.0)
+    for r0, r1 in _row_blocks(n, R.shape[0]):
+        c0 = r0 - r0 % 16 if hermitian else 0
+        a = np.abs(L[r0:r1].conj() @ R[c0:].T)
+        best = np.maximum(best, _weighted_max(a, grid[r0:r1, c0:]))
+    return float(best)
 
 
 def _schur_sums(a: np.ndarray) -> tuple[float, float]:
@@ -197,9 +250,10 @@ def localisation_report(
     if np.isnan(threshold):
         raise PreconditionError("threshold must not be NaN")
     grid = _decay_grid(params)
-    g = _weighted_sup(cross_gram(pair.frame, pair.frame), grid)
-    g_dual = _weighted_sup(cross_gram(pair.dual, pair.dual), grid)
-    g_cross = _weighted_sup(cross_gram(pair.dual, pair.frame), grid)
+    F, D = pair.frame.vectors, pair.dual.vectors
+    g = _gram_sup(F, F, grid, hermitian=True)
+    g_dual = _gram_sup(D, D, grid, hermitian=True)
+    g_cross = _gram_sup(F, D, grid, hermitian=False)
     verdict = bool(max(g, g_dual, g_cross) <= threshold)
     return LocalisationReport(
         jaffard_gram=g,

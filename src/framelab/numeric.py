@@ -1,8 +1,9 @@
 """Dense complex linear-algebra backend.
 
 Input validation (arrays and norm exponents), singular values, a
-checked positive-definite solve and matrix serialization live here so
-that numerical conventions are fixed in exactly one place:
+checked positive-definite solve, the row blocks of reductions over
+matrix products and matrix serialization live here so that numerical
+conventions are fixed in exactly one place:
 
 * scalars are complex doubles,
 * the inner product ``<f, g> = np.vdot(g, f)`` is linear in ``f`` and
@@ -87,6 +88,25 @@ def solve_posdef(M, B) -> np.ndarray:
             smallest_eigenvalue=float(eigs[0]),
         )
     return np.linalg.solve(A, rhs)
+
+
+# Complex entries in one row block of a reduction over a matrix product:
+# the largest temporary that ``localisation._gram_sup`` and
+# ``tensor_kernels.correspondence_residual`` form.
+_BLOCK_ENTRIES = 2**16
+
+
+def _row_blocks(n_rows: int, n_cols: int) -> list[tuple[int, int]]:
+    """Row ranges ``(r0, r1)`` covering ``0..n_rows`` in blocks of about
+    ``_BLOCK_ENTRIES / n_cols`` rows.  No block has a single row unless
+    ``n_rows == 1``: NumPy hands a one-row product to ``gemv``, whose
+    sums need not match the bits of the ``gemm`` that a full product
+    uses, so a trailing single row joins the block before it."""
+    step = max(_BLOCK_ENTRIES // n_cols, 2)
+    starts = list(range(0, n_rows, step))
+    if len(starts) > 1 and n_rows - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n_rows]))
 
 
 # ---------------------------------------------------------------------------

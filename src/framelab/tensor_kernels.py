@@ -17,6 +17,7 @@ from .numeric import (
     PreconditionError,
     _complex_from_json,
     _complex_to_json,
+    _row_blocks,
     as_matrix,
 )
 
@@ -57,11 +58,24 @@ def correspondence_residual(k, pair1: FramePair, pair2: FramePair) -> float:
 
     The projection is idempotent, so a vanishing residual certifies
     that ``k`` is the coefficient array of an actual kernel.
+
+    The projection ``D1 @ (A.T @ D2^H)`` of the synthesized kernel ``A``
+    is formed one row block at a time and reduced at once, so no
+    ``n1 x n2`` complex temporary is built; a non-finite block makes the
+    residual non-finite.
     """
-    projected = galerkin(synthesize_kernel(k, pair1, pair2), pair1, pair2)
+    A = _check_operator(synthesize_kernel(k, pair1, pair2), pair1, pair2)
     K = np.asarray(k, dtype=complex)  # validated by synthesize_kernel
-    denom = max(float(np.max(np.abs(K), initial=0.0)), 1.0)
-    return float(np.max(np.abs(K - projected), initial=0.0)) / denom
+    D1 = pair1.dual.vectors
+    right = A.T @ pair2.dual.vectors.conj().T
+    k_max = res = np.float64(0.0)
+    for r0, r1 in _row_blocks(*K.shape):
+        k_rows = K[r0:r1]
+        diff = D1[r0:r1] @ right
+        diff -= k_rows
+        k_max = np.maximum(k_max, np.max(np.abs(k_rows), initial=0.0))
+        res = np.maximum(res, np.max(np.abs(diff), initial=0.0))
+    return float(res) / max(float(k_max), 1.0)
 
 
 # ---------------------------------------------------------------------------

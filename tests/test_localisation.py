@@ -1,12 +1,15 @@
 """Decay norms, weighted Schur bounds, polynomial weights, reports."""
 
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import framelab.numeric
 from framelab.frames import (
+    Frame,
     canonical_dual,
     cross_gram,
     cyclic_index_set,
@@ -24,6 +27,8 @@ from framelab.generators import (
 )
 from framelab.localisation import (
     JaffardParams,
+    _decay_grid,
+    _gram_sup,
     _schur_bound,
     as_weight,
     jaffard_norm,
@@ -92,6 +97,13 @@ class TestJaffardNorm:
     def test_shape_mismatch(self):
         with pytest.raises(PreconditionError):
             jaffard_norm(np.eye(3), JaffardParams(1.0, linear_index_set(4)))
+
+    def test_zero_entry_against_overflowed_weight(self):
+        # (1 + 599)^400 overflows to inf; 0 * inf must count as 0, not NaN
+        params = JaffardParams(400.0, linear_index_set(600))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert jaffard_norm(np.eye(600), params) == 1.0
 
 
 class TestAsWeight:
@@ -241,6 +253,138 @@ class TestLocalisationReport:
         params = JaffardParams(1.0, pair.frame.index_set)
         with pytest.raises(PreconditionError, match="threshold must not be NaN"):
             localisation_report(pair, params, threshold=float("nan"))
+
+
+@pytest.fixture(scope="module")
+def gabor64():
+    return canonical_dual(finite_gabor(64, 2, 2, gaussian_window(64)))
+
+
+def full_gram_norms(pair, params):
+    """The three report fields from the full ``n x n`` Grams."""
+    return (
+        jaffard_norm(gram(pair.frame), params),
+        jaffard_norm(gram(pair.dual), params),
+        jaffard_norm(cross_gram(pair.dual, pair.frame), params),
+    )
+
+
+def report_fields(rep):
+    return rep.jaffard_gram, rep.jaffard_dual_gram, rep.jaffard_cross
+
+
+class TestBlockedReport:
+    """The row-block reductions of ``localisation_report`` against the
+    norms of the full Gram matrices, bit for bit."""
+
+    @pytest.mark.parametrize("s", [0.0, 1.0, 3.0])
+    def test_gabor64_equals_full_gram_norms(self, gabor64, s):
+        params = JaffardParams(s, gabor64.frame.index_set)
+        rep = localisation_report(gabor64, params)
+        assert report_fields(rep) == full_gram_norms(gabor64, params)
+
+    @pytest.mark.parametrize("s", [0.0, 1.0, 2.5, 3.0])
+    @pytest.mark.parametrize("family", ["gabor-max", "gabor-sum", "decaying"])
+    def test_many_uneven_blocks_equal_full_gram_norms(self, monkeypatch, family, s):
+        if family == "decaying":
+            pair = canonical_dual(decaying_perturbation(37, 3.0, 0.1, seed=5))
+            index_set = pair.frame.index_set
+        else:
+            pair = canonical_dual(finite_gabor(20, 2, 2, gaussian_window(20)))
+            index_set = product_cyclic_index_set(10, 10, family.split("-")[1])
+        n = pair.frame.cardinality
+        # 7-row blocks: 100 and 37 rows leave a 2-row block at the end
+        monkeypatch.setattr("framelab.numeric._BLOCK_ENTRIES", 7 * n)
+        params = JaffardParams(s, index_set)
+        rep = localisation_report(pair, params)
+        assert report_fields(rep) == full_gram_norms(pair, params)
+
+    def test_hermitian_fields_lie_between_triangle_and_full_maxima(self, monkeypatch):
+        # The Gram and dual Gram visit only the block upper triangle.  A
+        # computed |G| need not be bitwise symmetric, so on a generic frame
+        # these fields lie between the upper-triangle and the full maxima;
+        # the cross Gram keeps full rows and equals its full norm.
+        rng = substream(3, "test", "asymmetric-gram")
+        V = rng.standard_normal((37, 11)) + 1j * rng.standard_normal((37, 11))
+        pair = canonical_dual(Frame.from_vectors(V))
+        monkeypatch.setattr("framelab.numeric._BLOCK_ENTRIES", 7 * 37)
+        params = JaffardParams(2.5, pair.frame.index_set)
+        rep = localisation_report(pair, params)
+        grid = _decay_grid(params)
+        upper = np.triu_indices(37)
+        for field, frame in ((rep.jaffard_gram, pair.frame), (rep.jaffard_dual_gram, pair.dual)):
+            weighted = np.abs(gram(frame)) * grid
+            assert np.max(weighted[upper]) <= field <= np.max(weighted)
+        assert rep.jaffard_cross == jaffard_norm(cross_gram(pair.dual, pair.frame), params)
+
+    def test_blocks_keep_the_full_product_bits(self, monkeypatch):
+        # A one-hot grid reads out single entries.  6-row blocks over 37
+        # rows put the Hermitian column offsets off the BLAS micro-tile
+        # grid and leave one trailing row, which a one-row product would
+        # compute through gemv.
+        rng = substream(4, "test", "entry-bits")
+        L = rng.standard_normal((37, 9)) + 1j * rng.standard_normal((37, 9))
+        R = rng.standard_normal((37, 9)) + 1j * rng.standard_normal((37, 9))
+        monkeypatch.setattr("framelab.numeric._BLOCK_ENTRIES", 6 * 37)
+        for hermitian, right in ((True, L), (False, R)):
+            full = np.abs(L.conj() @ right.T)
+            grid = np.zeros((37, 37))
+            entries = np.triu_indices(37) if hermitian else np.indices(full.shape).reshape(2, -1)
+            for i, j in zip(*entries):
+                grid[i, j] = 1.0
+                assert _gram_sup(L, right, grid, hermitian) == full[i, j]
+                grid[i, j] = 0.0
+
+    def test_zero_entries_against_overflowed_weights(self):
+        pair = canonical_dual(onb(600))
+        params = JaffardParams(400.0, pair.frame.index_set)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = localisation_report(pair, params)
+        assert report_fields(rep) == (1.0, 1.0, 1.0)
+        assert rep.verdict
+
+    def test_peak_memory_below_one_complex_gram(self, gabor64):
+        n = gabor64.frame.cardinality
+        params = JaffardParams(3.0, gabor64.frame.index_set)
+        tracemalloc.start()
+        try:
+            localisation_report(gabor64, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 16
+
+
+DECAY_SETS = {
+    "linear": lambda: linear_index_set(23),
+    "cyclic": lambda: cyclic_index_set(23),
+    "product-max": lambda: product_cyclic_index_set(5, 7, "max"),
+    "product-sum": lambda: product_cyclic_index_set(5, 7, "sum"),
+}
+
+
+class TestDecayGrid:
+    @pytest.mark.parametrize("s", [0.0, 1.0, 2.5, 3.0, 400.0])
+    @pytest.mark.parametrize("name", sorted(DECAY_SETS))
+    def test_equals_powered_distance_matrix(self, name, s):
+        index_set = DECAY_SETS[name]()
+        with np.errstate(over="ignore"):
+            expected = (1.0 + index_set.distance_matrix()) ** s
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflowed weight is legitimate
+            grid = _decay_grid(JaffardParams(s, index_set))
+        assert grid.shape == expected.shape
+        assert np.array_equal(grid, expected)
+
+    def test_max_metric_builds_no_distance_matrix(self, monkeypatch):
+        index_set = product_cyclic_index_set(4, 6, "max")
+
+        def refuse(self):
+            raise AssertionError("distance matrix built")
+
+        monkeypatch.setattr(type(index_set), "distance_matrix", refuse)
+        assert _decay_grid(JaffardParams(2.0, index_set)).shape == (24, 24)
 
 
 class TestValidatedOnce:

@@ -2,6 +2,7 @@
 round trips and the coefficient projection."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,6 +286,97 @@ class TestCorrespondenceResidual:
         k = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         projected = galerkin(synthesize_kernel(k, pair1, pair2), pair1, pair2)
         np.testing.assert_allclose(projected, gc1.conj() @ k @ gc2.T, atol=1e-10)
+
+
+def unblocked_residual(k, pair1, pair2):
+    """The residual from the full projected ``n1 x n2`` array."""
+    K = np.asarray(k, dtype=complex)
+    projected = galerkin(synthesize_kernel(K, pair1, pair2), pair1, pair2)
+    denom = max(float(np.max(np.abs(K))), 1.0)
+    return float(np.max(np.abs(K - projected))) / denom
+
+
+def off_range_array(n1, n2, seed):
+    rng = substream(seed, "test-tensor", "blocked", n1, n2)
+    return rng.standard_normal((n1, n2)) + 1j * rng.standard_normal((n1, n2))
+
+
+def overflowing_pairs():
+    """A Mercedes frame scaled by 1e-10, alone and with a fourth vector
+    in a third dimension: the duals carry 1e10, so the projection of an
+    array of entries near 1.7e308 overflows in its last product while
+    the synthesized kernel stays finite."""
+    m = mercedes().vectors * 1e-10
+    V = np.zeros((4, 3), dtype=complex)
+    V[:3, :2] = m
+    V[3, 2] = 1e-10
+    return canonical_dual(Frame.from_vectors(V)), canonical_dual(Frame.from_vectors(m))
+
+
+class TestBlockedResidual:
+    """``correspondence_residual`` reduces one row block at a time; it
+    must give the bits of the unblocked residual."""
+
+    @pytest.fixture(scope="class")
+    def gabor64(self):
+        return canonical_dual(finite_gabor(64, 2, 2, gaussian_window(64)))
+
+    def test_gabor64_square(self, gabor64):
+        n = gabor64.frame.cardinality
+        k = galerkin(random_operator(64, 64, seed=11), gabor64, gabor64)
+        for arr in (k, off_range_array(n, n, 1)):
+            res = correspondence_residual(arr, gabor64, gabor64)
+            assert res == unblocked_residual(arr, gabor64, gabor64)
+
+    @pytest.mark.parametrize("rows", [2, 5, 64])
+    @pytest.mark.parametrize("name", sorted(GALERKIN_PAIRS))
+    def test_many_blocks(self, monkeypatch, name, rows):
+        frame1, frame2 = GALERKIN_PAIRS[name]()
+        pair1, pair2 = canonical_dual(frame1), canonical_dual(frame2)
+        n1, n2 = frame1.cardinality, frame2.cardinality
+        monkeypatch.setattr("framelab.numeric._BLOCK_ENTRIES", rows * n2)
+        O = random_operator(frame2.space_dim, frame1.space_dim, seed=8)
+        for arr in (galerkin(O, pair1, pair2), off_range_array(n1, n2, 2)):
+            res = correspondence_residual(arr, pair1, pair2)
+            assert res == unblocked_residual(arr, pair1, pair2)
+
+    def test_rectangular_pair(self, monkeypatch):
+        pair1 = canonical_dual(finite_gabor(16, 2, 2, gaussian_window(16)))
+        pair2 = canonical_dual(decaying_perturbation(33, 3.0, 0.1, seed=2))
+        n1, n2 = pair1.frame.cardinality, pair2.frame.cardinality
+        assert (n1, n2) == (64, 33)
+        k = off_range_array(n1, n2, 3)
+        expected = unblocked_residual(k, pair1, pair2)
+        assert correspondence_residual(k, pair1, pair2) == expected
+        monkeypatch.setattr("framelab.numeric._BLOCK_ENTRIES", 5 * n2)
+        assert correspondence_residual(k, pair1, pair2) == expected
+
+    @pytest.mark.parametrize("rows", [None, 2])
+    def test_overflowed_block_stays_non_finite(self, monkeypatch, rows):
+        # The overflow lands in the first rows (the first block when
+        # blocks hold two rows); later blocks are finite, so a reduction
+        # that dropped a NaN block would report a small residual.
+        pair1, pair2 = overflowing_pairs()
+        k = np.zeros((4, 3), dtype=complex)
+        k[:3] = 1.7e308 * np.outer([1, -1, -1], [1, -1, -1])
+        k *= np.exp(0.25j * np.pi)
+        if rows is not None:
+            monkeypatch.setattr("framelab.numeric._BLOCK_ENTRIES", rows * 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isfinite(synthesize_kernel(k, pair1, pair2)).all()
+            assert not np.isfinite(correspondence_residual(k, pair1, pair2))
+            assert not np.isfinite(unblocked_residual(k, pair1, pair2))
+
+    def test_peak_memory_below_one_complex_array(self, gabor64):
+        n = gabor64.frame.cardinality
+        k = galerkin(random_operator(64, 64, seed=12), gabor64, gabor64)
+        tracemalloc.start()
+        try:
+            correspondence_residual(k, gabor64, gabor64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 16
 
 
 class TestKernelNorm:
