@@ -17,7 +17,6 @@ from .frames import (  # noqa: F401
     frame_operator,
     frame_to_json,
     gram,
-    is_orthonormal_basis,
     linear_index_set,
     product_cyclic_index_set,
     synthesis,
@@ -58,7 +57,6 @@ from .tensor_kernels import (  # noqa: F401
 )
 from .theorems import (  # noqa: F401
     CompressionReport,
-    RankOneDecomposition,
     VerificationReport,
     compress_operator,
     schatten_check,

@@ -280,7 +280,7 @@ def _cmd_verify(args) -> int:
     if which == "outer":
         report = verify_outer(O, pair1, pair2, w1, w2, seed=args.seed)
     elif which == "inner":
-        _, report = verify_inner(O, pair1, pair2, w1, w2)
+        report = verify_inner(O, pair1, pair2, w1, w2)
     elif which == "projective":
         report = verify_projective(O, pair1, pair2, w1, w2)
     elif which == "schur":

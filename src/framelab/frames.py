@@ -196,8 +196,14 @@ class Frame:
             raise NotAFrameError(
                 f"{V.shape[0]} vectors cannot span a {V.shape[1]}-dim space"
             )
-        S = V.T @ V.conj()
+        with np.errstate(over="ignore", invalid="ignore"):
+            S = V.T @ V.conj()
         eigs = np.linalg.eigvalsh(S)
+        if not np.isfinite(eigs).all():
+            raise NotAFrameError(
+                "frame operator overflows: its eigenvalues are not finite "
+                "(vector entries too large to square and sum in doubles)"
+            )
         if eigs[0] <= SPAN_RTOL * max(eigs[-1], 1e-300):
             raise NotAFrameError(
                 f"vectors do not span the space: frame-operator eigenvalues "
@@ -288,15 +294,6 @@ def canonical_dual(frame: Frame) -> FramePair:
         space_dim=frame.space_dim, index_set=frame.index_set, vectors=dual_vectors
     )
     return FramePair(frame=frame, dual=dual)
-
-
-def is_orthonormal_basis(pair: FramePair) -> bool:
-    """Whether the primal frame is an orthonormal basis (Gram equals the
-    identity to ``1e-12`` and the cardinality matches the dimension)."""
-    frame = pair.frame
-    if frame.cardinality != frame.space_dim:
-        return False
-    return float(np.max(np.abs(gram(frame) - np.eye(frame.space_dim)))) <= 1e-12
 
 
 def _check_operator(O, pair1: FramePair, pair2: FramePair) -> np.ndarray:

@@ -85,7 +85,7 @@ def _decay_grid(params: JaffardParams) -> np.ndarray:
         return (1.0 + index_set.distance_matrix()) ** s
 
 
-def _check_grid(shape: tuple[int, int], grid: np.ndarray) -> None:
+def _check_grid_shape(shape: tuple[int, int], grid: np.ndarray) -> None:
     """Reject a matrix ``shape`` that differs from the decay grid's."""
     if shape != grid.shape:
         raise PreconditionError(
@@ -108,7 +108,7 @@ def jaffard_norm(M, params: JaffardParams) -> float:
     contributes 0 at any weight, even where ``(1 + rho)^s`` overflows."""
     A = as_matrix(M)
     grid = _decay_grid(params)
-    _check_grid(A.shape, grid)
+    _check_grid_shape(A.shape, grid)
     return float(_weighted_max(np.abs(A), grid))
 
 
@@ -126,7 +126,7 @@ def _gram_sup(L: np.ndarray, R: np.ndarray, grid: np.ndarray, hermitian: bool) -
     mirror differ in rounding the result is the upper one's.
     """
     n = L.shape[0]
-    _check_grid((n, R.shape[0]), grid)
+    _check_grid_shape((n, R.shape[0]), grid)
     best = np.float64(0.0)
     for r0, r1 in _row_blocks(n, R.shape[0]):
         c0 = r0 - r0 % 16 if hermitian else 0

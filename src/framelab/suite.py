@@ -180,12 +180,12 @@ def check_inner(seed: int, fast: bool):
     worst = 0.0
     for t in range(trials):
         K = _random_op(d, d, seed, t)
-        deco, rep = verify_inner(K, pair_onb, pair_onb, np.ones(d), np.ones(d))
+        rep = verify_inner(K, pair_onb, pair_onb, np.ones(d), np.ones(d))
         if not rep.passed:
             return False, {"failed_trial": t}
         worst = max(worst, abs(rep.ratio - 1.0))
         K2 = _random_op(2, 2, seed, t + trials)
-        _, rep2 = verify_inner(K2, pair_mer, pair_mer, np.ones(3), np.ones(3))
+        rep2 = verify_inner(K2, pair_mer, pair_mer, np.ones(3), np.ones(3))
         if not rep2.passed:
             return False, {"failed_trial": t, "family": "mercedes"}
     return worst <= 1e-10, {"worst_onb_ratio_gap": float(worst)}

@@ -6,12 +6,15 @@ finite check: both sides are computed, an explicit constant budget is
 derived from frame bounds and Schur bounds of the relevant (cross-)Gram
 matrices, and ``pass`` means the two sides honor that budget.  When the
 operator-norm side is an interval, the pass criterion uses the rigorous
-interval endpoints; the reported ratio uses the midpoint.
+interval endpoints; the reported ratio ``lhs / rhs`` uses the midpoint.
 
-Every verdict uses the one relative tolerance ``REPORT_TOL = 1e-9``:
-a side may exceed its budget by that factor for rounding, and no caller
-can widen it.  A budget that is not finite fails the verdict, since a
-side compared against it checks nothing.
+Every verdict is a conjunction of one rule, ``_within(x, c, y)``:
+``x <= c * y * (1 + REPORT_TOL)`` with ``x``, ``c`` and ``y`` finite.
+The relative tolerance ``REPORT_TOL = 1e-9`` absorbs rounding and no
+caller can widen it.  An infinite budget or a side that overflowed fails
+the rule, since a comparison against it checks nothing.  A verifier adds
+at most one clause of its own: the unit-budget equality of the op-norm
+checks, or the reconstruction residual of the inner check.
 
 The outer correspondence is the ``l^1 -> l^inf`` case of the Schur-test
 statement, and the inner and projective checks bound one quantity from
@@ -41,7 +44,7 @@ from .coorbit import (
     _pnorm_of_abs,
     mixed_norm,
 )
-from .frames import FramePair, _check_operator, cross_gram, is_orthonormal_basis
+from .frames import FramePair, _check_operator, cross_gram
 from .localisation import (
     _check_positive,
     _gram_schur_bound,
@@ -82,27 +85,6 @@ class VerificationReport:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class RankOneDecomposition:
-    """Rank-one expansion ``O = sum_r <., f_r> g_r`` with
-    ``(f_r, g_r) = (psi1_i, c_ij psi2_j)`` over the nonzero Galerkin
-    coefficients ``c``, together with the nuclear-type sum of factor
-    norms.  The term list is built on access from ``c``."""
-
-    nuclear_sum: float
-    _coefficients: np.ndarray
-    _vectors1: np.ndarray
-    _vectors2: np.ndarray
-
-    @property
-    def terms(self) -> list:
-        c = self._coefficients
-        return [
-            (self._vectors1[i], c[i, j] * self._vectors2[j])
-            for i, j in zip(*np.nonzero(c))
-        ]
-
-
 @dataclass(frozen=True)
 class CompressionReport:
     """Thresholding summary for a Galerkin matrix."""
@@ -139,10 +121,25 @@ def _check_weights(pair1: FramePair, pair2: FramePair, w1, w2):
     )
 
 
-def _finite(*budgets: float) -> bool:
-    """Whether every budget is finite: a side compared against an inf or
-    NaN budget checks nothing, so no verdict passes on one."""
-    return bool(np.isfinite(budgets).all())
+def _within(x: float, c: float, y: float) -> bool:
+    """The one verdict rule: ``x <= c * y`` up to ``REPORT_TOL``, on
+    finite numbers only."""
+    return bool(np.isfinite((x, c, y)).all() and x <= c * y * _SLACK)
+
+
+def _report(name, lhs, rhs, budget, passed, details, seed=0) -> VerificationReport:
+    """The one constructor of verifier reports; ``ratio`` is ``lhs / rhs``
+    with ``0 / 0`` read as one."""
+    return VerificationReport(
+        name=name,
+        lhs=lhs,
+        rhs=rhs,
+        ratio=_safe_ratio(lhs, rhs),
+        constant_budget=budget,
+        passed=bool(passed),
+        seed=seed,
+        details=details,
+    )
 
 
 def _onb_equality(passed: bool, ratio: float, budget: float) -> bool:
@@ -167,8 +164,7 @@ def _opnorm_sides(
     ``kernel`` is the outer-sup mixed norm of the Galerkin matrix with
     inner exponent ``kernel_exp`` along ``inner_axis``; ``c_a``/``c_b``
     are the Schur bounds at ``p_src`` of the source Gram and dual Gram;
-    ``passed`` checks ``kernel <= c_b upper`` and ``lower <= c_a kernel``
-    and needs both budgets finite.
+    ``passed`` checks ``kernel <= c_b upper`` and ``lower <= c_a kernel``.
 
     ``c_a`` and ``c_b`` come from ``localisation._gram_schur_bound``,
     which remembers the two Schur sums (largest row and column sum of
@@ -188,12 +184,10 @@ def _opnorm_sides(
 
     c_a = _gram_schur_bound(pair1.frame, w1, p_src)
     c_b = _gram_schur_bound(pair1.dual, w1, p_src)
-    passed = (
-        _finite(c_a, c_b)
-        and kernel <= c_b * interval.upper * _SLACK
-        and interval.lower <= c_a * kernel * _SLACK
+    passed = _within(kernel, c_b, interval.upper) and _within(
+        interval.lower, c_a, kernel
     )
-    return kernel, interval, c_a, c_b, bool(passed)
+    return kernel, interval, c_a, c_b, passed
 
 
 def verify_outer(
@@ -211,23 +205,22 @@ def verify_outer(
     lhs, interval, c_a, c_b, passed = _opnorm_sides(
         O, pair1, pair2, w1, w2, 1.0, np.inf, np.inf, 0, seed
     )
+    rhs = interval.midpoint
     budget = max(c_a, c_b)
-    ratio = _safe_ratio(lhs, interval.midpoint)
-    return VerificationReport(
-        name="outer",
-        lhs=lhs,
-        rhs=interval.midpoint,
-        ratio=ratio,
-        constant_budget=budget,
-        passed=_onb_equality(passed, ratio, budget),
-        seed=seed,
-        details={
+    return _report(
+        "outer",
+        lhs,
+        rhs,
+        budget,
+        _onb_equality(passed, _safe_ratio(lhs, rhs), budget),
+        {
             "opnorm_lower": interval.lower,
             "opnorm_upper": interval.upper,
             "opnorm_exact": interval.exact,
             "gram_schur_bound": c_a,
             "dual_gram_schur_bound": c_b,
         },
+        seed,
     )
 
 
@@ -265,17 +258,15 @@ def schur_characterization(
     kappa, interval, c_a, c_b, passed = _opnorm_sides(
         O, pair1, pair2, w1, w2, p_src, p_dst, kernel_exp, inner_axis, seed
     )
+    lhs = interval.midpoint
     budget = max(c_a, c_b)
-    ratio = _safe_ratio(interval.midpoint, kappa)
-    return VerificationReport(
-        name=f"schur-{variant}",
-        lhs=interval.midpoint,
-        rhs=kappa,
-        ratio=ratio,
-        constant_budget=budget,
-        passed=_onb_equality(passed, ratio, budget),
-        seed=seed,
-        details={
+    return _report(
+        f"schur-{variant}",
+        lhs,
+        kappa,
+        budget,
+        _onb_equality(passed, _safe_ratio(lhs, kappa), budget),
+        {
             "variant": variant,
             "p": p,
             "kernel_inner_exponent": kernel_exp,
@@ -289,6 +280,7 @@ def schur_characterization(
             "gram_schur_bound": c_a,
             "dual_gram_schur_bound": c_b,
         },
+        seed,
     )
 
 
@@ -298,11 +290,12 @@ def schur_characterization(
 
 
 def _projective_sides(K, pair1: FramePair, pair2: FramePair, w1, w2):
-    """``(c, lower, upper, budget)``: the Galerkin coefficients of a
-    kernel, their weighted summed norm, the nuclear sum
+    """``(c, lower, upper, budget, passed)``: the Galerkin coefficients of
+    a kernel, their weighted summed norm, the nuclear sum
     ``sum |c_ij| ||psi1_i|| ||psi2_j||`` with element norms in the
-    weighted-l1 coorbit norm, and the product of the two Schur
-    certificates for ``||psi_i|| <= C w_i``."""
+    weighted-l1 coorbit norm, the product of the two Schur certificates
+    for ``||psi_i|| <= C w_i``, and whether ``lower <= upper <= budget
+    lower``."""
     c = _galerkin(K, pair1, pair2)
     lower = mixed_norm(c, MixedSpaceSpec(1.0, 1.0, 0, np.outer(w1, w2)))
     norms = []
@@ -312,12 +305,11 @@ def _projective_sides(K, pair1: FramePair, pair2: FramePair, w1, w2):
         norms.append(w @ coeffs)
         budget *= _weighted_schur_bound(coeffs, w, w, 1.0)
     upper = float(norms[0] @ np.abs(c) @ norms[1])
-    return c, lower, upper, budget
+    passed = _within(lower, 1.0, upper) and _within(upper, budget, lower)
+    return c, lower, upper, budget, passed
 
 
-def verify_inner(
-    K, pair1: FramePair, pair2: FramePair, w1, w2
-) -> tuple[RankOneDecomposition, VerificationReport]:
+def verify_inner(K, pair1: FramePair, pair2: FramePair, w1, w2) -> VerificationReport:
     """Decompose a kernel into rank-one tensors of frame elements and
     compare the nuclear-type sum with the summed-coefficient kernel
     norm.
@@ -326,34 +318,21 @@ def verify_inner(
     the nonzero Galerkin coefficients ``c`` of the kernel; its
     reconstruction is exact up to rounding and its nuclear sum exceeds
     the kernel norm by at most the product of the two element-norm
-    certificates.
+    certificates.  ``details["terms"]`` counts the rank-one terms.
     """
     w1, w2 = _check_weights(pair1, pair2, w1, w2)
     K = _check_operator(K, pair1, pair2)
-    c, rhs, nuclear, budget = _projective_sides(K, pair1, pair2, w1, w2)
-    deco = RankOneDecomposition(nuclear, c, pair1.frame.vectors, pair2.frame.vectors)
-
+    c, rhs, nuclear, budget, passed = _projective_sides(K, pair1, pair2, w1, w2)
     rebuilt = synthesize_kernel(c, pair1, pair2)
     residual = float(np.linalg.norm(rebuilt - K) / max(np.linalg.norm(K), 1.0))
-    ratio = _safe_ratio(nuclear, rhs)
-    passed = (
-        _finite(budget)
-        and residual <= REPORT_TOL
-        and 1.0 - REPORT_TOL <= ratio <= budget * _SLACK
+    return _report(
+        "inner",
+        nuclear,
+        rhs,
+        budget,
+        passed and residual <= REPORT_TOL,
+        {"reconstruction_residual": residual, "terms": int(np.count_nonzero(c))},
     )
-    report = VerificationReport(
-        name="inner",
-        lhs=nuclear,
-        rhs=rhs,
-        ratio=ratio,
-        constant_budget=budget,
-        passed=bool(passed),
-        details={
-            "reconstruction_residual": residual,
-            "terms": int(np.count_nonzero(c)),
-        },
-    )
-    return deco, report
 
 
 def verify_projective(
@@ -368,20 +347,9 @@ def verify_projective(
     """
     w1, w2 = _check_weights(pair1, pair2, w1, w2)
     K = _check_operator(K, pair1, pair2)
-    _, lower, upper, budget = _projective_sides(K, pair1, pair2, w1, w2)
-    ratio = _safe_ratio(lower, upper)
-    passed = lower <= upper * _SLACK and upper <= budget * lower * _SLACK + 1e-300
-    if lower == 0.0 and upper == 0.0:
-        passed = True
-    passed = passed and _finite(budget)
-    return VerificationReport(
-        name="projective",
-        lhs=lower,
-        rhs=upper,
-        ratio=ratio,
-        constant_budget=budget,
-        passed=bool(passed),
-        details={"lower": lower, "upper": upper},
+    _, lower, upper, budget, passed = _projective_sides(K, pair1, pair2, w1, w2)
+    return _report(
+        "projective", lower, upper, budget, passed, {"lower": lower, "upper": upper}
     )
 
 
@@ -482,25 +450,13 @@ def verify_frame_independence(
     norm_a = mixed_norm(k_a, spec)
     norm_b = mixed_norm(_galerkin(A, b1, b2), spec_b)
     budget_ab, budget_ba = _independence_budget(pairs_a, pairs_b, spec, spec_b)
-    budget = max(budget_ab, budget_ba)
-    ratio = _safe_ratio(norm_a, norm_b)
-    if norm_a == 0.0 and norm_b == 0.0:
-        passed = True
-    else:
-        passed = (
-            np.isfinite(ratio)
-            and ratio >= 1.0 / (budget_ab * _SLACK)
-            and ratio <= budget_ba * _SLACK
-        )
-    passed = passed and _finite(budget_ab, budget_ba)
-    return VerificationReport(
-        name="independence",
-        lhs=norm_a,
-        rhs=norm_b,
-        ratio=ratio,
-        constant_budget=budget,
-        passed=bool(passed),
-        details={"budget_ab": budget_ab, "budget_ba": budget_ba},
+    return _report(
+        "independence",
+        norm_a,
+        norm_b,
+        max(budget_ab, budget_ba),
+        _within(norm_b, budget_ab, norm_a) and _within(norm_a, budget_ba, norm_b),
+        {"budget_ab": budget_ab, "budget_ba": budget_ba},
     )
 
 
@@ -512,11 +468,11 @@ def schatten_check(O, pair1: FramePair, pair2: FramePair, p) -> VerificationRepo
     """Check the singular-value sufficiency bound.
 
     ``lhs`` is the Schatten-p norm; ``rhs`` aggregates the Euclidean
-    norms of the operator applied to the source dual elements.  For an
-    orthonormal source the inequality ``lhs <= rhs`` holds with constant
-    one (with equality at p = 2); in general the budget is the square
-    root of the source frame's upper bound, which lower-bounds the dual
-    frame.  The check is one-sided: small ratios are legitimate.
+    norms of the operator applied to the source dual elements.  The
+    budget is the square root of the source frame's upper bound ``B``,
+    which lower-bounds the dual frame; an orthonormal source has
+    ``B = 1``, and there ``lhs <= rhs`` (with equality at p = 2).  The
+    check is one-sided: small ratios are legitimate.
     """
     p = float(p)
     if not (1.0 <= p <= 2.0):
@@ -526,19 +482,15 @@ def schatten_check(O, pair1: FramePair, pair2: FramePair, p) -> VerificationRepo
     col_norms = _pnorm_along(A @ pair1.dual.vectors.T, 2.0, axis=0)
     rhs = _pnorm(col_norms, p)
 
-    onb = is_orthonormal_basis(pair1)
-    budget = 1.0 if onb else float(np.sqrt(pair1.bounds[1]))
-    ratio = _safe_ratio(lhs, rhs)
-    passed = lhs <= budget * rhs * _SLACK
+    budget = float(np.sqrt(pair1.bounds[1]))
     kernel_h2p = _pnorm(_pnorm_along(_galerkin(A, pair1, pair2), 2.0, axis=1), p)
-    return VerificationReport(
-        name="schatten",
-        lhs=lhs,
-        rhs=rhs,
-        ratio=ratio,
-        constant_budget=budget,
-        passed=bool(passed),
-        details={
+    return _report(
+        "schatten",
+        lhs,
+        rhs,
+        budget,
+        _within(lhs, budget, rhs),
+        {
             "p": p,
             "one_sided": True,
             "frobenius": _pnorm(A, 2.0),

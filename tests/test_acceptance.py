@@ -187,14 +187,14 @@ def test_criterion_6_inner_theorem():
     ok = True
     for trial in range(20):
         K = random_operator(d, d, seed=6000 + trial)
-        deco, rep = verify_inner(K, pair, pair, w, w)
+        rep = verify_inner(K, pair, pair, w, w)
         ok = ok and rep.details["reconstruction_residual"] <= 1e-9
         ok = ok and abs(rep.ratio - 1.0) <= 1e-10
         ok = ok and rep.passed
     pair_m = canonical_dual(mercedes())
     for trial in range(20):
         K = random_operator(2, 2, seed=6200 + trial)
-        deco, rep = verify_inner(K, pair_m, pair_m, np.ones(3), np.ones(3))
+        rep = verify_inner(K, pair_m, pair_m, np.ones(3), np.ones(3))
         ok = ok and rep.details["reconstruction_residual"] <= 1e-9
         ok = ok and rep.passed
     announce(6, ok)

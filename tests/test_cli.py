@@ -140,6 +140,21 @@ class TestSimpleVerbs:
         )
         assert dispatch(["bounds", str(bad)]) == 3
 
+    def test_overflowing_frame(self, tmp_path, capsys):
+        bad = tmp_path / "huge.json"
+        write_json(
+            bad,
+            {
+                "space_dim": 2,
+                "index_set": {"kind": "linear", "size": 2},
+                "vectors": [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+            },
+        )
+        assert dispatch(["bounds", str(bad)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "frame operator overflows" in captured.err
+
     def test_ragged_frame(self, tmp_path, capsys):
         bad = tmp_path / "ragged.json"
         write_json(

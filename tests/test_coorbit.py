@@ -30,7 +30,6 @@ from framelab.frames import (
     canonical_dual,
     cross_gram,
     gram,
-    is_orthonormal_basis,
     synthesis,
 )
 from framelab.generators import (
@@ -50,6 +49,15 @@ from framelab.localisation import (
 from framelab.numeric import PreconditionError, as_matrix
 from framelab.tensor_kernels import galerkin
 from framelab.theorems import schur_characterization
+
+
+def is_orthonormal_basis(pair):
+    """Whether the primal frame is an orthonormal basis (Gram equals the
+    identity to ``1e-12`` and the cardinality matches the dimension)."""
+    frame = pair.frame
+    if frame.cardinality != frame.space_dim:
+        return False
+    return float(np.max(np.abs(gram(frame) - np.eye(frame.space_dim)))) <= 1e-12
 
 
 def e1e1e2_pair():

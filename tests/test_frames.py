@@ -24,7 +24,6 @@ from framelab.frames import (
     frame_operator,
     frame_to_json,
     gram,
-    is_orthonormal_basis,
     linear_index_set,
     product_cyclic_index_set,
     synthesis,
@@ -366,9 +365,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             frame.vectors[0, 0] = 5.0
 
-    def test_is_orthonormal_basis(self):
-        assert is_orthonormal_basis(canonical_dual(onb(3)))
-        assert not is_orthonormal_basis(canonical_dual(mercedes()))
+    @pytest.mark.parametrize("big", [1e200, 1e155])
+    def test_overflowing_frame_operator_rejected(self, big):
+        # |1e155|^2 overflows; the eigenvalues of the overflowed frame
+        # operator are NaN, which fails no comparison of the span check
+        with pytest.raises(NotAFrameError, match="frame operator overflows"):
+            Frame.from_vectors([[big, 0], [0, 1]])
+
+    def test_largest_representable_frame_operator_accepted(self):
+        frame = Frame.from_vectors([[1e154, 0], [0, 1e154]])
+        assert frame.bounds == (1e308, 1e308)
 
 
 class TestCallerArraysStayWritable:

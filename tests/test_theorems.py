@@ -27,6 +27,7 @@ from framelab.numeric import PreconditionError
 from framelab.tensor_kernels import galerkin, synthesize_kernel
 from framelab.theorems import (
     _onb_equality,
+    _within,
     compress_operator,
     compressions_to_csv,
     reports_to_csv,
@@ -106,18 +107,18 @@ class TestVerifyOuter:
 class TestVerifyInner:
     def test_onb_example(self):
         pair = canonical_dual(onb(2))
-        deco, rep = verify_inner(O22, pair, pair, np.ones(2), np.ones(2))
-        assert len(deco.terms) == 4
-        assert deco.nuclear_sum == pytest.approx(10.0)
+        rep = verify_inner(O22, pair, pair, np.ones(2), np.ones(2))
+        assert rep.details["terms"] == 4
+        assert rep.lhs == pytest.approx(10.0)
         assert rep.rhs == pytest.approx(10.0)
         assert rep.ratio == pytest.approx(1.0)
         assert rep.passed
 
     def test_zero_kernel(self):
         pair = canonical_dual(onb(2))
-        deco, rep = verify_inner(np.zeros((2, 2)), pair, pair, np.ones(2), np.ones(2))
-        assert deco.terms == []
-        assert deco.nuclear_sum == 0.0
+        rep = verify_inner(np.zeros((2, 2)), pair, pair, np.ones(2), np.ones(2))
+        assert rep.details["terms"] == 0
+        assert rep.lhs == 0.0
         assert rep.passed
 
     def test_rank_one_reconstruction(self):
@@ -126,33 +127,33 @@ class TestVerifyInner:
         f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         g = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         K = np.outer(g, f.conj())
-        deco, rep = verify_inner(K, pair, pair, np.ones(3), np.ones(3))
+        rep = verify_inner(K, pair, pair, np.ones(3), np.ones(3))
         assert rep.details["reconstruction_residual"] <= 1e-9
         l1f = np.sum(np.abs(f))
         l1g = np.sum(np.abs(g))
-        assert deco.nuclear_sum <= l1f * l1g * (1 + 1e-9)
+        assert rep.lhs <= l1f * l1g * (1 + 1e-9)
 
     def test_mercedes_within_budget(self):
         pair = canonical_dual(mercedes())
         O = random_operator(2, 2, seed=3)
-        deco, rep = verify_inner(O, pair, pair, np.ones(3), np.ones(3))
+        rep = verify_inner(O, pair, pair, np.ones(3), np.ones(3))
         assert rep.passed
         assert rep.ratio >= 1.0 - 1e-9
         assert rep.ratio <= rep.constant_budget * (1 + 1e-9)
 
-    def test_terms_are_not_built_unless_read(self):
+    def test_builds_no_term_list(self):
         pair = canonical_dual(decaying_perturbation(64, 2.0, 0.2, seed=1))
         K = random_operator(64, 64, seed=1)
         w = np.ones(64)
         verify_inner(K, pair, pair, w, w)
         tracemalloc.start()
         try:
-            deco, rep = verify_inner(K, pair, pair, w, w)
+            rep = verify_inner(K, pair, pair, w, w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
-        assert len(deco.terms) == rep.details["terms"] == 64 * 64
+        assert rep.details["terms"] == 64 * 64
 
 
 class TestVerifyProjective:
@@ -177,6 +178,17 @@ class TestVerifyProjective:
             assert rep.passed
             assert rep.lhs <= rep.rhs * (1 + 1e-12)
             assert rep.rhs <= rep.constant_budget * rep.lhs * (1 + 1e-9)
+
+    def test_lower_side_above_upper_fails(self, monkeypatch):
+        # the summed-coefficient norm never exceeds the nuclear sum, so
+        # only a defect can break that side of the sandwich: double it
+        monkeypatch.setattr(
+            "framelab.theorems.mixed_norm", lambda c, spec: 2.0 * mixed_norm(c, spec)
+        )
+        pair = canonical_dual(onb(2))
+        rep = verify_projective(O22, pair, pair, np.ones(2), np.ones(2))
+        assert rep.lhs == pytest.approx(2.0 * rep.rhs)
+        assert not rep.passed
 
 
 class TestSchurCharacterization:
@@ -509,9 +521,9 @@ class TestSharedSkeleton:
         pair, w = self.pair_and_weight(family, weighted)
         d = pair.frame.space_dim
         K = random_operator(d, d, seed=43)
-        deco, inner = verify_inner(K, pair, pair, w, w)
+        inner = verify_inner(K, pair, pair, w, w)
         proj = verify_projective(K, pair, pair, w, w)
-        assert inner.lhs == proj.rhs == deco.nuclear_sum
+        assert inner.lhs == proj.rhs
         assert inner.rhs == proj.lhs
         assert inner.constant_budget == proj.constant_budget
         assert inner.passed and proj.passed
@@ -632,7 +644,7 @@ class TestInfiniteBudgetFails:
             if verifier == "projective":
                 rep = verify_projective(K, pair, pair, w, w)
             else:
-                _, rep = verify_inner(K, pair, pair, w, w)
+                rep = verify_inner(K, pair, pair, w, w)
         assert rep.constant_budget == np.inf
         assert np.isfinite(rep.lhs) and np.isfinite(rep.rhs)
         assert not rep.passed
@@ -668,6 +680,54 @@ def fresh_gram_schur_bound(frame, w, p):
     if np.isinf(p):
         return c_row
     return c_row ** (1.0 - 1.0 / p) * c_col ** (1.0 / p)
+
+
+class TestVerdictRule:
+    """One rule decides every verdict: ``x <= c * y`` up to
+    ``REPORT_TOL``, on finite numbers only."""
+
+    @pytest.mark.parametrize(
+        "x, c, y, holds",
+        [
+            (1.0, 1.0, 1.0, True),
+            (1.0 + 0.5e-9, 1.0, 1.0, True),
+            (1.0 + 2e-9, 1.0, 1.0, False),
+            (0.0, 3.0, 0.0, True),
+            (1e-300, 3.0, 0.0, False),
+            (1e308, 10.0, 1e308, True),  # c * y overflows above a finite x
+            (1.0, np.inf, 1.0, False),
+            (1.0, np.nan, 1.0, False),
+            (1.0, 2.0, np.inf, False),
+            (np.inf, 2.0, np.inf, False),
+            (np.inf, 2.0, 1.0, False),
+            (np.nan, 2.0, 1.0, False),
+        ],
+    )
+    def test_within(self, x, c, y, holds):
+        assert _within(x, c, y) is holds
+
+    def test_overflowed_sides_fail(self):
+        pair = canonical_dual(onb(4))
+        w = poly_weight(pair.frame.index_set, 1.0)
+        K = 1e307 * random_operator(4, 4, seed=7)
+        with np.errstate(over="ignore", invalid="ignore"):
+            reports = [
+                verify_projective(K, pair, pair, w, w),
+                verify_inner(K, pair, pair, w, w),
+            ]
+        for rep in reports:
+            assert rep.lhs == rep.rhs == np.inf
+            assert np.isfinite(rep.constant_budget)
+            assert not rep.passed
+
+    def test_overflowed_schatten_norm_fails(self):
+        pair = canonical_dual(gabor_pair())
+        O = 1e307 * random_operator(8, 8, seed=7)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = schatten_check(O, pair, pair, 1.0)
+        assert rep.lhs == np.inf
+        assert np.isfinite(rep.rhs) and np.isfinite(rep.constant_budget)
+        assert not rep.passed
 
 
 class TestGramSchurMemo:
