@@ -11,13 +11,14 @@ cases where an extreme-point sweep is provably exact.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .frames import FramePair, _check_operator, analysis
 from .generators import substream
-from .localisation import _positive_finite, _schur_bound, as_weight
+from .localisation import _positive_finite, _remembered, _schur_bound, as_weight
 from .numeric import PreconditionError, _check_exponent, as_matrix, as_vector
 
 
@@ -215,12 +216,22 @@ _CLAMP_RTOL = 16 * np.finfo(float).eps
 # elements allowed in each ``n x k`` intermediate of one scoring pass
 _SCORE_ELEMENTS = 2**14
 
+# denominators of the operator-independent probes, per source pair and
+# keyed by ``(w1.tobytes(), p, seed)``: ``n1 + 11 d1`` floats per entry,
+# so at most ``16 * 8 * (n1 + 11 d1)`` bytes per live pair (78 KB for a
+# Gabor frame with n1 = 256, d1 = 32).  The verifiers take one key per
+# source exponent; five exponents must fit, or a sweep over them evicts
+# every key before its next use.
+_DENOMINATORS_PER_PAIR = 16
+_denominators: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
 
 @functools.lru_cache(maxsize=4)
 def _random_probes(seed: int, d: int) -> np.ndarray:
     """The ``d x 10d`` block of seeded random probes for ``(seed, d)``,
     drawn on the first call and read-only.  The memo keeps the four most
-    recent blocks; ``_probes`` copies a block, so none leaves the module."""
+    recent blocks; callers only multiply by a block or copy it, so none
+    leaves the module."""
     # one draw, bit-identical to ten successive (d, 2, d) draws
     z = substream(seed, "coorbit", "opnorm").standard_normal((10, d, 2, d))
     block = (z[:, :, 0] + 1j * z[:, :, 1]).reshape(10 * d, d).T
@@ -228,30 +239,86 @@ def _random_probes(seed: int, d: int) -> np.ndarray:
     return block
 
 
-def _probes(B: np.ndarray, frame, w1: np.ndarray, p: float, seed: int) -> np.ndarray:
-    """Lower-bound probes as the columns of one ``d x K`` matrix: frame
-    vectors, basis vectors, synthesized Hoelder extremizers of the rows
-    of ``B`` whose largest magnitude is finite, and ``10 * d`` seeded
-    random probes.  The extremizers are synthesized from ``d`` rows of
-    ``B`` at a time, so no ``n x n`` temporary is built."""
-    V = frame.vectors
-    d = frame.space_dim
-    parts = [V.T, np.eye(d, dtype=complex)]
-    if p > 1.0:  # at p=1 each extremizer is a multiple of a frame vector
-        expo = _holder_conjugate(p) - 1.0
-        for j in range(0, B.shape[0], d):
-            rows = B[j : j + d]
-            mag = np.abs(rows)
-            top = mag.max(axis=1, keepdims=True)
-            finite = np.isfinite(top[:, 0])
+def _scale(Z: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``Z`` with its real and imaginary parts multiplied in place by the
+    real ``s``, which broadcasts against ``Z.view(float)``: ``w[:, None]``
+    scales rows, ``np.repeat(w, 2)`` columns.  For finite entries these
+    are the bits of NumPy's complex-by-real product, and of its
+    complex-by-real quotient when ``s`` holds reciprocals, without a
+    complex temporary."""
+    f = Z.view(float)
+    f *= s
+    return Z
+
+
+def _extremizers(B: np.ndarray, V: np.ndarray, rw1: np.ndarray, p: float) -> list:
+    """Synthesized Hoelder extremizers of the rows of ``B`` whose largest
+    magnitude is finite, as ``d x k`` blocks, with ``rw1`` the reciprocal
+    source weights each repeated twice.  They are synthesized from ``k``
+    rows of ``B`` at a time, ``k x n`` elements at most
+    ``_SCORE_ELEMENTS / 2`` (``k >= 1``): a block holds about twice as
+    many ``k x n`` temporaries at once as a scoring chunk, and no
+    ``n x n`` temporary is built.  At ``p = 1`` each extremizer is a
+    multiple of a frame vector, so there are none."""
+    if p == 1.0:
+        return []
+    expo = _holder_conjugate(p) - 1.0
+    step = max(1, _SCORE_ELEMENTS // (2 * B.shape[1]))
+    blocks = []
+    for j in range(0, B.shape[0], step):
+        rows = B[j : j + step]
+        mag = np.abs(rows)
+        top = mag.max(axis=1, keepdims=True)
+        finite = np.isfinite(top[:, 0])
+        if not finite.all():
             if not finite.any():
                 continue
             rows, mag, top = rows[finite], mag[finite], top[finite]
-            top[top == 0.0] = 1.0
-            X = np.exp(-1j * np.angle(rows)) * (mag / top) ** expo
-            parts.append(V.T @ (X / w1).T)
+        top[top == 0.0] = 1.0
+        X = np.exp(-1j * np.angle(rows)) * (mag / top) ** expo
+        blocks.append(V.T @ _scale(X, rw1).T)
+    return blocks
+
+
+def _probes(B: np.ndarray, frame, w1: np.ndarray, p: float, seed: int) -> np.ndarray:
+    """Every lower-bound probe as the columns of one ``d x K`` matrix:
+    frame vectors, basis vectors, the extremizers of ``B`` and ``10 * d``
+    seeded random probes, in that order.  ``_opnorm_interval`` scores the
+    same columns without forming this matrix: the frame and basis images
+    come from the coefficient-domain matrix and the operator-independent
+    denominators from the memo."""
+    d = frame.space_dim
+    parts = [frame.vectors.T, np.eye(d, dtype=complex)]
+    parts += _extremizers(B, frame.vectors, (1.0 / w1).repeat(2), p)
     parts.append(_random_probes(int(seed), d))
     return np.concatenate(parts, axis=1)
+
+
+def _column_norms(M: np.ndarray, P: np.ndarray, w: np.ndarray, p: float) -> list:
+    """``l^p`` norms of the columns of ``(M @ P) * w[:, None]``, as one
+    array per chunk of columns; each ``n x k`` product holds at most
+    ``_SCORE_ELEMENTS`` elements (``k >= 1``)."""
+    step = max(1, _SCORE_ELEMENTS // len(w))
+    return [
+        _pnorm_along(_scale(M @ P[:, c : c + step], w[:, None]), p, axis=0)
+        for c in range(0, P.shape[1], step)
+    ]
+
+
+def _probe_denominators(
+    pair: FramePair, w1: np.ndarray, p: float, seed: int
+) -> np.ndarray:
+    """``||C_dual f * w1||_p`` of every probe ``f`` that does not depend
+    on the operator: the frame vectors, the basis vectors and the seeded
+    random block, in that order; read-only."""
+    d = pair.frame.space_dim
+    P = np.concatenate(
+        [pair.frame.vectors.T, np.eye(d, dtype=complex), _random_probes(int(seed), d)],
+        axis=1,
+    )
+    den = np.concatenate(_column_norms(pair.dual.vectors.conj(), P, w1, p))
+    den.flags.writeable = False
+    return den
 
 
 def coorbit_opnorm(
@@ -268,15 +335,30 @@ def coorbit_opnorm(
     bound inf, and the spectral norm is then skipped.  The lower bound
     is the best ratio ``||O f|| / ||f||`` over frame vectors, standard
     basis vectors, synthesized Hoelder extremizers (``p > 1``) and
-    ``10 * d1`` seeded random probes.  The random block depends only on
-    ``(seed, d1)``, so it is drawn once per pair and kept read-only in a
-    memo bounded at four blocks of ``10 d1^2`` complex values.  All
-    probes form the columns of one ``d1 x K`` matrix, scored in chunks
-    of ``k`` columns whose ``n x k`` intermediates hold at most
-    ``2**14`` elements (``k >= 1``):
-    small problems score in one pass, and memory stays bounded at large
-    ``n``.  On an orthonormal basis at ``p=1`` the frame vectors attain
-    the column bound, so the interval is exact up to rounding.
+    ``10 * d1`` seeded random probes; a probe whose norm overflowed, or
+    whose norm is zero, is skipped.  On an orthonormal basis at ``p=1``
+    the frame vectors attain the column bound, so the interval is exact
+    up to rounding.
+
+    Each call multiplies only what depends on ``O``:
+
+    * the images of the frame vectors and basis vectors are the columns
+      of ``C_dual2 O V1^T`` and of ``C_dual2 O``, which the upper bound
+      forms anyway;
+    * the extremizers and the random block are multiplied through
+      ``C_dual2 O``, and the extremizers, which depend on ``O``, through
+      ``C_dual1`` as well.
+
+    The denominators ``||f||`` of the frame-vector, basis and random
+    probes depend only on the source pair, ``w1``, ``p`` and ``seed``.
+    They are remembered per source pair, keyed by the bytes of ``w1``
+    with ``p`` and ``seed``: at most 16 keys per pair of ``n1 + 11 d1``
+    floats each, held weakly, so the entries die with the pair.  The
+    random block depends only on ``(seed, d1)`` and is drawn once, kept
+    read-only in a memo bounded at four blocks of ``10 d1^2`` complex
+    values.  Probes are multiplied in chunks of ``k`` columns whose
+    ``n x k`` intermediates hold at most ``2**14`` elements
+    (``k >= 1``), so memory stays bounded at large ``n``.
 
     A lower bound above the upper one by at most ``16 eps`` relative is
     clamped to it; a larger excess raises ``FloatingPointError``.
@@ -300,29 +382,55 @@ def _opnorm_interval(
     """:func:`coorbit_opnorm` of a checked ``d2 x d1`` matrix ``A`` from
     the ``l^p_w1`` coorbit space of ``pair1`` into the ``l^q_w2`` one of
     ``pair2``, for exponents and weights that are already checked."""
-    # coefficient-domain matrix and its weight-scaled version
+    n1, d1 = pair1.frame.cardinality, pair1.frame.space_dim
     analysis2 = pair2.dual.vectors.conj() @ A
-    B = (analysis2 @ pair1.frame.vectors.T) * w2[:, None] / w1[None, :]
+    # [analysis2 @ V1.T | analysis2], rows scaled by w2: its columns are
+    # the images of the frame-vector and basis probes, and its first n1
+    # columns, scaled by 1 / w1, the coefficient-domain matrix B
+    NB = np.empty((len(w2), n1 + d1), dtype=complex)
+    np.matmul(analysis2, pair1.frame.vectors.T, out=NB[:, :n1])
+    NB[:, n1:] = analysis2
+    _scale(NB, w2[:, None])
+    num = _pnorm_along(NB, q, axis=0)
+    rw1 = (1.0 / w1).repeat(2)
+    B = _scale(NB[:, :n1], rw1)
 
-    uppers = [_pnorm(_pnorm_along(B, _holder_conjugate(p), axis=1), q)]
-    if p == 1.0:
-        uppers.append(float(np.max(_pnorm_along(B, q, axis=0), initial=0.0)))
+    # one |B| serves every upper bound: each reads it before any
+    # _pnorm_of_abs that overwrites it
+    a = np.abs(B)
+    uppers = []
     if p == q:
-        uppers.append(_schur_bound(np.abs(B), p))
+        uppers.append(_schur_bound(a, p))
+    uppers.append(_pnorm(_pnorm_of_abs(a, _holder_conjugate(p), axis=1), q))
+    if p == 1.0:  # the row bound took maxima, so a is intact
+        uppers.append(float(np.max(_pnorm_of_abs(a, q, axis=0), initial=0.0)))
+    del a
     if p == 2.0 and q == 2.0 and np.isfinite(B).all():
         uppers.append(float(np.linalg.norm(B, 2)))
     upper = min(uppers)
 
-    analysis1 = pair1.dual.vectors.conj()
-    P = _probes(B, pair1.frame, w1, p, seed)
-    step = max(1, _SCORE_ELEMENTS // max(len(w1), len(w2)))
-    lower = 0.0
-    for c in range(0, P.shape[1], step):
-        chunk = P[:, c : c + step]
-        den = _pnorm_along((analysis1 @ chunk) * w1[:, None], p, axis=0)
-        num = _pnorm_along((analysis2 @ chunk) * w2[:, None], q, axis=0)
-        live = den > 0.0
-        lower = max(lower, float(np.max(num[live] / den[live], initial=0.0)))
+    # only the random and extremizer probes meet A: the denominators of
+    # the others are remembered per pair
+    den = _remembered(
+        _denominators,
+        pair1,
+        (w1.tobytes(), p, seed),
+        _DENOMINATORS_PER_PAIR,
+        lambda: _probe_denominators(pair1, w1, p, seed),
+    )
+    random = _random_probes(int(seed), d1)
+    extremizers = _extremizers(B, pair1.frame.vectors, rw1, p)
+    if extremizers:
+        Q = np.concatenate([random, *extremizers], axis=1)
+        ext = Q[:, random.shape[1] :]
+        den = np.concatenate(
+            [den, *_column_norms(pair1.dual.vectors.conj(), ext, w1, p)]
+        )
+    else:
+        Q = random
+    num = np.concatenate([num, *_column_norms(analysis2, Q, w2, q)])
+    live = (den > 0.0) & np.isfinite(den) & np.isfinite(num)
+    lower = float(np.max(num[live] / den[live], initial=0.0))
     if lower - upper > _CLAMP_RTOL * upper:
         raise FloatingPointError(
             f"operator-norm lower bound {lower!r} exceeds upper bound {upper!r}"

@@ -181,12 +181,32 @@ def _weighted_schur_bound(a: np.ndarray, w_in, w_out, p: float) -> float:
     return _schur_bound(a * w_out[:, None] / w_in[None, :], p)
 
 
+# Per-owner memos.  Each maps an owner object, held weakly, to a dict of
+# at most ``cap`` entries keyed by values made of bytes (the bytes of a
+# weight vector, never an array's identity, so a weight array changed in
+# place is a new key), the oldest evicted first; an owner's entries die
+# with it.  One lock makes each lookup, eviction and fill one step across
+# threads.
+_memo_lock = threading.Lock()
+
+
+def _remembered(memo: weakref.WeakKeyDictionary, owner, key, cap: int, compute):
+    """``memo[owner][key]``, filled by ``compute()`` on a miss."""
+    with _memo_lock:
+        entries = memo.get(owner)
+        if entries is None:
+            entries = memo[owner] = {}
+        if key not in entries:
+            if len(entries) >= cap:
+                del entries[next(iter(entries))]
+            entries[key] = compute()
+        return entries[key]
+
+
 # Schur sums of ``|gram(frame)| w_i / w_j``, per frame and keyed by the
-# bytes of ``w``; each frame keeps its newest few weight vectors.  The
-# lock makes each lookup, eviction and fill one step across threads.
+# bytes of ``w``: two floats per entry, four entries per frame
 _GRAM_SUMS_PER_FRAME = 4
 _gram_sums: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_gram_sums_lock = threading.Lock()
 
 
 def _gram_schur_bound(frame: Frame, w: np.ndarray, p: float) -> float:
@@ -194,19 +214,17 @@ def _gram_schur_bound(frame: Frame, w: np.ndarray, p: float) -> float:
     checked float weight vector ``w``.
 
     The two Schur sums depend only on the frame and the weight values, so
-    they are remembered: at most ``_GRAM_SUMS_PER_FRAME`` weight vectors
-    per frame, keyed by ``w.tobytes()`` (never by the array's identity,
-    so a weight array changed in place is a new key), the oldest evicted
-    first.  The memo holds the frame weakly and dies with it.
+    they are remembered (see ``_remembered``): at most
+    ``_GRAM_SUMS_PER_FRAME`` weight vectors per frame, keyed by
+    ``w.tobytes()``.
     """
-    key = w.tobytes()
-    with _gram_sums_lock:
-        sums = _gram_sums.setdefault(frame, {})
-        if key not in sums:
-            if len(sums) >= _GRAM_SUMS_PER_FRAME:
-                del sums[next(iter(sums))]
-            sums[key] = _schur_sums(np.abs(gram(frame)) * w[:, None] / w[None, :])
-        c_row, c_col = sums[key]
+    c_row, c_col = _remembered(
+        _gram_sums,
+        frame,
+        w.tobytes(),
+        _GRAM_SUMS_PER_FRAME,
+        lambda: _schur_sums(np.abs(gram(frame)) * w[:, None] / w[None, :]),
+    )
     return _schur_combine(c_row, c_col, p)
 
 

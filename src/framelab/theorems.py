@@ -171,6 +171,15 @@ def _opnorm_sides(
     ``|G| w1_i / w1_j``) of each frame, keyed by the bytes of ``w1``.  A
     frame keeps at most four weight vectors, the oldest evicted first, and
     its entries die with the frame; only ``p_src`` is applied per call.
+
+    The interval multiplies per call only the probes that depend on
+    ``O`` (the Hoelder extremizers, and the random block through
+    ``C_dual2 O``); the images of frame and basis vectors are read off
+    the coefficient-domain matrix.  The denominators of the frame-vector,
+    basis and random probes are remembered per ``pair1``, keyed by the
+    bytes of ``w1`` with ``p_src`` and ``seed``: at most 16 keys of
+    ``n1 + 11 d1`` floats per pair, the oldest evicted first, dying with
+    the pair.  Both memos share ``localisation._remembered``.
     """
     A = _check_operator(O, pair1, pair2)
     k = _galerkin(A, pair1, pair2)
@@ -324,7 +333,15 @@ def verify_inner(K, pair1: FramePair, pair2: FramePair, w1, w2) -> VerificationR
     K = _check_operator(K, pair1, pair2)
     c, rhs, nuclear, budget, passed = _projective_sides(K, pair1, pair2, w1, w2)
     rebuilt = synthesize_kernel(c, pair1, pair2)
-    residual = float(np.linalg.norm(rebuilt - K) / max(np.linalg.norm(K), 1.0))
+    with np.errstate(over="ignore"):
+        scale = np.linalg.norm(K)
+    if not np.isfinite(scale):
+        # entries above about 1e154 overflow the norm, and an error over an
+        # infinite norm reads 0: measure both in units of K's largest part
+        top = max(np.abs(K.real).max(), np.abs(K.imag).max())
+        rebuilt, K = rebuilt / top, K / top
+        scale = np.linalg.norm(K)
+    residual = float(np.linalg.norm(rebuilt - K) / max(scale, 1.0))
     return _report(
         "inner",
         nuclear,

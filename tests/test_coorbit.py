@@ -1,12 +1,16 @@
 """Sequence-space norms, coorbit norms/pairings and operator-norm
 intervals."""
 
+import gc
 import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import framelab.numeric
+from framelab import coorbit
 from framelab.coorbit import (
     CoorbitSpec,
     MixedSpaceSpec,
@@ -48,7 +52,7 @@ from framelab.localisation import (
 )
 from framelab.numeric import PreconditionError, as_matrix
 from framelab.tensor_kernels import galerkin
-from framelab.theorems import schur_characterization
+from framelab.theorems import schur_characterization, verify_outer
 
 
 def is_orthonormal_basis(pair):
@@ -758,6 +762,158 @@ class TestProbeMemo:
         assert info.currsize <= 4
 
 
+def fresh_denominators(pair, w, p, seed):
+    """The denominators of the frame-vector, basis and random probes,
+    computed afresh with NumPy's complex-by-real product, in column chunks
+    of at most ``2**14 // n`` as the interval takes them."""
+    n, d = pair.frame.cardinality, pair.frame.space_dim
+    z = substream(seed, "coorbit", "opnorm").standard_normal((10, d, 2, d))
+    random = (z[:, :, 0] + 1j * z[:, :, 1]).reshape(10 * d, d).T
+    P = np.concatenate([pair.frame.vectors.T, np.eye(d), random], axis=1)
+    analysis1 = pair.dual.vectors.conj()
+    step = max(1, 2**14 // n)
+    return np.concatenate(
+        [
+            _pnorm_along((analysis1 @ P[:, c : c + step]) * w[:, None], p, axis=0)
+            for c in range(0, P.shape[1], step)
+        ]
+    )
+
+
+MEMO_FAMILIES = {
+    "onb": lambda: onb(4),
+    "mercedes": mercedes,
+    "gabor8": lambda: finite_gabor(8, 2, 2, gaussian_window(8)),
+    "gabor32": lambda: finite_gabor(32, 2, 2, gaussian_window(32)),
+    "decaying32": lambda: decaying_perturbation(32, 4.0, 0.05, seed=0),
+}
+
+
+class TestDenominatorMemo:
+    """The denominators of the probes that do not depend on the operator
+    are remembered per source pair; every interval sees the values of a
+    fresh computation."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("family", sorted(MEMO_FAMILIES))
+    def test_cold_and_warm_equal_fresh(self, family, weighted):
+        pair = canonical_dual(MEMO_FAMILIES[family]())
+        n, d = pair.frame.cardinality, pair.frame.space_dim
+        w = poly_weight(pair.frame.index_set, 1.0) if weighted else np.ones(n)
+        O = random_operator(d, d, seed=12)
+        assert pair not in coorbit._denominators
+        for p in EXPONENTS:
+            src = CoorbitSpec(pair, SeqSpaceSpec(p, w))
+            dst = CoorbitSpec(pair, SeqSpaceSpec(np.inf, 1.0 / w))
+            key = (w.tobytes(), p, 3)
+            first = coorbit_opnorm(O, src, dst, seed=3)
+            cold = coorbit._denominators[pair][key]
+            assert cold.tobytes() == fresh_denominators(pair, w, p, 3).tobytes()
+            assert not cold.flags.writeable
+            assert coorbit_opnorm(O, src, dst, seed=3) == first
+            assert coorbit._denominators[pair][key] is cold
+        assert len(coorbit._denominators[pair]) == len(EXPONENTS)
+
+    def test_weights_changed_in_place_are_a_new_key(self):
+        pair = canonical_dual(MEMO_FAMILIES["gabor8"]())
+        w = poly_weight(pair.frame.index_set, 1.0)
+        O = random_operator(8, 8, seed=13)
+        first = verify_outer(O, pair, pair, w, w).details["opnorm_lower"]
+        w[0] *= 3.0
+        second = verify_outer(O, pair, pair, w, w).details["opnorm_lower"]
+        other = canonical_dual(MEMO_FAMILIES["gabor8"]())
+        assert second != first
+        assert second == verify_outer(O, other, other, w, w).details["opnorm_lower"]
+        entries = coorbit._denominators[pair]
+        assert len(entries) == 2
+        assert entries[(w.tobytes(), 1.0, 0)].tobytes() == (
+            fresh_denominators(pair, w, 1.0, 0).tobytes()
+        )
+
+    def test_entries_die_with_the_pair(self):
+        gc.collect()
+        before = len(coorbit._denominators)
+        pair = canonical_dual(MEMO_FAMILIES["gabor8"]())
+        spec = CoorbitSpec(pair, SeqSpaceSpec(2.0, np.ones(pair.frame.cardinality)))
+        coorbit_opnorm(random_operator(8, 8, seed=14), spec, spec)
+        assert len(coorbit._denominators) == before + 1
+        alive = weakref.ref(pair)
+        del pair, spec
+        gc.collect()
+        assert alive() is None
+        assert len(coorbit._denominators) <= before
+
+    def test_threads_sharing_a_pair_get_fresh_values(self):
+        """Eight threads sweep 20 keys over one pair, more than the 16 a
+        pair keeps, so entries are evicted and refilled under contention."""
+        make = MEMO_FAMILIES["gabor8"]
+        pair, other = canonical_dual(make()), canonical_dual(make())
+        O = random_operator(8, 8, seed=15)
+        weights = [poly_weight(pair.frame.index_set, t) for t in (0.0, 0.5, 1.0, 1.5)]
+        keys = [(w, p) for w in weights for p in EXPONENTS]
+
+        def interval(pr, w, p):
+            src = CoorbitSpec(pr, SeqSpaceSpec(p, w))
+            dst = CoorbitSpec(pr, SeqSpaceSpec(2.0, w))
+            return coorbit_opnorm(O, src, dst, seed=4)
+
+        expected = [interval(other, w, p) for w, p in keys]
+
+        def run(k):
+            return [interval(pair, *keys[(k + i) % 20]) for i in range(60)]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(run, k) for k in range(8)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(switch)
+        for k, got in enumerate(results):
+            assert got == [expected[(k + i) % 20] for i in range(60)]
+        assert len(coorbit._denominators[pair]) == coorbit._DENOMINATORS_PER_PAIR
+
+    def test_opnorm_grid_misses_only_on_the_first_pass(self, monkeypatch):
+        """The 33 verifier calls of one opnorm-grid op take five keys per
+        pair (one per source exponent): 15 fills, then none."""
+        fills = []
+        real = coorbit._probe_denominators
+
+        def counting(*args):
+            fills.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(coorbit, "_probe_denominators", counting)
+        rng = np.random.default_rng(5)
+        cases = []
+        for frame in (
+            finite_gabor(16, 2, 2, gaussian_window(16)),
+            finite_gabor(32, 2, 2, gaussian_window(32)),
+            decaying_perturbation(32, 4.0, 0.05, seed=5),
+        ):
+            d = frame.space_dim
+            O = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            cases.append((canonical_dual(frame), poly_weight(frame.index_set, 1.0), O))
+
+        def one_pass():
+            calls = 0
+            for pair, w, O in cases:
+                verify_outer(O, pair, pair, w, w, seed=5)
+                calls += 1
+                for p in EXPONENTS:
+                    for variant in ("i", "ii"):
+                        schur_characterization(O, pair, pair, w, w, p, variant, seed=5)
+                        calls += 1
+            return calls
+
+        assert one_pass() == 33
+        assert len(fills) == 15
+        fills.clear()
+        assert one_pass() == 33
+        assert fills == []
+
+
 class TestIntervalExact:
     @pytest.mark.parametrize(
         "lower, upper, exact",
@@ -801,6 +957,18 @@ class TestIntervalOrder:
         self._shrink_spectral_norm(monkeypatch, 0.5)
         with pytest.raises(FloatingPointError, match=r"3\.0 exceeds upper bound 1\.5"):
             coorbit_opnorm(O, spec, spec)
+
+    def test_overflowed_probe_norms_are_skipped(self):
+        """At ``1e307`` some probe images overflow to inf.  A probe norm
+        that overflowed bounds nothing, so it is skipped instead of lifting
+        the lower bound to inf above a finite upper bound."""
+        pair = canonical_dual(onb(16))
+        spec = CoorbitSpec(pair, SeqSpaceSpec(1.0, np.ones(16)))
+        O = 1e307 * random_operator(16, 16, seed=7)
+        with np.errstate(over="ignore", invalid="ignore"):
+            interval = coorbit_opnorm(O, spec, spec, seed=5)
+        assert np.isfinite(interval.upper)
+        assert interval.exact
 
 
 class TestExtremeExponents:

@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from framelab import localisation
+from framelab import localisation, theorems
 from framelab.coorbit import MixedSpaceSpec, mixed_norm
 from framelab.frames import Frame, canonical_dual, gram
 from framelab.generators import (
@@ -154,6 +154,27 @@ class TestVerifyInner:
             tracemalloc.stop()
         assert peak < 1_000_000
         assert rep.details["terms"] == 64 * 64
+
+    def test_large_operator_residual_is_finite(self):
+        """The Frobenius norm of a ``1e307`` operator overflows; the
+        residual must still be a finite measurement, not ``x / inf``."""
+        pair = canonical_dual(onb(4))
+        K = 1e307 * random_operator(4, 4, seed=7)
+        rep = verify_inner(K, pair, pair, np.ones(4), np.ones(4))
+        assert np.isfinite(rep.details["reconstruction_residual"])
+        assert rep.details["reconstruction_residual"] <= 1e-9
+
+    def test_large_operator_wrong_reconstruction_fails(self, monkeypatch):
+        pair = canonical_dual(onb(4))
+        K = 1e307 * random_operator(4, 4, seed=7)
+
+        def doubled(c, pair1, pair2):
+            return 2.0 * synthesize_kernel(c, pair1, pair2)
+
+        monkeypatch.setattr(theorems, "synthesize_kernel", doubled)
+        rep = verify_inner(K, pair, pair, np.ones(4), np.ones(4))
+        assert rep.details["reconstruction_residual"] == pytest.approx(1.0)
+        assert not rep.passed
 
 
 class TestVerifyProjective:
