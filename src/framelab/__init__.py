@@ -11,7 +11,6 @@ from .frames import (  # noqa: F401
     analysis,
     canonical_dual,
     cross_gram,
-    cyclic_index_set,
     frame_bounds,
     frame_from_json,
     frame_operator,

@@ -91,9 +91,17 @@ def _load_vector(path) -> np.ndarray:
 
 
 def _load_weight(path, n: int) -> np.ndarray:
+    """A weight vector from a JSON list of numbers, bare or under
+    ``"values"``; strings and booleans are rejected rather than coerced."""
     obj = _load_json(path)
-    values = obj["values"] if isinstance(obj, dict) else obj
-    return as_weight(np.asarray(values, dtype=float), n)
+    values = obj.get("values") if isinstance(obj, dict) else obj
+    if not isinstance(values, list) or any(type(v) not in (int, float) for v in values):
+        raise PreconditionError("weights must be a JSON list of numbers")
+    try:
+        w = np.array(values, dtype=float)
+    except OverflowError as exc:
+        raise PreconditionError("weights must be positive and finite") from exc
+    return as_weight(w, n)
 
 
 def _weights_for(args, frame1, frame2):

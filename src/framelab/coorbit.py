@@ -11,7 +11,6 @@ cases where an extreme-point sweep is provably exact.
 from __future__ import annotations
 
 import functools
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,22 +215,9 @@ _CLAMP_RTOL = 16 * np.finfo(float).eps
 # elements allowed in each ``n x k`` intermediate of one scoring pass
 _SCORE_ELEMENTS = 2**14
 
-# denominators of the operator-independent probes, per source pair and
-# keyed by ``(w1.tobytes(), p, seed)``: ``n1 + 11 d1`` floats per entry,
-# so at most ``16 * 8 * (n1 + 11 d1)`` bytes per live pair (78 KB for a
-# Gabor frame with n1 = 256, d1 = 32).  The verifiers take one key per
-# source exponent; five exponents must fit, or a sweep over them evicts
-# every key before its next use.
-_DENOMINATORS_PER_PAIR = 16
-_denominators: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-@functools.lru_cache(maxsize=4)
 def _random_probes(seed: int, d: int) -> np.ndarray:
-    """The ``d x 10d`` block of seeded random probes for ``(seed, d)``,
-    drawn on the first call and read-only.  The memo keeps the four most
-    recent blocks; callers only multiply by a block or copy it, so none
-    leaves the module."""
+    """The read-only ``d x 10d`` block of seeded random probes for
+    ``(seed, d)``."""
     # one draw, bit-identical to ten successive (d, 2, d) draws
     z = substream(seed, "coorbit", "opnorm").standard_normal((10, d, 2, d))
     block = (z[:, :, 0] + 1j * z[:, :, 1]).reshape(10 * d, d).T
@@ -280,20 +266,6 @@ def _extremizers(B: np.ndarray, V: np.ndarray, rw1: np.ndarray, p: float) -> lis
     return blocks
 
 
-def _probes(B: np.ndarray, frame, w1: np.ndarray, p: float, seed: int) -> np.ndarray:
-    """Every lower-bound probe as the columns of one ``d x K`` matrix:
-    frame vectors, basis vectors, the extremizers of ``B`` and ``10 * d``
-    seeded random probes, in that order.  ``_opnorm_interval`` scores the
-    same columns without forming this matrix: the frame and basis images
-    come from the coefficient-domain matrix and the operator-independent
-    denominators from the memo."""
-    d = frame.space_dim
-    parts = [frame.vectors.T, np.eye(d, dtype=complex)]
-    parts += _extremizers(B, frame.vectors, (1.0 / w1).repeat(2), p)
-    parts.append(_random_probes(int(seed), d))
-    return np.concatenate(parts, axis=1)
-
-
 def _column_norms(M: np.ndarray, P: np.ndarray, w: np.ndarray, p: float) -> list:
     """``l^p`` norms of the columns of ``(M @ P) * w[:, None]``, as one
     array per chunk of columns; each ``n x k`` product holds at most
@@ -306,15 +278,14 @@ def _column_norms(M: np.ndarray, P: np.ndarray, w: np.ndarray, p: float) -> list
 
 
 def _probe_denominators(
-    pair: FramePair, w1: np.ndarray, p: float, seed: int
+    pair: FramePair, w1: np.ndarray, p: float, random: np.ndarray
 ) -> np.ndarray:
     """``||C_dual f * w1||_p`` of every probe ``f`` that does not depend
-    on the operator: the frame vectors, the basis vectors and the seeded
-    random block, in that order; read-only."""
+    on the operator: the frame vectors, the basis vectors and the random
+    block ``random``, in that order; read-only."""
     d = pair.frame.space_dim
     P = np.concatenate(
-        [pair.frame.vectors.T, np.eye(d, dtype=complex), _random_probes(int(seed), d)],
-        axis=1,
+        [pair.frame.vectors.T, np.eye(d, dtype=complex), random], axis=1
     )
     den = np.concatenate(_column_norms(pair.dual.vectors.conj(), P, w1, p))
     den.flags.writeable = False
@@ -349,16 +320,12 @@ def coorbit_opnorm(
       ``C_dual2 O``, and the extremizers, which depend on ``O``, through
       ``C_dual1`` as well.
 
-    The denominators ``||f||`` of the frame-vector, basis and random
-    probes depend only on the source pair, ``w1``, ``p`` and ``seed``.
-    They are remembered per source pair, keyed by the bytes of ``w1``
-    with ``p`` and ``seed``: at most 16 keys per pair of ``n1 + 11 d1``
-    floats each, held weakly, so the entries die with the pair.  The
-    random block depends only on ``(seed, d1)`` and is drawn once, kept
-    read-only in a memo bounded at four blocks of ``10 d1^2`` complex
-    values.  Probes are multiplied in chunks of ``k`` columns whose
-    ``n x k`` intermediates hold at most ``2**14`` elements
-    (``k >= 1``), so memory stays bounded at large ``n``.
+    The random block and the denominators ``||f||`` of the frame-vector,
+    basis and random probes depend only on the source pair, ``w1``, ``p``
+    and ``seed``, so they are remembered per source pair (see
+    ``localisation._remembered``).  Probes are multiplied in chunks of
+    ``k`` columns whose ``n x k`` intermediates hold at most ``2**14``
+    elements (``k >= 1``), so memory stays bounded at large ``n``.
 
     A lower bound above the upper one by at most ``16 eps`` relative is
     clamped to it; a larger excess raises ``FloatingPointError``.
@@ -409,16 +376,15 @@ def _opnorm_interval(
         uppers.append(float(np.linalg.norm(B, 2)))
     upper = min(uppers)
 
-    # only the random and extremizer probes meet A: the denominators of
-    # the others are remembered per pair
+    # only the random and extremizer probes meet A; the random block and
+    # the other denominators are remembered per pair, the block fetched
+    # first because a fill must not call _remembered
+    random = _remembered(pair1, ("random", seed), lambda: _random_probes(int(seed), d1))
     den = _remembered(
-        _denominators,
         pair1,
         (w1.tobytes(), p, seed),
-        _DENOMINATORS_PER_PAIR,
-        lambda: _probe_denominators(pair1, w1, p, seed),
+        lambda: _probe_denominators(pair1, w1, p, random),
     )
-    random = _random_probes(int(seed), d1)
     extremizers = _extremizers(B, pair1.frame.vectors, rw1, p)
     if extremizers:
         Q = np.concatenate([random, *extremizers], axis=1)

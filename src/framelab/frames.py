@@ -156,10 +156,6 @@ def linear_index_set(n: int) -> IndexSet:
     return IndexSet(kind="linear", size=n)
 
 
-def cyclic_index_set(n: int) -> IndexSet:
-    return IndexSet(kind="cyclic", size=n)
-
-
 def product_cyclic_index_set(n1: int, n2: int, metric: str = "max") -> IndexSet:
     return IndexSet(kind="product_cyclic", size=(n1, n2), metric=metric)
 

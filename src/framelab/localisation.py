@@ -181,48 +181,49 @@ def _weighted_schur_bound(a: np.ndarray, w_in, w_out, p: float) -> float:
     return _schur_bound(a * w_out[:, None] / w_in[None, :], p)
 
 
-# Per-owner memos.  Each maps an owner object, held weakly, to a dict of
-# at most ``cap`` entries keyed by values made of bytes (the bytes of a
-# weight vector, never an array's identity, so a weight array changed in
-# place is a new key), the oldest evicted first; an owner's entries die
-# with it.  One lock makes each lookup, eviction and fill one step across
-# threads.
+_memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_ENTRIES_PER_OWNER = 16
 _memo_lock = threading.Lock()
 
 
-def _remembered(memo: weakref.WeakKeyDictionary, owner, key, cap: int, compute):
-    """``memo[owner][key]``, filled by ``compute()`` on a miss."""
+def _remembered(owner, key, compute):
+    """``compute()``, remembered for ``owner`` under ``key``.
+
+    This is the one store of data that depends only on a frame or a frame
+    pair: the Gram Schur sums of a :class:`Frame`, and the probe
+    denominators and seeded random probe block of a :class:`FramePair`.
+    Owners are held weakly, so their entries die with them.  Each owner
+    keeps at most ``_ENTRIES_PER_OWNER`` entries, the oldest evicted
+    first: the verifiers take one denominator key per source exponent
+    besides the random block, and a sweep over five exponents must fit,
+    or it evicts every key before its next use.  The largest entry is a
+    random block of ``10 d^2`` complex values (164 KB at ``d = 32``).
+    Keys are built from bytes and numbers, never from an array's
+    identity, so a weight vector changed in place is a new key.
+
+    One lock makes each lookup, eviction and fill one step across
+    threads.  It is not reentrant, so ``compute`` must not call
+    ``_remembered``: a fill that needs another remembered value takes it
+    as an argument, fetched before.
+    """
     with _memo_lock:
-        entries = memo.get(owner)
+        entries = _memo.get(owner)
         if entries is None:
-            entries = memo[owner] = {}
+            entries = _memo[owner] = {}
         if key not in entries:
-            if len(entries) >= cap:
+            if len(entries) >= _ENTRIES_PER_OWNER:
                 del entries[next(iter(entries))]
             entries[key] = compute()
         return entries[key]
 
 
-# Schur sums of ``|gram(frame)| w_i / w_j``, per frame and keyed by the
-# bytes of ``w``: two floats per entry, four entries per frame
-_GRAM_SUMS_PER_FRAME = 4
-_gram_sums: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _gram_schur_bound(frame: Frame, w: np.ndarray, p: float) -> float:
     """``_weighted_schur_bound(np.abs(gram(frame)), w, w, p)`` for a
-    checked float weight vector ``w``.
-
-    The two Schur sums depend only on the frame and the weight values, so
-    they are remembered (see ``_remembered``): at most
-    ``_GRAM_SUMS_PER_FRAME`` weight vectors per frame, keyed by
-    ``w.tobytes()``.
-    """
+    checked float weight vector ``w``; the two Schur sums are remembered
+    per frame under ``w.tobytes()``."""
     c_row, c_col = _remembered(
-        _gram_sums,
         frame,
         w.tobytes(),
-        _GRAM_SUMS_PER_FRAME,
         lambda: _schur_sums(np.abs(gram(frame)) * w[:, None] / w[None, :]),
     )
     return _schur_combine(c_row, c_col, p)

@@ -155,32 +155,26 @@ def _onb_equality(passed: bool, ratio: float, budget: float) -> bool:
 # Schur-test characterisations of intermediate operator classes
 
 
-def _opnorm_sides(
-    O, pair1, pair2, w1, w2, p_src, p_dst, kernel_exp, inner_axis, seed
-):
-    """``(kernel, interval, c_a, c_b, passed)`` for maps from the
-    weighted ``l^p_src`` coorbit space into the dual ``l^p_dst`` one.
+def _opnorm_report(
+    O, pair1, pair2, w1, w2, p, variant, seed, outer=False
+) -> VerificationReport:
+    """The Schur ``variant`` check at ``p`` of maps from a weighted
+    coorbit space of ``pair1`` into a dual one of ``pair2``, for checked
+    weights; with ``outer``, the outer check, which is variant ``"ii"`` at
+    ``p = 1`` with the kernel on the left of the ratio.
 
-    ``kernel`` is the outer-sup mixed norm of the Galerkin matrix with
-    inner exponent ``kernel_exp`` along ``inner_axis``; ``c_a``/``c_b``
-    are the Schur bounds at ``p_src`` of the source Gram and dual Gram;
-    ``passed`` checks ``kernel <= c_b upper`` and ``lower <= c_a kernel``.
-
-    ``c_a`` and ``c_b`` come from ``localisation._gram_schur_bound``,
-    which remembers the two Schur sums (largest row and column sum of
-    ``|G| w1_i / w1_j``) of each frame, keyed by the bytes of ``w1``.  A
-    frame keeps at most four weight vectors, the oldest evicted first, and
-    its entries die with the frame; only ``p_src`` is applied per call.
-
-    The interval multiplies per call only the probes that depend on
-    ``O`` (the Hoelder extremizers, and the random block through
-    ``C_dual2 O``); the images of frame and basis vectors are read off
-    the coefficient-domain matrix.  The denominators of the frame-vector,
-    basis and random probes are remembered per ``pair1``, keyed by the
-    bytes of ``w1`` with ``p_src`` and ``seed``: at most 16 keys of
-    ``n1 + 11 d1`` floats per pair, the oldest evicted first, dying with
-    the pair.  Both memos share ``localisation._remembered``.
+    Variant ``"i"`` maps ``l^1_w1`` into ``l^p`` and measures the kernel
+    with inner exponent ``p`` along the second index; variant ``"ii"``
+    maps ``l^p_w1`` into ``l^inf`` and measures it with the Hoelder
+    conjugate of ``p`` along the first.  The outer sup of the kernel norm
+    is always ``l^inf``.  ``c_a``/``c_b`` are the Schur bounds at the
+    source exponent of the source Gram and dual Gram, and the verdict
+    checks ``kernel <= c_b upper`` and ``lower <= c_a kernel``.
     """
+    if variant == "i":
+        p_src, p_dst, kernel_exp, inner_axis = 1.0, p, p, 1
+    else:
+        p_src, p_dst, kernel_exp, inner_axis = p, np.inf, _holder_conjugate(p), 0
     A = _check_operator(O, pair1, pair2)
     k = _galerkin(A, pair1, pair2)
     a = np.abs(k)
@@ -196,7 +190,35 @@ def _opnorm_sides(
     passed = _within(kernel, c_b, interval.upper) and _within(
         interval.lower, c_a, kernel
     )
-    return kernel, interval, c_a, c_b, passed
+    bounds = {"opnorm_lower": interval.lower, "opnorm_upper": interval.upper}
+    schur = {"gram_schur_bound": c_a, "dual_gram_schur_bound": c_b}
+    if outer:
+        name, lhs, rhs = "outer", kernel, interval.midpoint
+        details = {**bounds, "opnorm_exact": interval.exact, **schur}
+    else:
+        name, lhs, rhs = f"schur-{variant}", interval.midpoint, kernel
+        details = {
+            "variant": variant,
+            "p": p,
+            "kernel_inner_exponent": kernel_exp,
+            "exponent_note": (
+                "variant ii measures the kernel with the Hoelder conjugate "
+                "of p along the first index; the orthonormal-frame oracle "
+                "fixes this choice"
+            ),
+            **bounds,
+            **schur,
+        }
+    budget = max(c_a, c_b)
+    return _report(
+        name,
+        lhs,
+        rhs,
+        budget,
+        _onb_equality(passed, _safe_ratio(lhs, rhs), budget),
+        details,
+        seed,
+    )
 
 
 def verify_outer(
@@ -211,26 +233,7 @@ def verify_outer(
     Gram and dual Gram.
     """
     w1, w2 = _check_weights(pair1, pair2, w1, w2)
-    lhs, interval, c_a, c_b, passed = _opnorm_sides(
-        O, pair1, pair2, w1, w2, 1.0, np.inf, np.inf, 0, seed
-    )
-    rhs = interval.midpoint
-    budget = max(c_a, c_b)
-    return _report(
-        "outer",
-        lhs,
-        rhs,
-        budget,
-        _onb_equality(passed, _safe_ratio(lhs, rhs), budget),
-        {
-            "opnorm_lower": interval.lower,
-            "opnorm_upper": interval.upper,
-            "opnorm_exact": interval.exact,
-            "gram_schur_bound": c_a,
-            "dual_gram_schur_bound": c_b,
-        },
-        seed,
-    )
+    return _opnorm_report(O, pair1, pair2, w1, w2, 1.0, "ii", seed, outer=True)
 
 
 def schur_characterization(
@@ -260,37 +263,7 @@ def schur_characterization(
         raise PreconditionError(f"variant must be 'i' or 'ii', got {variant!r}")
     p = _check_exponent(p, "p=")
     w1, w2 = _check_weights(pair1, pair2, w1, w2)
-    if variant == "i":
-        p_src, p_dst, kernel_exp, inner_axis = 1.0, p, p, 1
-    else:
-        p_src, p_dst, kernel_exp, inner_axis = p, np.inf, _holder_conjugate(p), 0
-    kappa, interval, c_a, c_b, passed = _opnorm_sides(
-        O, pair1, pair2, w1, w2, p_src, p_dst, kernel_exp, inner_axis, seed
-    )
-    lhs = interval.midpoint
-    budget = max(c_a, c_b)
-    return _report(
-        f"schur-{variant}",
-        lhs,
-        kappa,
-        budget,
-        _onb_equality(passed, _safe_ratio(lhs, kappa), budget),
-        {
-            "variant": variant,
-            "p": p,
-            "kernel_inner_exponent": kernel_exp,
-            "exponent_note": (
-                "variant ii measures the kernel with the Hoelder conjugate "
-                "of p along the first index; the orthonormal-frame oracle "
-                "fixes this choice"
-            ),
-            "opnorm_lower": interval.lower,
-            "opnorm_upper": interval.upper,
-            "gram_schur_bound": c_a,
-            "dual_gram_schur_bound": c_b,
-        },
-        seed,
-    )
+    return _opnorm_report(O, pair1, pair2, w1, w2, p, variant, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -351,6 +351,53 @@ class TestMalformedComplexEntries:
         assert "not a [re, im] pair" in capsys.readouterr().err
 
 
+class TestWeightFiles:
+    """A weight file holds a list of JSON numbers, bare or under
+    ``"values"``; anything else is a validation error (exit 3), never
+    coerced into a weight and never a traceback."""
+
+    @staticmethod
+    def argv(flag, onb4, op44, weight):
+        if flag == "--weight":
+            vec = weight.with_name("v.json")
+            write_json(vec, [[1.0, 0.0]] * 4)
+            return ["coorbit-norm", str(onb4), str(vec), "--p", "1", flag, str(weight)]
+        argv = ["verify", "outer", "--frame1", str(onb4), "--frame2", str(onb4)]
+        return argv + ["--op", str(op44), flag, str(weight)]
+
+    @pytest.mark.parametrize("flag", ["--weight1", "--weight2", "--weight"])
+    @pytest.mark.parametrize(
+        "values",
+        [
+            ["1", 1.0, 1.0, 1.0],
+            [True, 1.0, 1.0, 1.0],
+            {"values": [1.0, 1.0, "2", 1.0]},
+            [1.0, 1.0, 1.0, None],
+            [1, 1, 1, 10**400],
+            {"values": {"a": 1}},
+            {"a": 1},
+            7,
+        ],
+        ids=[
+            "string", "boolean", "string-in-values", "null", "huge-int", "object",
+            "no-values", "scalar",
+        ],
+    )
+    def test_non_numbers_are_rejected(self, onb4, op44, tmp_path, capsys, flag, values):
+        weight = tmp_path / "w.json"
+        write_json(weight, values)
+        assert dispatch(self.argv(flag, onb4, op44, weight)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith("error: weight")
+
+    def test_integers_are_numbers(self, onb4, op44, tmp_path, capsys):
+        weight = tmp_path / "w.json"
+        write_json(weight, {"values": [1, 2, 1, 1]})
+        assert dispatch(self.argv("--weight1", onb4, op44, weight)) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
 class TestCompress:
     def test_single_tau(self, onb4, op44, capsys):
         assert (

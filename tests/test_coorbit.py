@@ -10,16 +10,16 @@ import numpy as np
 import pytest
 
 import framelab.numeric
-from framelab import coorbit
+from framelab import coorbit, localisation
 from framelab.coorbit import (
     CoorbitSpec,
     MixedSpaceSpec,
     OpNormInterval,
     SeqSpaceSpec,
+    _extremizers,
     _holder_conjugate,
     _pnorm,
     _pnorm_along,
-    _probes,
     _random_probes,
     coorbit_norm,
     coorbit_opnorm,
@@ -263,9 +263,10 @@ class TestOverflowGivesInf:
         ):
             with np.errstate(over="ignore", invalid="raise"):
                 B = M * w2[:, None] / w1[None, :]
-                P = _probes(B, pair.frame, w1, p, seed=0)
-            assert np.isfinite(P).all()
-            assert P.shape[1] == n + d + extremizers + 10 * d
+                blocks = _extremizers(B, pair.frame.vectors, (1.0 / w1).repeat(2), p)
+            X = np.concatenate(blocks, axis=1) if blocks else np.empty((d, 0))
+            assert np.isfinite(X).all()
+            assert X.shape == (d, extremizers)
         src = CoorbitSpec(pair, SeqSpaceSpec(p, w1))
         dst = CoorbitSpec(pair, SeqSpaceSpec(p, np.full(n, 1e160)))
         with np.errstate(over="ignore", invalid="raise"):
@@ -584,9 +585,21 @@ class TestBlockedProbeSweep:
         assert calls == []
 
 
+def _probe_matrix(B, frame, w1, p, seed):
+    """Every lower-bound probe as the columns of one ``d x K`` matrix:
+    frame vectors, basis vectors, the extremizers of ``B`` and ``10 * d``
+    seeded random probes, in that order.  The interval scores the same
+    columns without forming this matrix."""
+    d = frame.space_dim
+    parts = [frame.vectors.T, np.eye(d, dtype=complex)]
+    parts += _extremizers(B, frame.vectors, (1.0 / w1).repeat(2), p)
+    parts.append(_random_probes(seed, d))
+    return np.concatenate(parts, axis=1)
+
+
 def _probe_blocks(B, frame, w1, p, seed):
-    """The earlier probe generator: the same probes as ``_probes``, in
-    ``d x k`` blocks with ``k <= d`` and ten separate random draws."""
+    """The earlier probe generator: the same probes as ``_probe_matrix``,
+    in ``d x k`` blocks with ``k <= d`` and ten separate random draws."""
     V = frame.vectors
     d = frame.space_dim
     for i in range(0, len(V), d):
@@ -702,7 +715,7 @@ class TestOneMatrixProbeSweep:
         n, d = pair.frame.cardinality, pair.frame.space_dim
         w1 = poly_weight(pair.frame.index_set, 1.0)
         B = cross_gram(pair.frame, pair.dual) * w1[:, None] / w1[None, :]
-        P = _probes(B, pair.frame, w1, p, seed=2)
+        P = _probe_matrix(B, pair.frame, w1, p, seed=2)
         blocks = np.concatenate(list(_probe_blocks(B, pair.frame, w1, p, 2)), axis=1)
         assert P.shape == (d, n + d + (n if p > 1.0 else 0) + 10 * d)
         assert np.array_equal(P, blocks)
@@ -716,20 +729,29 @@ class TestOneMatrixProbeSweep:
 
 
 class TestProbeMemo:
-    """The seeded random probe block is drawn once per ``(seed, d)``."""
+    """The seeded random probe block is drawn once per source pair and
+    seed, and remembered in the pair's entries of the store."""
 
     @staticmethod
     def fresh_block(seed, d):
         z = substream(seed, "coorbit", "opnorm").standard_normal((10, d, 2, d))
         return (z[:, :, 0] + 1j * z[:, :, 1]).reshape(10 * d, d).T
 
+    @staticmethod
+    def interval(pair, seed, p=2.0):
+        d = pair.frame.space_dim
+        spec = CoorbitSpec(pair, SeqSpaceSpec(p, np.ones(pair.frame.cardinality)))
+        return coorbit_opnorm(random_operator(d, d, seed=1), spec, spec, seed=seed)
+
     @pytest.mark.parametrize("d", [1, 3, 8, 16, 32])
     def test_block_is_the_fresh_draw_bit_for_bit(self, d):
-        block = _random_probes(5, d)
-        expected = self.fresh_block(5, d)
+        pair = canonical_dual(onb(d))
+        self.interval(pair, 5)
+        block = localisation._memo[pair][("random", 5)]
         assert block.shape == (d, 10 * d)
-        assert block.tobytes() == expected.tobytes()
-        assert _random_probes(5, d) is block
+        assert block.tobytes() == self.fresh_block(5, d).tobytes()
+        self.interval(pair, 5)
+        assert localisation._memo[pair][("random", 5)] is block
 
     def test_block_is_read_only(self):
         block = _random_probes(0, 4)
@@ -737,29 +759,39 @@ class TestProbeMemo:
         with pytest.raises(ValueError):
             block[0, 0] = 1.0
 
-    def test_cleared_memo_gives_the_same_interval(self):
+    def test_cleared_memo_gives_the_same_interval(self, monkeypatch):
+        draws = []
+        monkeypatch.setattr(
+            coorbit, "_random_probes", lambda *a: draws.append(a) or _random_probes(*a)
+        )
         pair = canonical_dual(finite_gabor(8, 2, 2, gaussian_window(8)))
         w = poly_weight(pair.frame.index_set, 1.0)
         src = CoorbitSpec(pair, SeqSpaceSpec(1.5, w))
         dst = CoorbitSpec(pair, SeqSpaceSpec(3.0, 1.0 / w))
         O = random_operator(8, 8, seed=2)
         first = coorbit_opnorm(O, src, dst, seed=9)
-        _random_probes.cache_clear()
+        del localisation._memo[pair]
         again = coorbit_opnorm(O, src, dst, seed=9)
         assert again == first
-        assert _random_probes.cache_info().misses == 1
+        assert draws == [(9, 8), (9, 8)]
         assert coorbit_opnorm(O, src, dst, seed=9) == first
-        assert _random_probes.cache_info().hits == 1
+        assert len(draws) == 2
 
     def test_seeds_give_different_blocks(self):
         assert not np.array_equal(_random_probes(0, 8), _random_probes(1, 8))
 
     def test_memo_is_bounded(self):
+        """Each seed adds a block and a denominator entry; the pair keeps
+        the newest ``_ENTRIES_PER_OWNER``."""
+        pair = canonical_dual(onb(2))
         for seed in range(10):
-            _random_probes(seed, 2)
-        info = _random_probes.cache_info()
-        assert info.maxsize == 4
-        assert info.currsize <= 4
+            self.interval(pair, seed)
+        cap = localisation._ENTRIES_PER_OWNER
+        keys = list(localisation._memo[pair])
+        assert len(keys) == cap
+        assert keys[-2:] == [("random", 9), (np.ones(2).tobytes(), 2.0, 9)]
+        assert ("random", (20 - cap) // 2) in keys
+        assert ("random", (20 - cap) // 2 - 1) not in keys
 
 
 def fresh_denominators(pair, w, p, seed):
@@ -791,8 +823,8 @@ MEMO_FAMILIES = {
 
 class TestDenominatorMemo:
     """The denominators of the probes that do not depend on the operator
-    are remembered per source pair; every interval sees the values of a
-    fresh computation."""
+    are remembered in the source pair's entries of the store; every
+    interval sees the values of a fresh computation."""
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("family", sorted(MEMO_FAMILIES))
@@ -801,51 +833,54 @@ class TestDenominatorMemo:
         n, d = pair.frame.cardinality, pair.frame.space_dim
         w = poly_weight(pair.frame.index_set, 1.0) if weighted else np.ones(n)
         O = random_operator(d, d, seed=12)
-        assert pair not in coorbit._denominators
+        assert pair not in localisation._memo
         for p in EXPONENTS:
             src = CoorbitSpec(pair, SeqSpaceSpec(p, w))
             dst = CoorbitSpec(pair, SeqSpaceSpec(np.inf, 1.0 / w))
             key = (w.tobytes(), p, 3)
             first = coorbit_opnorm(O, src, dst, seed=3)
-            cold = coorbit._denominators[pair][key]
+            cold = localisation._memo[pair][key]
             assert cold.tobytes() == fresh_denominators(pair, w, p, 3).tobytes()
             assert not cold.flags.writeable
             assert coorbit_opnorm(O, src, dst, seed=3) == first
-            assert coorbit._denominators[pair][key] is cold
-        assert len(coorbit._denominators[pair]) == len(EXPONENTS)
+            assert localisation._memo[pair][key] is cold
+        # one denominator entry per exponent and one random block
+        assert len(localisation._memo[pair]) == len(EXPONENTS) + 1
 
     def test_weights_changed_in_place_are_a_new_key(self):
         pair = canonical_dual(MEMO_FAMILIES["gabor8"]())
         w = poly_weight(pair.frame.index_set, 1.0)
         O = random_operator(8, 8, seed=13)
+        first_w = w.tobytes()
         first = verify_outer(O, pair, pair, w, w).details["opnorm_lower"]
         w[0] *= 3.0
         second = verify_outer(O, pair, pair, w, w).details["opnorm_lower"]
         other = canonical_dual(MEMO_FAMILIES["gabor8"]())
         assert second != first
         assert second == verify_outer(O, other, other, w, w).details["opnorm_lower"]
-        entries = coorbit._denominators[pair]
-        assert len(entries) == 2
+        entries = localisation._memo[pair]
+        assert list(entries) == [("random", 0), (first_w, 1.0, 0), (w.tobytes(), 1.0, 0)]
         assert entries[(w.tobytes(), 1.0, 0)].tobytes() == (
             fresh_denominators(pair, w, 1.0, 0).tobytes()
         )
 
     def test_entries_die_with_the_pair(self):
         gc.collect()
-        before = len(coorbit._denominators)
+        before = len(localisation._memo)
         pair = canonical_dual(MEMO_FAMILIES["gabor8"]())
         spec = CoorbitSpec(pair, SeqSpaceSpec(2.0, np.ones(pair.frame.cardinality)))
         coorbit_opnorm(random_operator(8, 8, seed=14), spec, spec)
-        assert len(coorbit._denominators) == before + 1
+        assert len(localisation._memo) == before + 1
         alive = weakref.ref(pair)
         del pair, spec
         gc.collect()
         assert alive() is None
-        assert len(coorbit._denominators) <= before
+        assert len(localisation._memo) <= before
 
     def test_threads_sharing_a_pair_get_fresh_values(self):
-        """Eight threads sweep 20 keys over one pair, more than the 16 a
-        pair keeps, so entries are evicted and refilled under contention."""
+        """Eight threads sweep 20 denominator keys and the random block
+        over one pair, more than the 16 entries an owner keeps, so entries
+        are evicted and refilled under contention."""
         make = MEMO_FAMILIES["gabor8"]
         pair, other = canonical_dual(make()), canonical_dual(make())
         O = random_operator(8, 8, seed=15)
@@ -872,19 +907,27 @@ class TestDenominatorMemo:
             sys.setswitchinterval(switch)
         for k, got in enumerate(results):
             assert got == [expected[(k + i) % 20] for i in range(60)]
-        assert len(coorbit._denominators[pair]) == coorbit._DENOMINATORS_PER_PAIR
+        assert len(localisation._memo[pair]) == localisation._ENTRIES_PER_OWNER
 
     def test_opnorm_grid_misses_only_on_the_first_pass(self, monkeypatch):
-        """The 33 verifier calls of one opnorm-grid op take five keys per
-        pair (one per source exponent): 15 fills, then none."""
-        fills = []
-        real = coorbit._probe_denominators
+        """The 33 verifier calls of one opnorm-grid op fill, per pair, one
+        random block and five denominator entries (one per source
+        exponent), and one Gram-sum entry for each of its frame and dual:
+        3, 15 and 6 fills, then none."""
+        fills = {}
 
-        def counting(*args):
-            fills.append(args)
-            return real(*args)
+        def count(module, name):
+            real = getattr(module, name)
 
-        monkeypatch.setattr(coorbit, "_probe_denominators", counting)
+            def counting(*args):
+                fills[name] = fills.get(name, 0) + 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counting)
+
+        count(coorbit, "_random_probes")
+        count(coorbit, "_probe_denominators")
+        count(localisation, "gram")
         rng = np.random.default_rng(5)
         cases = []
         for frame in (
@@ -908,10 +951,10 @@ class TestDenominatorMemo:
             return calls
 
         assert one_pass() == 33
-        assert len(fills) == 15
+        assert fills == {"_random_probes": 3, "_probe_denominators": 15, "gram": 6}
         fills.clear()
         assert one_pass() == 33
-        assert fills == []
+        assert fills == {}
 
 
 class TestIntervalExact:

@@ -18,7 +18,6 @@ from framelab.frames import (
     analysis,
     canonical_dual,
     cross_gram,
-    cyclic_index_set,
     frame_bounds,
     frame_from_json,
     frame_operator,
@@ -84,7 +83,7 @@ class TestIndexSet:
         np.testing.assert_array_equal(np.diag(D), 0)
 
     def test_cyclic_metric(self):
-        D = cyclic_index_set(5).distance_matrix()
+        D = IndexSet("cyclic", 5).distance_matrix()
         assert D[0, 4] == 1 and D[0, 2] == 2
 
     def test_product_max_metric(self):
@@ -105,7 +104,7 @@ class TestIndexSet:
     @pytest.mark.parametrize(
         "index_set",
         [linear_index_set(n) for n in (1, 2, 7)]
-        + [cyclic_index_set(n) for n in (1, 2, 5, 8)]
+        + [IndexSet("cyclic", n) for n in (1, 2, 5, 8)]
         + [
             product_cyclic_index_set(n1, n2, metric)
             for n1, n2 in ((1, 1), (4, 6), (5, 3), (1, 4), (3, 1), (4, 4))

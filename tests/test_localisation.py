@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 import framelab.numeric
+from framelab import localisation
 from framelab.frames import (
     Frame,
+    IndexSet,
     canonical_dual,
     cross_gram,
-    cyclic_index_set,
     gram,
     linear_index_set,
     product_cyclic_index_set,
@@ -163,6 +164,35 @@ class TestSchurWeightedBound:
         assert _schur_bound(np.abs(M), p) == public
 
 
+class TestRemembered:
+    """The one store of operator-independent data keeps, per owner, at
+    most ``_ENTRIES_PER_OWNER`` entries, the oldest evicted first."""
+
+    def test_owner_keeps_its_newest_entries(self):
+        class Owner:
+            pass
+
+        owner = Owner()
+        cap = localisation._ENTRIES_PER_OWNER
+        fills = []
+
+        def get(key):
+            return localisation._remembered(
+                owner, key, lambda: fills.append(key) or 10 * key
+            )
+
+        assert [get(k) for k in range(cap + 2)] == [10 * k for k in range(cap + 2)]
+        assert list(localisation._memo[owner]) == list(range(2, cap + 2))
+        # a hit neither fills nor reorders
+        assert get(2) == 20
+        assert fills == list(range(cap + 2))
+        assert list(localisation._memo[owner]) == list(range(2, cap + 2))
+        # an evicted key is computed afresh and evicts the next oldest
+        assert get(0) == 0
+        assert fills == list(range(cap + 2)) + [0]
+        assert list(localisation._memo[owner]) == list(range(3, cap + 2)) + [0]
+
+
 class TestPolyWeight:
     def test_linear_grid(self):
         np.testing.assert_allclose(
@@ -170,11 +200,11 @@ class TestPolyWeight:
         )
 
     def test_zero_exponent(self):
-        np.testing.assert_allclose(poly_weight(cyclic_index_set(5), 0.0), 1.0)
+        np.testing.assert_allclose(poly_weight(IndexSet("cyclic", 5), 0.0), 1.0)
 
     def test_cyclic_grid(self):
         np.testing.assert_allclose(
-            poly_weight(cyclic_index_set(4), 1.0), [1.0, 2.0, 3.0, 2.0]
+            poly_weight(IndexSet("cyclic", 4), 1.0), [1.0, 2.0, 3.0, 2.0]
         )
 
     def test_reciprocal_product(self):
@@ -358,7 +388,7 @@ class TestBlockedReport:
 
 DECAY_SETS = {
     "linear": lambda: linear_index_set(23),
-    "cyclic": lambda: cyclic_index_set(23),
+    "cyclic": lambda: IndexSet("cyclic", 23),
     "product-max": lambda: product_cyclic_index_set(5, 7, "max"),
     "product-sum": lambda: product_cyclic_index_set(5, 7, "sum"),
 }

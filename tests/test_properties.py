@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from framelab.frames import (
     Frame,
+    IndexSet,
     analysis,
     canonical_dual,
-    cyclic_index_set,
     frame_from_json,
     frame_to_json,
     linear_index_set,
@@ -236,7 +236,7 @@ def test_json_round_trips_are_bit_exact(data, rows, cols):
     back = matrix_from_json(_through_json(matrix_to_json(M)))
     assert back.tobytes() == M.tobytes()
 
-    index_i, index_j = linear_index_set(rows), cyclic_index_set(cols)
+    index_i, index_j = linear_index_set(rows), IndexSet("cyclic", cols)
     k, back_i, back_j = galerkin_from_json(
         _through_json(galerkin_to_json(M, index_i, index_j))
     )

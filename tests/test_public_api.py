@@ -7,7 +7,8 @@ exactly one on ``onb(d)``, so no verifier tests for an orthonormal basis;
 ``tests/test_coorbit.py`` keeps a local copy for its reference oracle)
 and ``RankOneDecomposition`` (``verify_inner`` returns its report alone;
 the nuclear sum is the report's ``lhs`` and ``details["terms"]`` counts
-the rank-one terms).
+the rank-one terms) and ``cyclic_index_set`` (``IndexSet("cyclic", n)``
+builds the same set).
 """
 
 import types
@@ -23,7 +24,6 @@ PUBLIC_API = {
     "analysis",
     "canonical_dual",
     "cross_gram",
-    "cyclic_index_set",
     "frame_bounds",
     "frame_from_json",
     "frame_operator",
