@@ -237,15 +237,31 @@ def _scale(Z: np.ndarray, s: np.ndarray) -> np.ndarray:
     return Z
 
 
+# smallest normal magnitude; a smaller entry is lifted by the exact
+# power of two _LIFT, which makes its nonzero parts normal and keeps its
+# magnitude below 2**-422, before its phase is taken
+_TINY = np.finfo(float).tiny
+_LIFT = 2.0**600
+
+
 def _extremizers(B: np.ndarray, V: np.ndarray, rw1: np.ndarray, p: float) -> list:
     """Synthesized Hoelder extremizers of the rows of ``B`` whose largest
     magnitude is finite, as ``d x k`` blocks, with ``rw1`` the reciprocal
-    source weights each repeated twice.  They are synthesized from ``k``
-    rows of ``B`` at a time, ``k x n`` elements at most
-    ``_SCORE_ELEMENTS / 2`` (``k >= 1``): a block holds about twice as
-    many ``k x n`` temporaries at once as a scoring chunk, and no
-    ``n x n`` temporary is built.  At ``p = 1`` each extremizer is a
-    multiple of a frame vector, so there are none."""
+    source weights each repeated twice.  The extremizer of a row ``b``
+    has entries ``conj(b_j) * (1 / |b_j|) * (|b_j| / max|b|)^(p' - 1)``,
+    with phase 1 where ``b_j = 0``.  The phase is a product with the
+    reciprocal because that is how NumPy divides a complex number by a
+    real one, so these are the bits of ``conj(b_j) / |b_j|``, and it
+    needs no transcendental function.  An entry below the smallest
+    normal magnitude, whose reciprocal would overflow or whose magnitude
+    has lost bits, takes its phase from the entry lifted by ``_LIFT``,
+    which is exact; so every extremizer of a finite row is finite.
+
+    They are synthesized from ``k`` rows of ``B`` at a time, ``k x n``
+    elements at most ``_SCORE_ELEMENTS / 2`` (``k >= 1``): a block holds
+    about twice as many ``k x n`` temporaries at once as a scoring
+    chunk, and no ``n x n`` temporary is built.  At ``p = 1`` each
+    extremizer is a multiple of a frame vector, so there are none."""
     if p == 1.0:
         return []
     expo = _holder_conjugate(p) - 1.0
@@ -260,8 +276,21 @@ def _extremizers(B: np.ndarray, V: np.ndarray, rw1: np.ndarray, p: float) -> lis
             if not finite.any():
                 continue
             rows, mag, top = rows[finite], mag[finite], top[finite]
-        top[top == 0.0] = 1.0
-        X = np.exp(-1j * np.angle(rows)) * (mag / top) ** expo
+        tiny = mag.min() < _TINY  # a zero or subnormal entry
+        if tiny:  # only then can a row be all zero
+            top[top == 0.0] = 1.0
+        size = (mag / top) ** expo
+        X = rows.conj()
+        if tiny:
+            low = mag < _TINY
+            np.multiply(X, _LIFT, out=X, where=low)
+            np.abs(X, out=mag, where=low)
+            zero = mag == 0.0
+            X[zero] = mag[zero] = 1.0
+        # each entry's two parts times its reciprocal magnitude, then size
+        parts = X.view(float).reshape(*X.shape, 2)
+        parts *= np.reciprocal(mag, out=mag)[..., None]
+        parts *= size[..., None]
         blocks.append(V.T @ _scale(X, rw1).T)
     return blocks
 
@@ -305,8 +334,11 @@ def coorbit_opnorm(
     ``p=q=2``; weights that overflow the scaled matrix give the upper
     bound inf, and the spectral norm is then skipped.  The lower bound
     is the best ratio ``||O f|| / ||f||`` over frame vectors, standard
-    basis vectors, synthesized Hoelder extremizers (``p > 1``) and
-    ``10 * d1`` seeded random probes; a probe whose norm overflowed, or
+    basis vectors, ``10 * d1`` seeded random probes and (``p > 1``) the
+    synthesized Hoelder extremizers of the rows ``b`` of the weighted
+    ``B = w2 M / w1``, with entries ``conj(b_j) / |b_j|`` times
+    ``(|b_j| / max|b|)^(p' - 1)`` and phase 1 where ``b_j = 0``, formed
+    without transcendental functions; a probe whose norm overflowed, or
     whose norm is zero, is skipped.  On an orthonormal basis at ``p=1``
     the frame vectors attain the column bound, so the interval is exact
     up to rounding.

@@ -79,7 +79,9 @@ def finite_gabor(N: int, a: int, b: int, window) -> Frame:
     caller's responsibility; the full lattice ``a = b = 1`` is tight
     with bounds ``N ||g||^2``.
     """
-    if N < 1 or a < 1 or b < 1 or N % a != 0 or N % b != 0:
+    if N < 1:
+        raise PreconditionError("length must be >= 1")
+    if a < 1 or b < 1 or N % a != 0 or N % b != 0:
         raise PreconditionError("time and frequency steps must divide the length")
     g = np.asarray(window, dtype=complex)
     if g.shape != (N,):
@@ -106,8 +108,10 @@ def decaying_perturbation(d: int, s: float, eps: float, seed: int = 0) -> Frame:
     """
     if d < 1:
         raise PreconditionError("dimension must be >= 1")
-    if s < 0 or eps < 0:
-        raise PreconditionError("decay and amplitude must be nonnegative")
+    if not (s >= 0):
+        raise PreconditionError("decay must be a nonnegative number")
+    if not (0 <= eps < np.inf):
+        raise PreconditionError("amplitude must be a nonnegative finite number")
     idx = np.arange(d)
     decay = (1.0 + np.abs(idx[:, None] - idx[None, :])) ** (-float(s))
     rng = substream(seed, "generators", "decaying_perturbation", d, s)

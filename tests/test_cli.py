@@ -65,6 +65,30 @@ class TestGen:
     def test_unknown_kind(self, tmp_path):
         assert dispatch(["gen", "wavelet", "-o", str(tmp_path / "x.json")]) == 3
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gabor", "--length", "0"], "length must be >= 1"),
+            (
+                ["decaying", "--dim", "4", "--decay", "nan", "--eps", "0.1"],
+                "decay must be a nonnegative number",
+            ),
+            (
+                ["decaying", "--dim", "4", "--decay", "2", "--eps", "nan"],
+                "amplitude must be a nonnegative finite number",
+            ),
+            (
+                ["decaying", "--dim", "4", "--decay", "2", "--eps", "inf"],
+                "amplitude must be a nonnegative finite number",
+            ),
+        ],
+    )
+    def test_invalid_generator_parameters(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert dispatch(["gen", *argv, "-o", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestSimpleVerbs:
     def test_bounds(self, onb4, capsys):

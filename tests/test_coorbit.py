@@ -273,6 +273,73 @@ class TestOverflowGivesInf:
             assert coorbit_opnorm(A, src, dst) == (np.inf, np.inf)
 
 
+def _unsynthesized(B, p):
+    """The extremizers of the rows of ``B``, one per row, before
+    synthesis: with the identity as frame and unit weights the synthesis
+    is a product with the identity, which is exact."""
+    n = B.shape[1]
+    blocks = _extremizers(B, np.eye(n, dtype=complex), np.ones(2 * n), p)
+    return np.concatenate(blocks, axis=1).T
+
+
+def _phase_rows():
+    """Complex entries with magnitudes from 1e-320 (subnormal) to 1e300
+    and seeded angles, two rows of them, and a row holding zeros."""
+    rng = substream(3, "test-coorbit", "phase")
+    r = np.logspace(-320, 300, 64)
+    z = r * np.exp(1j * rng.uniform(-np.pi, np.pi, (2, 64)))
+    zeros = np.zeros(64, dtype=complex)
+    zeros[::2] = z[0, ::2]
+    return np.vstack([z, zeros])
+
+
+class TestExtremizerPhase:
+    """Extremizer phases are ``conj(z) / |z|`` with phase 1 at zero; they
+    are unit, finite and attain Hoelder's inequality at every magnitude."""
+
+    EPS = np.finfo(float).eps
+
+    def test_phase_matches_angle_form(self):
+        # at p = inf every extremizer entry is its phase
+        B = _phase_rows()
+        phase = _unsynthesized(B, np.inf)
+        nonzero = B != 0
+        ref = np.exp(-1j * np.angle(B[nonzero]))
+        assert np.abs(phase[nonzero] - ref).max() <= 4 * self.EPS
+        assert np.all(phase[~nonzero] == 1.0)
+
+    @pytest.mark.parametrize("p", [1.001, 1.5, 2.0, 3.0, 400.0, np.inf])
+    def test_holder_equality(self, p):
+        rng = substream(4, "test-coorbit", "holder")
+        B = rng.standard_normal((5, 16)) + 1j * rng.standard_normal((5, 16))
+        B[1] *= 1e-310
+        B[2] *= 1e300
+        B[3, ::3] = 0.0
+        X = _unsynthesized(B, p)
+        for b, x in zip(B, X):
+            # an exact power-of-two rescale of b keeps the sum in range
+            e = np.frexp(np.abs(b).max())[1]
+            b = np.ldexp(b.view(float), -e).view(complex)
+            pairing = np.sum(b * x)
+            bound = _pnorm(b, _holder_conjugate(p)) * _pnorm(x, p)
+            assert abs(pairing - bound) <= 8 * self.EPS * bound, p
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, np.inf])
+    def test_finite_without_floating_point_exceptions(self, p):
+        pair = canonical_dual(finite_gabor(8, 2, 2, gaussian_window(8)))
+        n = pair.frame.cardinality
+        B = random_operator(n, n, seed=5)
+        B[:4] *= 1e-310
+        B[4:8] *= 1e300
+        B[8, ::2] = 0.0
+        B[9] = 0.0
+        with np.errstate(all="raise"):
+            blocks = _extremizers(B, pair.frame.vectors, np.ones(2 * n), p)
+        assert sum(block.shape[1] for block in blocks) == n
+        for block in blocks:
+            assert np.isfinite(block).all()
+
+
 class TestCoorbitNorm:
     def test_onb_weighted(self):
         spec = CoorbitSpec(canonical_dual(onb(2)), SeqSpaceSpec(1.0, np.array([1.0, 2.0])))
@@ -599,7 +666,9 @@ def _probe_matrix(B, frame, w1, p, seed):
 
 def _probe_blocks(B, frame, w1, p, seed):
     """The earlier probe generator: the same probes as ``_probe_matrix``,
-    in ``d x k`` blocks with ``k <= d`` and ten separate random draws."""
+    in ``d x k`` blocks with ``k <= d`` and ten separate random draws.
+    Its extremizer phase is the package's, ``conj(z) / |z|`` (1 at 0),
+    so the two layouts can be compared bit for bit."""
     V = frame.vectors
     d = frame.space_dim
     for i in range(0, len(V), d):
@@ -616,7 +685,8 @@ def _probe_blocks(B, frame, w1, p, seed):
                 continue
             rows, mag, top = rows[finite], mag[finite], top[finite]
             top[top == 0.0] = 1.0
-            X = np.exp(-1j * np.angle(rows)) * (mag / top) ** expo
+            phase = np.divide(rows.conj(), mag, out=np.ones_like(rows), where=mag > 0)
+            X = phase * (mag / top) ** expo
             yield V.T @ (X / w1).T
     rng = substream(seed, "coorbit", "opnorm")
     for _ in range(10):

@@ -146,6 +146,11 @@ class TestFiniteGabor:
         with pytest.raises(PreconditionError):
             finite_gabor(4, 1, 1, np.zeros(4))
 
+    @pytest.mark.parametrize("N", [0, -4])
+    def test_nonpositive_length(self, N):
+        with pytest.raises(PreconditionError, match="^length must be >= 1$"):
+            finite_gabor(N, 1, 1, gaussian_window(max(N, 0)))
+
 
 class TestDecayingPerturbation:
     def test_zero_amplitude_is_basis(self):
@@ -163,6 +168,18 @@ class TestDecayingPerturbation:
         a, b = frame_bounds(frame)
         assert a >= 1.0 - shift - 1e-12
         assert b <= 1.0 + shift + 1e-12
+
+    @pytest.mark.parametrize("s", [np.nan, -1.0])
+    def test_rejects_bad_decay(self, s):
+        with pytest.raises(PreconditionError, match="^decay must be a nonnegative number$"):
+            decaying_perturbation(4, s, 0.1)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -0.1])
+    def test_rejects_bad_amplitude(self, eps):
+        with pytest.raises(
+            PreconditionError, match="^amplitude must be a nonnegative finite number$"
+        ):
+            decaying_perturbation(4, 2.0, eps)
 
     def test_deterministic(self):
         f1 = decaying_perturbation(8, 4.0, 0.05, seed=5)
