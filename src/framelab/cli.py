@@ -24,7 +24,7 @@ from .frames import (
     frame_from_json,
     frame_to_json,
 )
-from .generators import GeneratorSpec, load_generator_spec
+from .generators import _PARAMETERS, GeneratorSpec
 from .localisation import JaffardParams, as_weight, localisation_report
 from .numeric import (
     PreconditionError,
@@ -41,8 +41,6 @@ from .tensor_kernels import (
 )
 from .theorems import (
     compress_operator,
-    compressions_to_csv,
-    reports_to_csv,
     schatten_check,
     schur_characterization,
     verify_frame_independence,
@@ -53,6 +51,8 @@ from .theorems import (
 
 USAGE_ERROR = 2
 VALIDATION_ERROR = 3
+# spellings of generator kinds that only the command line accepts
+_ALIASES = {"decaying": "decaying_perturbation", "operator": "random_operator"}
 
 
 def _default_seed() -> int:
@@ -64,14 +64,15 @@ def _load_json(path):
         return json.load(fh)
 
 
+def _describe(frame) -> str:
+    a, b = frame_bounds(frame)
+    n, d = frame.cardinality, frame.space_dim
+    return f"{n} vectors in C^{d}, bounds ({a:.6g}, {b:.6g})"
+
+
 def _load_frame(path):
     frame = frame_from_json(_load_json(path))
-    a, b = frame_bounds(frame)
-    print(
-        f"loaded {path}: {frame.cardinality} vectors in C^{frame.space_dim}, "
-        f"bounds ({a:.6g}, {b:.6g})",
-        file=sys.stderr,
-    )
+    print(f"loaded {path}: {_describe(frame)}", file=sys.stderr)
     return frame
 
 
@@ -86,13 +87,22 @@ def _load_vector(path) -> np.ndarray:
         if 1 not in M.shape:
             raise PreconditionError(f"{path} holds a matrix, not a vector")
         return M.ravel()
-    entries = obj["entries"] if isinstance(obj, dict) else obj
-    return _complex_from_json(entries)
+    if isinstance(obj, dict):
+        if "entries" not in obj:
+            raise PreconditionError(
+                f"{path} must hold a matrix object, a list of [re, im] pairs "
+                'or {"entries": [[re, im], ...]}'
+            )
+        obj = obj["entries"]
+    return _complex_from_json(obj)
 
 
 def _load_weight(path, n: int) -> np.ndarray:
     """A weight vector from a JSON list of numbers, bare or under
-    ``"values"``; strings and booleans are rejected rather than coerced."""
+    ``"values"``; strings and booleans are rejected rather than coerced.
+    Without a file, unit weights."""
+    if not path:
+        return np.ones(n)
     obj = _load_json(path)
     values = obj.get("values") if isinstance(obj, dict) else obj
     if not isinstance(values, list) or any(type(v) not in (int, float) for v in values):
@@ -105,33 +115,30 @@ def _load_weight(path, n: int) -> np.ndarray:
 
 
 def _weights_for(args, frame1, frame2):
-    w1 = (
-        _load_weight(args.weight1, frame1.cardinality)
-        if args.weight1
-        else np.ones(frame1.cardinality)
+    return (
+        _load_weight(args.weight1, frame1.cardinality),
+        _load_weight(args.weight2, frame2.cardinality),
     )
-    w2 = (
-        _load_weight(args.weight2, frame2.cardinality)
-        if args.weight2
-        else np.ones(frame2.cardinality)
-    )
-    return w1, w2
 
 
 def _emit(payload: str, out_path: str | None) -> None:
+    payload += "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(payload)
-            if not payload.endswith("\n"):
-                fh.write("\n")
     else:
         sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _emit_json(obj, out_path: str | None) -> None:
     _emit(json.dumps(obj, sort_keys=True), out_path)
+
+
+def _emit_csv(reports, header: str, out_path: str | None) -> None:
+    """One row per report: the ``header`` fields of its ``to_json()``."""
+    fields = header.split(",")
+    rows = [",".join(str(r.to_json()[f]) for f in fields) for r in reports]
+    _emit("\n".join([header, *rows]), out_path)
 
 
 def _with_provenance(report: dict, args) -> dict:
@@ -153,47 +160,18 @@ def _parse_exponent(text: str) -> float:
 
 def _cmd_gen(args) -> int:
     source = args.source
+    kind = _ALIASES.get(source, source)
     if source.endswith(".json") or os.path.exists(source):
-        spec = load_generator_spec(source)
+        spec = GeneratorSpec.from_json(_load_json(source))
+    elif kind in _PARAMETERS:
+        flags = {name: getattr(args, name) for name in _PARAMETERS[kind]}
+        params = {name: v for name, v in flags.items() if v is not None}
+        spec = GeneratorSpec(kind, params, args.seed)
     else:
-        params = {}
-        if source == "onb":
-            params["dim"] = args.dim
-        elif source == "mercedes":
-            pass
-        elif source == "gabor":
-            params.update(
-                length=args.length,
-                time_step=args.time_step,
-                freq_step=args.freq_step,
-                window=args.window,
-            )
-        elif source in ("decaying", "decaying_perturbation"):
-            source = "decaying_perturbation"
-            params.update(dim=args.dim, decay=args.decay, eps=args.eps)
-        elif source in ("operator", "random_operator"):
-            source = "random_operator"
-            params.update(rows=args.rows, cols=args.cols, structure=args.kind)
-            if args.width is not None:
-                params["width"] = args.width
-            if args.rank is not None:
-                params["rank"] = args.rank
-        else:
-            raise PreconditionError(
-                f"unknown generator {source!r} and no such spec file"
-            )
-        missing = [k for k, v in params.items() if v is None]
-        if missing:
-            raise PreconditionError(f"generator {source} needs {missing}")
-        spec = GeneratorSpec(kind=source, parameters=params, seed=args.seed)
+        raise PreconditionError(f"unknown generator {source!r} and no such spec file")
     built = spec.build()
     if hasattr(built, "vectors"):
-        a, b = frame_bounds(built)
-        print(
-            f"frame: {built.cardinality} vectors in C^{built.space_dim}, "
-            f"bounds ({a:.6g}, {b:.6g})",
-            file=sys.stderr,
-        )
+        print(f"frame: {_describe(built)}", file=sys.stderr)
         _emit_json(frame_to_json(built), args.output)
     else:
         _emit_json(matrix_to_json(built), args.output)
@@ -235,11 +213,7 @@ def _cmd_coorbit_norm(args) -> int:
     frame = _load_frame(args.frame)
     pair = canonical_dual(frame)
     f = _load_vector(args.vector)
-    w = (
-        _load_weight(args.weight, frame.cardinality)
-        if args.weight
-        else np.ones(frame.cardinality)
-    )
+    w = _load_weight(args.weight, frame.cardinality)
     spec = CoorbitSpec(pair, SeqSpaceSpec(_parse_exponent(args.p), w))
     _emit_json({"norm": coorbit_norm(spec, f)}, args.output)
     return 0
@@ -306,7 +280,7 @@ def _cmd_verify(args) -> int:
         raise PreconditionError(f"unknown verification {which!r}")
 
     if args.format == "csv":
-        _emit(reports_to_csv([report]), args.output)
+        _emit_csv([report], "name,lhs,rhs,ratio,budget,pass,seed", args.output)
     else:
         _emit_json(_with_provenance(report.to_json(), args), args.output)
     return 0 if report.passed else 1
@@ -322,8 +296,9 @@ def _cmd_compress(args) -> int:
         compress_operator(O, pair1, pair2, w1, w2, tau, exact_error=args.exact_error)
         for tau in taus
     ]
+    reports = [rep for _, rep in results]
     if args.format == "csv":
-        _emit(compressions_to_csv([rep for _, rep in results]), args.output)
+        _emit_csv(reports, "threshold,kept,total,sparsity,error_surrogate", args.output)
         return 0
     if len(results) == 1:
         k_tau, rep = results[0]
@@ -333,12 +308,8 @@ def _cmd_compress(args) -> int:
         )
         _emit_json(payload, args.output)
     else:
-        _emit_json(
-            _with_provenance(
-                {"sweep": [rep.to_json() for _, rep in results]}, args
-            ),
-            args.output,
-        )
+        sweep = {"sweep": [rep.to_json() for rep in reports]}
+        _emit_json(_with_provenance(sweep, args), args.output)
     return 0
 
 
@@ -365,7 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a frame or test operator")
+    def verb(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = verb("gen", _cmd_gen, "generate a frame or test operator")
     p.add_argument("source", help="generator spec file or kind "
                    "(onb|mercedes|gabor|decaying|operator)")
     p.add_argument("--dim", type=int)
@@ -377,53 +353,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float)
     p.add_argument("--rows", type=int)
     p.add_argument("--cols", type=int)
-    p.add_argument("--kind", default="dense", choices=["dense", "banded", "lowrank"])
+    p.add_argument("--kind", dest="structure", default="dense",
+                   choices=["dense", "banded", "lowrank"])
     p.add_argument("--width", type=int)
     p.add_argument("--rank", type=int)
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("bounds", help="frame bounds summary")
-    p.add_argument("frame")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_bounds)
+    verb("bounds", _cmd_bounds, "frame bounds summary").add_argument("frame")
+    verb("dual", _cmd_dual, "canonical dual frame").add_argument("frame")
 
-    p = sub.add_parser("dual", help="canonical dual frame")
-    p.add_argument("frame")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_dual)
-
-    p = sub.add_parser("localize", help="off-diagonal decay report")
+    p = verb("localize", _cmd_localize, "off-diagonal decay report")
     p.add_argument("frame")
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--threshold", type=float, default=1e6)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_localize)
 
-    p = sub.add_parser("coorbit-norm", help="weighted coefficient norm of a vector")
+    p = verb("coorbit-norm", _cmd_coorbit_norm, "weighted coefficient norm of a vector")
     p.add_argument("frame")
     p.add_argument("vector")
     p.add_argument("--p", required=True)
     p.add_argument("--weight")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_coorbit_norm)
 
-    p = sub.add_parser("galerkin", help="Galerkin coefficients of an operator")
+    p = verb("galerkin", _cmd_galerkin, "Galerkin coefficients of an operator")
     p.add_argument("operator")
     p.add_argument("frame1")
     p.add_argument("frame2")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_galerkin)
 
-    p = sub.add_parser("kernel-synth", help="synthesize an operator from coefficients")
+    p = verb(
+        "kernel-synth", _cmd_kernel_synth, "synthesize an operator from coefficients"
+    )
     p.add_argument("coefficients")
     p.add_argument("frame1")
     p.add_argument("frame2")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_kernel_synth)
 
-    p = sub.add_parser("verify", help="run one verification check")
+    p = verb("verify", _cmd_verify, "run one verification check")
     p.add_argument(
         "which",
         choices=["outer", "inner", "projective", "schur", "independence", "schatten"],
@@ -441,10 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", default="i", choices=["i", "ii"])
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--format", default="json", choices=["json", "csv"])
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("compress", help="threshold Galerkin coefficients")
+    p = verb("compress", _cmd_compress, "threshold Galerkin coefficients")
     p.add_argument("operator")
     p.add_argument("frame1")
     p.add_argument("frame2")
@@ -453,15 +413,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight2")
     p.add_argument("--exact-error", action="store_true")
     p.add_argument("--format", default="json", choices=["json", "csv"])
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_compress)
 
-    p = sub.add_parser("suite", help="run the verification suite")
+    p = verb("suite", _cmd_suite, "run the verification suite")
     p.add_argument("name", choices=["fast", "full"])
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_suite)
 
+    for p in sub.choices.values():  # last, as each verb's help lists it
+        p.add_argument("-o", "--output")
     return parser
 
 

@@ -112,7 +112,7 @@ class MixedSpaceSpec:
         W = self.weights
         u = W[:, 0].copy()
         v = W[0, :] / W[0, 0]
-        if not np.allclose(W, np.outer(u, v), rtol=1e-9, atol=0.0):
+        if not np.allclose(W, _weight_grid(u, v), rtol=1e-9, atol=0.0):
             raise PreconditionError(
                 "frame-independence budgets need a rank-one weight grid"
             )
@@ -126,9 +126,16 @@ def _check_grid(W: np.ndarray) -> np.ndarray:
     return W
 
 
+def _weight_grid(w1, w2) -> np.ndarray:
+    """``outer(w1, w2)``; a product beyond the float range is inf or 0,
+    without a warning, for ``_check_grid`` to reject."""
+    with np.errstate(over="ignore"):
+        return np.outer(w1, w2)
+
+
 def tensor_weights(w1, w2) -> np.ndarray:
     """Outer-product weight grid ``w1 (x) w2``."""
-    return np.outer(as_weight(w1), as_weight(w2))
+    return _weight_grid(as_weight(w1), as_weight(w2))
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,13 +11,12 @@ any platform.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .frames import Frame, NotAFrameError, product_cyclic_index_set
-from .numeric import PreconditionError
+from .numeric import PreconditionError, _json_int
 
 RNG_SCHEME = "blake2b128:pcg64:v1"
 
@@ -170,65 +169,100 @@ def random_operator(
 # ---------------------------------------------------------------------------
 # declarative specs (CLI entry point)
 
+# Each kind's parameters with their defaults; ``...`` marks a required one.
+# ``GeneratorSpec.build`` rejects any other name, and the CLI's ``gen``
+# reads its flags by these names.
+_PARAMETERS = {
+    "onb": {"dim": ...},
+    "mercedes": {},
+    "gabor": {"length": ..., "time_step": 1, "freq_step": 1, "window": "gaussian"},
+    "decaying_perturbation": {"dim": ..., "decay": ..., "eps": ...},
+    "random_operator": {
+        "rows": ..., "cols": ..., "structure": "dense", "width": None, "rank": None
+    },
+}
+_INTEGERS = {"dim", "length", "time_step", "freq_step", "rows", "cols", "width", "rank"}
+_WINDOWS = {
+    "gaussian": gaussian_window,
+    "delta": lambda N: np.eye(1, N, dtype=complex)[0],
+    "ones": lambda N: np.ones(N, dtype=complex) / np.sqrt(N),
+}
+
+
+def _check_value(name: str, v) -> None:
+    """Spec values are outside input: integers must be JSON integers and
+    numbers JSON numbers, never coerced from floats, strings or booleans."""
+    if name in _INTEGERS:
+        _json_int(v, name)
+    elif name in ("decay", "eps") and type(v) not in (int, float):
+        raise PreconditionError(f"{name} must be a number, got {v!r}")
+    elif name == "window" and isinstance(v, str):
+        if v not in _WINDOWS:
+            raise PreconditionError(f"unknown window {v!r}")
+    elif name == "window" and not (
+        isinstance(v, list) and all(type(x) in (int, float) for x in v)
+    ):
+        raise PreconditionError(
+            f"window must be a name or a list of numbers, got {v!r}"
+        )
+
 
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Kind + parameters + seed; building the same spec twice yields
-    bit-identical output."""
+    bit-identical output.  ``build`` checks the parameters against the
+    kind's entry of ``_PARAMETERS`` and their values, and the seed."""
 
     kind: str
     parameters: dict = field(default_factory=dict)
     seed: int = 0
 
     def build(self):
-        p = dict(self.parameters)
+        table = _PARAMETERS.get(self.kind)
+        if table is None:
+            raise PreconditionError(f"unknown generator kind {self.kind!r}")
+        unknown = [k for k in self.parameters if k not in table]
+        if unknown:
+            raise PreconditionError(
+                f"generator {self.kind} takes {list(table)}, not {unknown}"
+            )
+        missing = [k for k, v in table.items() if v is ... and k not in self.parameters]
+        if missing:
+            raise PreconditionError(f"generator {self.kind} needs {missing}")
+        for name, value in self.parameters.items():
+            _check_value(name, value)
+        _json_int(self.seed, "seed")
+        p = {**table, **self.parameters}
         if self.kind == "onb":
-            return onb(int(p["dim"]))
+            return onb(p["dim"])
         if self.kind == "mercedes":
             return mercedes()
         if self.kind == "gabor":
-            N = int(p["length"])
-            window = p.get("window", "gaussian")
+            N, window = p["length"], p["window"]
             if isinstance(window, str):
-                if window == "gaussian":
-                    g = gaussian_window(N)
-                elif window == "delta":
-                    g = np.zeros(N, dtype=complex)
-                    g[0] = 1.0
-                elif window == "ones":
-                    g = np.ones(N, dtype=complex) / np.sqrt(N)
-                else:
-                    raise PreconditionError(f"unknown window {window!r}")
-            else:
-                g = np.asarray(window, dtype=complex)
-            return finite_gabor(N, int(p.get("time_step", 1)), int(p.get("freq_step", 1)), g)
+                window = _WINDOWS[window](N)
+            return finite_gabor(N, p["time_step"], p["freq_step"], window)
         if self.kind == "decaying_perturbation":
             return decaying_perturbation(
-                int(p["dim"]), float(p["decay"]), float(p["eps"]), seed=self.seed
+                p["dim"], float(p["decay"]), float(p["eps"]), seed=self.seed
             )
-        if self.kind == "random_operator":
-            return random_operator(
-                int(p["rows"]),
-                int(p["cols"]),
-                kind=p.get("structure", "dense"),
-                seed=self.seed,
-                width=p.get("width"),
-                rank=p.get("rank"),
-            )
-        raise PreconditionError(f"unknown generator kind {self.kind!r}")
+        return random_operator(
+            p["rows"], p["cols"], p["structure"], self.seed, p["width"], p["rank"]
+        )
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "parameters": self.parameters, "seed": self.seed}
 
     @staticmethod
-    def from_json(obj: dict) -> "GeneratorSpec":
-        return GeneratorSpec(
-            kind=obj["kind"],
-            parameters=dict(obj.get("parameters", {})),
-            seed=int(obj.get("seed", 0)),
-        )
-
-
-def load_generator_spec(path) -> GeneratorSpec:
-    with open(path) as fh:
-        return GeneratorSpec.from_json(json.load(fh))
+    def from_json(obj) -> "GeneratorSpec":
+        if not (
+            isinstance(obj, dict)
+            and isinstance(obj.get("kind"), str)
+            and isinstance(obj.get("parameters", {}), dict)
+            and set(obj) <= {"kind", "parameters", "seed"}
+        ):
+            raise PreconditionError(
+                'a generator spec must be a JSON object {"kind": string, '
+                '"parameters": object, "seed": integer}, the last two optional'
+            )
+        return GeneratorSpec(obj["kind"], obj.get("parameters", {}), obj.get("seed", 0))

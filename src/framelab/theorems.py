@@ -42,6 +42,7 @@ from .coorbit import (
     _pnorm,
     _pnorm_along,
     _pnorm_of_abs,
+    _weight_grid,
     mixed_norm,
 )
 from .frames import FramePair, _check_operator, cross_gram
@@ -176,13 +177,15 @@ def _opnorm_report(
     else:
         p_src, p_dst, kernel_exp, inner_axis = p, np.inf, _holder_conjugate(p), 0
     A = _check_operator(O, pair1, pair2)
+    with np.errstate(over="ignore", divide="ignore"):
+        grid = _check_grid(1.0 / np.outer(w1, w2))
+        w2_dst = _check_positive(1.0 / w2)
     k = _galerkin(A, pair1, pair2)
     a = np.abs(k)
-    a *= _check_grid(1.0 / np.outer(w1, w2))
+    a *= grid
     kernel = _pnorm(_pnorm_of_abs(a, kernel_exp, inner_axis), np.inf)
     if not np.isfinite(kernel):
         as_matrix(k)  # rejects a Galerkin matrix that overflowed
-    w2_dst = _check_positive(1.0 / w2)
     interval = _opnorm_interval(A, pair1, pair2, p_src, p_dst, w1, w2_dst, seed)
 
     c_a = _gram_schur_bound(pair1.frame, w1, p_src)
@@ -279,7 +282,7 @@ def _projective_sides(K, pair1: FramePair, pair2: FramePair, w1, w2):
     for ``||psi_i|| <= C w_i``, and whether ``lower <= upper <= budget
     lower``."""
     c = _galerkin(K, pair1, pair2)
-    lower = mixed_norm(c, MixedSpaceSpec(1.0, 1.0, 0, np.outer(w1, w2)))
+    lower = mixed_norm(c, MixedSpaceSpec(1.0, 1.0, 0, _weight_grid(w1, w2)))
     norms = []
     budget = 1.0
     for pair, w in ((pair1, w1), (pair2, w2)):
@@ -517,7 +520,8 @@ def compress_operator(
     w1, w2 = _check_weights(pair1, pair2, w1, w2)
     A = _check_operator(O, pair1, pair2)
     k = _galerkin(A, pair1, pair2)
-    normalized = np.abs(k) / np.outer(w1, w2)
+    with np.errstate(over="ignore"):  # an entry that overflows is kept
+        normalized = np.abs(k) / _check_grid(_weight_grid(w1, w2))
     keep = normalized > tau
     k_tau = np.where(keep, k, 0.0)
     kept = int(keep.sum())
@@ -539,27 +543,3 @@ def compress_operator(
         details=details,
     )
     return k_tau, report
-
-
-# ---------------------------------------------------------------------------
-# CSV export for sweeps
-
-
-def reports_to_csv(reports) -> str:
-    lines = ["name,lhs,rhs,ratio,budget,pass,seed"]
-    for r in reports:
-        lines.append(
-            f"{r.name},{r.lhs!r},{r.rhs!r},{r.ratio!r},"
-            f"{r.constant_budget!r},{r.passed},{r.seed}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def compressions_to_csv(reports) -> str:
-    lines = ["threshold,kept,total,sparsity,error_surrogate"]
-    for r in reports:
-        lines.append(
-            f"{r.threshold!r},{r.kept},{r.total},{r.sparsity!r},"
-            f"{r.error_surrogate!r}"
-        )
-    return "\n".join(lines) + "\n"

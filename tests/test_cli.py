@@ -90,6 +90,119 @@ class TestGen:
         assert not out.exists()
 
 
+# (gen flags, the same generator as a spec file)
+FLAGS_AND_SPECS = [
+    (["onb", "--dim", "4"], {"kind": "onb", "parameters": {"dim": 4}}),
+    (["mercedes"], {"kind": "mercedes"}),
+    *[
+        (
+            ["gabor", "--length", "8", f"--{step.replace('_', '-')}", "2", "--window", window],
+            {"kind": "gabor", "parameters": {"length": 8, step: 2, "window": window}},
+        )
+        # a delta window spans only with every time shift, a flat one only
+        # with every frequency
+        for window, step in (
+            ("gaussian", "time_step"), ("delta", "freq_step"), ("ones", "time_step")
+        )
+    ],
+    (
+        ["decaying", "--dim", "6", "--decay", "2", "--eps", "0.1", "--seed", "3"],
+        {
+            "kind": "decaying_perturbation",
+            "parameters": {"dim": 6, "decay": 2, "eps": 0.1},
+            "seed": 3,
+        },
+    ),
+    (
+        ["operator", "--rows", "4", "--cols", "5", "--seed", "3"],
+        {"kind": "random_operator", "parameters": {"rows": 4, "cols": 5}, "seed": 3},
+    ),
+    (
+        ["operator", "--rows", "5", "--cols", "5", "--kind", "banded", "--width", "1"],
+        {
+            "kind": "random_operator",
+            "parameters": {"rows": 5, "cols": 5, "structure": "banded", "width": 1},
+        },
+    ),
+    (
+        ["operator", "--rows", "4", "--cols", "6", "--kind", "lowrank", "--rank", "2"],
+        {
+            "kind": "random_operator",
+            "parameters": {"rows": 4, "cols": 6, "structure": "lowrank", "rank": 2},
+        },
+    ),
+]
+
+
+class TestGenSpecFiles:
+    """``gen`` builds flags and spec files through the same
+    ``GeneratorSpec``, so both give the same bytes, and a spec file is
+    checked as outside input: a bad one exits 3 with one error line."""
+
+    @pytest.mark.parametrize(
+        "flags, spec",
+        FLAGS_AND_SPECS,
+        ids=[
+            "onb", "mercedes", "gabor-gaussian", "gabor-delta", "gabor-ones",
+            "decaying", "operator-dense", "operator-banded", "operator-lowrank",
+        ],
+    )
+    def test_flags_and_spec_file_agree(self, flags, spec, tmp_path, capsys):
+        assert dispatch(["gen", *flags]) == 0
+        from_flags = capsys.readouterr()
+        path = tmp_path / "spec.json"
+        write_json(path, spec)
+        assert dispatch(["gen", str(path)]) == 0
+        assert capsys.readouterr() == from_flags
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"kind": "onb", "parameters": {"dim": 4.9}}, "dim must be an integer, got 4.9"),
+            ({"kind": "onb", "parameters": {"dim": True}}, "dim must be an integer, got True"),
+            (
+                {"kind": "gabor", "parameters": {"length": "8"}},
+                "length must be an integer, got '8'",
+            ),
+            (
+                {"kind": "onb", "parameters": {"dim": 4}, "seed": "7"},
+                "seed must be an integer, got '7'",
+            ),
+            (
+                {"kind": "onb", "parameters": {"dim": 4}, "seed": 1.9},
+                "seed must be an integer, got 1.9",
+            ),
+            (
+                {
+                    "kind": "random_operator",
+                    "parameters": {"rows": 4, "cols": 6, "structure": "lowrank", "rank": 2.5},
+                },
+                "rank must be an integer, got 2.5",
+            ),
+            (
+                [1, 2],
+                'a generator spec must be a JSON object {"kind": string, '
+                '"parameters": object, "seed": integer}, the last two optional',
+            ),
+            ({"kind": "onb", "parameters": {}}, "generator onb needs ['dim']"),
+            (
+                {"kind": "gabor", "parameters": {"length": 8, "timestep": 2}},
+                "generator gabor takes ['length', 'time_step', 'freq_step', "
+                "'window'], not ['timestep']",
+            ),
+        ],
+        ids=[
+            "float-dim", "bool-dim", "string-length", "string-seed", "float-seed",
+            "float-rank", "list", "missing", "misspelled",
+        ],
+    )
+    def test_bad_spec_file(self, spec, message, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        write_json(path, spec)
+        assert dispatch(["gen", str(path)]) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 class TestSimpleVerbs:
     def test_bounds(self, onb4, capsys):
         assert dispatch(["bounds", str(onb4)]) == 0
@@ -367,6 +480,15 @@ class TestMalformedComplexEntries:
         assert dispatch(["bounds", str(frame)]) == 3
         assert "not a [re, im] pair" in capsys.readouterr().err
 
+    def test_vector_object_without_entries(self, onb4, tmp_path, capsys):
+        vec = tmp_path / "v.json"
+        write_json(vec, {"values": [1, 2]})
+        assert dispatch(["coorbit-norm", str(onb4), str(vec), "--p", "2"]) == 3
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {vec} must hold a matrix object, a list of [re, im] pairs "
+            'or {"entries": [[re, im], ...]}'
+        )
+
     @pytest.mark.parametrize("entries", [[1, 2], [[1.0, 0.0], [1.0, "0"]], 7])
     def test_coorbit_norm_vector(self, onb4, tmp_path, capsys, entries):
         vec = tmp_path / "v.json"
@@ -454,6 +576,60 @@ class TestCompress:
         argv = ["compress", str(op44), str(onb4), str(onb4), "--tau", "nan"]
         assert dispatch(argv) == 3
         assert "threshold must be nonnegative, got nan" in capsys.readouterr().err
+
+
+class TestCsv:
+    """The one CSV writer: a header and, per report, the named fields of
+    its ``to_json()``, each as ``str`` of the value."""
+
+    @staticmethod
+    def rows(argv, capsys):
+        dispatch([*argv, "--format", "csv"])
+        header, *rows = capsys.readouterr().out.splitlines()
+        dispatch(argv)
+        report = json.loads(capsys.readouterr().out)
+        return header.split(","), [row.split(",") for row in rows], report
+
+    @pytest.mark.parametrize(
+        "which", ["outer", "inner", "projective", "schur", "independence", "schatten"]
+    )
+    def test_verify_row_is_the_report(self, which, onb4, op44, capsys):
+        argv = ["verify", which, "--frame1", str(onb4), "--frame2", str(onb4)]
+        argv += ["--op", str(op44), "--frame1b", str(onb4), "--frame2b", str(onb4)]
+        fields, rows, report = self.rows(argv, capsys)
+        assert fields == ["name", "lhs", "rhs", "ratio", "budget", "pass", "seed"]
+        assert rows == [[str(report[f]) for f in fields]]
+
+    def test_compress_rows_are_the_sweep(self, onb4, op44, capsys):
+        argv = ["compress", str(op44), str(onb4), str(onb4), "--tau", "0.0,0.5,1.0"]
+        fields, rows, report = self.rows(argv, capsys)
+        assert fields == ["threshold", "kept", "total", "sparsity", "error_surrogate"]
+        assert rows == [[str(r[f]) for f in fields] for r in report["sweep"]]
+
+
+class TestExtremeWeights:
+    """A weight grid beyond the float range is rejected with one error
+    line: no NumPy warning before it, and no compression of a grid that
+    overflowed."""
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    @pytest.mark.parametrize(
+        "verb", [["verify", "outer"], ["verify", "inner"], ["verify", "projective"],
+                 ["verify", "schur", "--variant", "ii"], ["compress"]],
+        ids=["outer", "inner", "projective", "schur", "compress"],
+    )
+    def test_rejected_without_warning(self, verb, scale, onb4, op44, tmp_path, capsys):
+        weight = tmp_path / "w.json"
+        write_json(weight, [scale] * 4)
+        if verb == ["compress"]:
+            argv = ["compress", str(op44), str(onb4), str(onb4), "--tau", "0.5"]
+        else:
+            argv = [*verb, "--frame1", str(onb4), "--frame2", str(onb4), "--op", str(op44)]
+        argv += ["--weight1", str(weight), "--weight2", str(weight)]
+        assert dispatch(argv) == 3
+        loaded = f"loaded {onb4}: 4 vectors in C^4, bounds (1, 1)\n"
+        error = "error: weight grid must be 2-D, positive, finite\n"
+        assert capsys.readouterr() == ("", 2 * loaded + error)
 
 
 class TestUsageErrors:

@@ -258,3 +258,112 @@ class TestGeneratorSpec:
     def test_unknown_kind(self):
         with pytest.raises(PreconditionError):
             GeneratorSpec("wavelet", {}).build()
+
+    def test_defaults_come_from_the_table(self):
+        spec = GeneratorSpec("gabor", {"length": 8})
+        full = GeneratorSpec(
+            "gabor", {"length": 8, "time_step": 1, "freq_step": 1, "window": "gaussian"}
+        )
+        np.testing.assert_array_equal(spec.build().vectors, full.build().vectors)
+
+    def test_window_names_and_values(self):
+        for name, g in (
+            ("delta", np.eye(1, 4)[0]),
+            ("ones", np.full(4, 0.5)),
+            ("gaussian", gaussian_window(4)),
+        ):
+            built = GeneratorSpec("gabor", {"length": 4, "window": name}).build()
+            listed = GeneratorSpec("gabor", {"length": 4, "window": g.real.tolist()}).build()
+            np.testing.assert_array_equal(built.vectors, finite_gabor(4, 1, 1, g).vectors)
+            np.testing.assert_array_equal(listed.vectors, built.vectors)
+
+
+class TestSpecValidation:
+    """A spec is outside input: every parameter is named in the kind's
+    table, and no value is coerced into an integer or a number."""
+
+    @pytest.mark.parametrize(
+        "kind, params, seed, message",
+        [
+            ("onb", {"dim": 4.9}, 0, "dim must be an integer, got 4.9"),
+            ("onb", {"dim": True}, 0, "dim must be an integer, got True"),
+            ("gabor", {"length": "8"}, 0, "length must be an integer, got '8'"),
+            ("gabor", {"length": 8, "time_step": 2.0}, 0, "time_step must be an integer"),
+            ("onb", {"dim": 4}, "7", "seed must be an integer, got '7'"),
+            ("onb", {"dim": 4}, 1.9, "seed must be an integer, got 1.9"),
+            (
+                "random_operator",
+                {"rows": 4, "cols": 4, "structure": "lowrank", "rank": 2.5},
+                0,
+                "rank must be an integer, got 2.5",
+            ),
+            (
+                "random_operator",
+                {"rows": 4, "cols": 4, "structure": "banded", "width": None},
+                0,
+                "width must be an integer, got None",
+            ),
+            (
+                "decaying_perturbation",
+                {"dim": 4, "decay": "2", "eps": 0.1},
+                0,
+                "decay must be a number, got '2'",
+            ),
+            (
+                "decaying_perturbation",
+                {"dim": 4, "decay": 2, "eps": False},
+                0,
+                "eps must be a number, got False",
+            ),
+            ("gabor", {"length": 4, "window": "hann"}, 0, "unknown window 'hann'"),
+            (
+                "gabor",
+                {"length": 4, "window": [1, "0", 0, 0]},
+                0,
+                "window must be a name or a list of numbers",
+            ),
+            ("gabor", {"length": 4, "window": 1.0}, 0, "window must be a name"),
+            ("onb", {}, 0, r"generator onb needs \['dim'\]"),
+            (
+                "decaying_perturbation",
+                {"dim": 4},
+                0,
+                r"generator decaying_perturbation needs \['decay', 'eps'\]",
+            ),
+            (
+                "gabor",
+                {"length": 8, "timestep": 2},
+                0,
+                r"generator gabor takes \['length', 'time_step', 'freq_step', "
+                r"'window'\], not \['timestep'\]",
+            ),
+            ("mercedes", {"dim": 2}, 0, r"generator mercedes takes \[\], not \['dim'\]"),
+        ],
+    )
+    def test_rejected(self, kind, params, seed, message):
+        with pytest.raises(PreconditionError, match=message):
+            GeneratorSpec(kind, params, seed).build()
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [1, 2],
+            "onb",
+            {"parameters": {"dim": 4}},
+            {"kind": 3},
+            {"kind": "onb", "parameters": [["dim", 4]]},
+            {"kind": "onb", "parameters": {"dim": 4}, "sed": 7},
+        ],
+        ids=["list", "string", "no-kind", "kind-not-string", "parameters-list", "extra-key"],
+    )
+    def test_spec_must_be_an_object(self, obj):
+        with pytest.raises(PreconditionError, match="must be a JSON object"):
+            GeneratorSpec.from_json(obj)
+
+    def test_integer_valued_numbers_are_floats_for_the_stream(self):
+        # the decay labels the random substream, so 2 and 2.0 build the same
+        as_int = GeneratorSpec("decaying_perturbation", {"dim": 5, "decay": 2, "eps": 1}, 3)
+        as_float = GeneratorSpec(
+            "decaying_perturbation", {"dim": 5, "decay": 2.0, "eps": 1.0}, 3
+        )
+        np.testing.assert_array_equal(as_int.build().vectors, as_float.build().vectors)

@@ -29,8 +29,6 @@ from framelab.theorems import (
     _onb_equality,
     _within,
     compress_operator,
-    compressions_to_csv,
-    reports_to_csv,
     schatten_check,
     schur_characterization,
     verify_frame_independence,
@@ -485,21 +483,6 @@ class TestCompressOperator:
             compress_operator(
                 np.eye(3), pair, pair, np.ones(3), np.ones(3), float("nan")
             )
-
-
-class TestCsvExport:
-    def test_verification_rows(self):
-        pair = canonical_dual(onb(2))
-        rep = verify_outer(O22, pair, pair, np.ones(2), np.ones(2))
-        text = reports_to_csv([rep])
-        assert text.startswith("name,lhs,rhs,ratio,budget,pass,seed")
-        assert "outer" in text
-
-    def test_compression_rows(self):
-        pair = canonical_dual(onb(2))
-        _, rep = compress_operator(np.eye(2), pair, pair, np.ones(2), np.ones(2), 0.1)
-        text = compressions_to_csv([rep])
-        assert text.splitlines()[0] == "threshold,kept,total,sparsity,error_surrogate"
 
 
 class TestSharedSkeleton:

@@ -24,6 +24,7 @@ from framelab.localisation import poly_weight
 from framelab.numeric import PreconditionError
 from framelab.suite import run_suite
 from framelab.theorems import (
+    compress_operator,
     schatten_check,
     schur_characterization,
     verify_frame_independence,
@@ -280,6 +281,32 @@ class TestRejectionsUnchanged:
         )
         with np.errstate(over="ignore"), expected:
             verify_frame_independence(OP, (GABOR, GABOR), (GABOR, GABOR), spec)
+
+
+class TestWeightGridsBeyondTheFloatRange:
+    """Weights whose products overflow to inf or underflow to 0 are
+    rejected with the grid message and no NumPy warning (pytest runs with
+    ``error::RuntimeWarning``, so a warning would fail these tests)."""
+
+    RUNS = {
+        **WEIGHTED,
+        "compress_operator": lambda O, w1, w2: compress_operator(
+            O, GABOR, GABOR, w1, w2, 0.1
+        ),
+    }
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    @pytest.mark.parametrize("verifier", sorted(RUNS))
+    def test_rejected_without_warning(self, verifier, scale):
+        w = np.full(N, scale)
+        with pytest.raises(PreconditionError, match=GRID):
+            self.RUNS[verifier](OP, w, w)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_tensor_weights(self, scale):
+        w = np.full(N, scale)
+        with pytest.raises(PreconditionError, match=GRID):
+            MixedSpaceSpec(2.0, np.inf, 0, coorbit.tensor_weights(w, w))
 
 
 class TestCoreModulesKeepTheirChecks:
