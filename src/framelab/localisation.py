@@ -11,6 +11,7 @@ only measures decay.
 
 from __future__ import annotations
 
+import math
 import threading
 import weakref
 from dataclasses import dataclass
@@ -145,7 +146,7 @@ def _schur_sums(a: np.ndarray) -> tuple[float, float]:
 
 def _schur_combine(c_row: float, c_col: float, p: float) -> float:
     """``C_row^(1-1/p) * C_col^(1/p)``; inf sums give inf."""
-    if np.isinf(p):
+    if math.isinf(p):
         return c_row
     theta = 1.0 / p
     return c_row ** (1.0 - theta) * c_col**theta
@@ -189,16 +190,34 @@ _memo_lock = threading.Lock()
 def _remembered(owner, key, compute):
     """``compute()``, remembered for ``owner`` under ``key``.
 
-    This is the one store of data that depends only on a frame or a frame
-    pair: the Gram Schur sums of a :class:`Frame`, and the probe
-    denominators and seeded random probe block of a :class:`FramePair`.
-    Owners are held weakly, so their entries die with them.  Each owner
-    keeps at most ``_ENTRIES_PER_OWNER`` entries, the oldest evicted
-    first: the verifiers take one denominator key per source exponent
-    besides the random block, and a sweep over five exponents must fit,
-    or it evicts every key before its next use.  The largest entry is a
-    random block of ``10 d^2`` complex values (164 KB at ``d = 32``).
-    Keys are built from bytes and numbers, never from an array's
+    This is the one store of data that depends only on frames and
+    weights, never on an operator:
+
+    * per :class:`Frame`, its Gram Schur sums, under ``w.tobytes()``;
+    * per :class:`FramePair`, the seeded random probe block, under
+      ``("random", seed)``, and the probe denominators, under
+      ``(w.tobytes(), p, seed)``;
+    * per :class:`FramePair`, the element norms of its frame and their
+      Schur certificate, under ``("element_norms", w.tobytes())``;
+    * per source :class:`FramePair`, the change-of-frame Schur sums
+      towards a target pair, under ``("change", weakref.ref(target),
+      w_from.tobytes(), w_to.tobytes())``.
+
+    Owners are held weakly, so their entries die with them.  An entry
+    that depends on two pairs is stored with one of them as owner and
+    holds the other only through a ``weakref.ref`` in its key, and no
+    value holds a pair.  A strong reference would keep the other pair
+    alive as long as the owner lives, and the owner itself forever when
+    the two are one pair (a pair changed into itself).  A key whose
+    target has died matches no live pair and is evicted in turn.
+
+    Each owner keeps at most ``_ENTRIES_PER_OWNER`` entries, the oldest
+    evicted first: the op-norm verifiers take one denominator key per
+    source exponent besides the random block, and a sweep over five
+    exponents, with the certificates of the other verifiers beside it,
+    must fit, or it evicts every key before its next use.  The largest
+    entry is a random block of ``10 d^2`` complex values (164 KB at
+    ``d = 32``).  Weights enter keys as bytes, never as an array's
     identity, so a weight vector changed in place is a new key.
 
     One lock makes each lookup, eviction and fill one step across

@@ -30,6 +30,8 @@ interval from the unchecked cores in ``localisation`` and ``coorbit``.
 
 from __future__ import annotations
 
+import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +51,9 @@ from .frames import FramePair, _check_operator, cross_gram
 from .localisation import (
     _check_positive,
     _gram_schur_bound,
+    _remembered,
+    _schur_combine,
+    _schur_sums,
     _weighted_schur_bound,
     as_weight,
 )
@@ -125,7 +130,12 @@ def _check_weights(pair1: FramePair, pair2: FramePair, w1, w2):
 def _within(x: float, c: float, y: float) -> bool:
     """The one verdict rule: ``x <= c * y`` up to ``REPORT_TOL``, on
     finite numbers only."""
-    return bool(np.isfinite((x, c, y)).all() and x <= c * y * _SLACK)
+    return (
+        math.isfinite(x)
+        and math.isfinite(c)
+        and math.isfinite(y)
+        and bool(x <= c * y * _SLACK)
+    )
 
 
 def _report(name, lhs, rhs, budget, passed, details, seed=0) -> VerificationReport:
@@ -146,7 +156,7 @@ def _report(name, lhs, rhs, budget, passed, details, seed=0) -> VerificationRepo
 def _onb_equality(passed: bool, ratio: float, budget: float) -> bool:
     """With a unit budget (orthonormal bases) the two-sided bound is an
     equality, so the ratio itself must be one."""
-    if budget <= 1.0 + 1e-12 and np.isfinite(ratio):
+    if budget <= 1.0 + 1e-12 and math.isfinite(ratio):
         passed = passed and abs(ratio - 1.0) <= REPORT_TOL
     return bool(passed)
 
@@ -171,22 +181,32 @@ def _opnorm_report(
     is always ``l^inf``.  ``c_a``/``c_b`` are the Schur bounds at the
     source exponent of the source Gram and dual Gram, and the verdict
     checks ``kernel <= c_b upper`` and ``lower <= c_a kernel``.
+
+    Finite weights can scale finite Galerkin entries past the float
+    range.  Such a product is inf, without a warning; ``details``
+    then lists under ``"overflowed"`` which of ``kernel``,
+    ``opnorm_lower`` and ``opnorm_upper`` are not finite, and the
+    verdict fails.
     """
     if variant == "i":
         p_src, p_dst, kernel_exp, inner_axis = 1.0, p, p, 1
     else:
         p_src, p_dst, kernel_exp, inner_axis = p, np.inf, _holder_conjugate(p), 0
     A = _check_operator(O, pair1, pair2)
+    # only overflow and division by zero are silenced: an invalid
+    # operation still warns
     with np.errstate(over="ignore", divide="ignore"):
         grid = _check_grid(1.0 / np.outer(w1, w2))
         w2_dst = _check_positive(1.0 / w2)
-    k = _galerkin(A, pair1, pair2)
-    a = np.abs(k)
-    a *= grid
-    kernel = _pnorm(_pnorm_of_abs(a, kernel_exp, inner_axis), np.inf)
-    if not np.isfinite(kernel):
-        as_matrix(k)  # rejects a Galerkin matrix that overflowed
-    interval = _opnorm_interval(A, pair1, pair2, p_src, p_dst, w1, w2_dst, seed)
+        k = _galerkin(A, pair1, pair2)
+        a = np.abs(k)
+        a *= grid
+        kernel = _pnorm(_pnorm_of_abs(a, kernel_exp, inner_axis), np.inf)
+        if not math.isfinite(kernel):
+            as_matrix(k)  # rejects a Galerkin matrix that overflowed
+        interval = _opnorm_interval(
+            A, pair1, pair2, p_src, p_dst, w1, w2_dst, seed
+        )
 
     c_a = _gram_schur_bound(pair1.frame, w1, p_src)
     c_b = _gram_schur_bound(pair1.dual, w1, p_src)
@@ -212,6 +232,13 @@ def _opnorm_report(
             **bounds,
             **schur,
         }
+    overflowed = [
+        key
+        for key, x in (("kernel", kernel), *bounds.items())
+        if not math.isfinite(x)
+    ]
+    if overflowed:
+        details["overflowed"] = overflowed
     budget = max(c_a, c_b)
     return _report(
         name,
@@ -274,6 +301,16 @@ def schur_characterization(
 # nuclear sum of the canonical rank-one decomposition
 
 
+def _element_norms(pair: FramePair, w: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(norms, C)``: the weighted-l1 coorbit norms ``||psi_i||`` of the
+    elements of ``pair``'s frame, and the Schur certificate ``C`` for
+    ``||psi_i|| <= C w_i``; the norms are read-only."""
+    coeffs = np.abs(cross_gram(pair.frame, pair.dual))
+    norms = w @ coeffs
+    norms.flags.writeable = False
+    return norms, _weighted_schur_bound(coeffs, w, w, 1.0)
+
+
 def _projective_sides(K, pair1: FramePair, pair2: FramePair, w1, w2):
     """``(c, lower, upper, budget, passed)``: the Galerkin coefficients of
     a kernel, their weighted summed norm, the nuclear sum
@@ -286,9 +323,11 @@ def _projective_sides(K, pair1: FramePair, pair2: FramePair, w1, w2):
     norms = []
     budget = 1.0
     for pair, w in ((pair1, w1), (pair2, w2)):
-        coeffs = np.abs(cross_gram(pair.frame, pair.dual))
-        norms.append(w @ coeffs)
-        budget *= _weighted_schur_bound(coeffs, w, w, 1.0)
+        side, certificate = _remembered(
+            pair, ("element_norms", w.tobytes()), lambda: _element_norms(pair, w)
+        )
+        norms.append(side)
+        budget *= certificate
     upper = float(norms[0] @ np.abs(c) @ norms[1])
     passed = _within(lower, 1.0, upper) and _within(upper, budget, lower)
     return c, lower, upper, budget, passed
@@ -304,6 +343,10 @@ def verify_inner(K, pair1: FramePair, pair2: FramePair, w1, w2) -> VerificationR
     reconstruction is exact up to rounding and its nuclear sum exceeds
     the kernel norm by at most the product of the two element-norm
     certificates.  ``details["terms"]`` counts the rank-one terms.
+
+    The element norms and the budget depend only on the frames and the
+    weights, so they are computed once per pair and weight vector and
+    remembered (see ``localisation._remembered``).
     """
     w1, w2 = _check_weights(pair1, pair2, w1, w2)
     K = _check_operator(K, pair1, pair2)
@@ -337,6 +380,10 @@ def verify_projective(
     one; the nuclear sum of the canonical rank-one decomposition is an
     admissible representation and hence an upper bound.  For orthonormal
     frames with unit weights the two collapse to the same value.
+
+    The element norms and the budget depend only on the frames and the
+    weights, so they are computed once per pair and weight vector and
+    remembered (see ``localisation._remembered``).
     """
     w1, w2 = _check_weights(pair1, pair2, w1, w2)
     K = _check_operator(K, pair1, pair2)
@@ -354,9 +401,19 @@ def _change_bound(
     pair_from: FramePair, pair_to: FramePair, w_from, w_to, p
 ) -> float:
     """Schur certificate for coefficient change: dual-analysis with the
-    target pair applied to source-pair synthesis."""
-    G = cross_gram(pair_from.frame, pair_to.dual)
-    return _weighted_schur_bound(np.abs(G), w_from, w_to, p)
+    target pair applied to source-pair synthesis.
+
+    Its two Schur sums depend only on the pairs and weights, so they are
+    remembered for ``pair_from`` under a key that holds ``pair_to``
+    weakly: an entry of the store must hold no pair strongly, or it
+    would keep that pair, or its own owner, alive."""
+
+    def sums():
+        a = np.abs(cross_gram(pair_from.frame, pair_to.dual))
+        return _schur_sums(a * w_to[:, None] / w_from[None, :])
+
+    key = ("change", weakref.ref(pair_to), w_from.tobytes(), w_to.tobytes())
+    return _schur_combine(*_remembered(pair_from, key, sums), p)
 
 
 def _independence_budget(
@@ -415,6 +472,12 @@ def verify_frame_independence(
     ``spec`` describes the norm on the first family's index grid; when
     the families have different cardinalities its weight grid must be
     constant, and the second family gets the same constant.
+
+    The budgets depend only on the frames and the weight grid: their
+    change-of-frame Schur sums are computed once per ordered pair of
+    pairs and weight factors, and the Gram Schur sums once per frame and
+    weight vector, and both are remembered (see
+    ``localisation._remembered``).
     """
     a1, a2 = pairs_a
     b1, b2 = pairs_b

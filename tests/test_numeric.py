@@ -127,16 +127,21 @@ class TestNonFiniteRejected:
             solve_posdef(np.eye(2), rhs)
 
 
-def test_import_needs_no_scipy():
+@pytest.mark.parametrize("module", ["framelab", "framelab.cli"])
+def test_import_loads_no_heavy_modules(module):
+    """Importing the package or its CLI does no work beyond their own
+    modules and NumPy: no scipy, process or thread pools, or event loop."""
     src = os.path.dirname(os.path.dirname(framelab.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, framelab, framelab.cli; assert 'scipy' not in sys.modules"
+    heavy = ["scipy", "concurrent.futures", "multiprocessing", "asyncio"]
+    code = f"import sys, {module}; print([m for m in {heavy!r} if m in sys.modules])"
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestSerialization:

@@ -10,9 +10,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from framelab import localisation, theorems
+from framelab import coorbit, localisation, theorems
 from framelab.coorbit import MixedSpaceSpec, mixed_norm
-from framelab.frames import Frame, canonical_dual, gram
+from framelab.frames import Frame, canonical_dual, cross_gram, gram
 from framelab.generators import (
     decaying_perturbation,
     finite_gabor,
@@ -813,3 +813,222 @@ class TestGramSchurMemo:
         for k, got in enumerate(results):
             assert got == [expected[(k + i) % 20] for i in range(1000)]
         assert len(localisation._memo[frame]) == localisation._ENTRIES_PER_OWNER
+
+
+class TestOverflowedProducts:
+    """Weights whose grid is finite can still scale finite Galerkin
+    entries past the float range.  The op-norm checks then give inf
+    without a warning, name each non-finite quantity in
+    ``details["overflowed"]`` and fail."""
+
+    @staticmethod
+    def case():
+        pair = canonical_dual(onb(4))
+        return random_operator(4, 4), pair, np.full(4, 1e-154)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda O, pair, w: verify_outer(O, pair, pair, w, w),
+            lambda O, pair, w: schur_characterization(O, pair, pair, w, w, 2.0, "ii"),
+        ],
+        ids=["outer", "schur-ii"],
+    )
+    def test_overflow_is_named_and_fails(self, run):
+        O, pair, w = self.case()
+        rep = run(O, pair, w)
+        assert rep.details["overflowed"] == ["kernel", "opnorm_lower", "opnorm_upper"]
+        assert rep.details["opnorm_lower"] == rep.details["opnorm_upper"] == np.inf
+        assert not rep.passed
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_reports_have_no_overflow_entry(self):
+        O, pair, _ = self.case()
+        w = np.ones(4)
+        reports = [
+            verify_outer(O, pair, pair, w, w),
+            schur_characterization(O, pair, pair, w, w, 2.0, "ii"),
+        ]
+        for rep in reports:
+            assert "overflowed" not in rep.details
+            assert rep.passed
+
+
+def rotated_onb(d, seed=3):
+    rng = substream(seed, "test-theorems", "memo-rot", d)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return Frame.from_vectors(q)
+
+
+CERTIFICATE_FAMILIES = {
+    "onb8": lambda: onb(8),
+    "mercedes": mercedes,
+    "gabor8": lambda: gabor_pair(8),
+    "decaying8": lambda: decaying_perturbation(8, 4.0, 0.05, seed=7),
+    "rotated4": lambda: rotated_onb(4),
+}
+
+# (p, q, inner_axis): two specs of the p == q branch of the independence
+# budget and two of its outer-sup branch
+INDEPENDENCE_SPECS = [
+    (2.0, 2.0, 0),
+    (np.inf, np.inf, 0),
+    (2.0, np.inf, 1),
+    (1.5, np.inf, 0),
+]
+
+
+def certificate_pairs(make):
+    """A family's pair, a second build of it, and a rotated ONB of its
+    dimension."""
+    pair = canonical_dual(make())
+    d = pair.frame.space_dim
+    return pair, canonical_dual(make()), canonical_dual(rotated_onb(d, seed=d))
+
+
+def certificate_reports(pairs, weighted):
+    """``repr`` of every inner, projective and independence report on
+    ``certificate_pairs``, at unit or ``poly_weight(., 1)`` weights:
+    independence against the same pair object, against the second build
+    and, at unit weights, against the rotated ONB."""
+    pair, other, rotated = pairs
+    n, d = pair.frame.cardinality, pair.frame.space_dim
+    w = poly_weight(pair.frame.index_set, 1.0) if weighted else np.ones(n)
+    K = random_operator(d, d, seed=31)
+    reports = [verify_inner(K, pair, pair, w, w), verify_projective(K, pair, pair, w, w)]
+    targets = [pair, other] if weighted else [pair, other, rotated]
+    for p, q, axis in INDEPENDENCE_SPECS:
+        spec = MixedSpaceSpec(p, q, axis, np.outer(w, w))
+        for target in targets:
+            reports.append(
+                verify_frame_independence(K, (pair, pair), (target, target), spec)
+            )
+    return [repr(rep.to_json()) for rep in reports]
+
+
+class TestCertificateMemo:
+    """The inner, projective and independence checks remember their
+    frame-only certificates: element norms with their Schur certificates
+    per pair, and change-of-frame Schur sums per pair of pairs.  Cold,
+    warm and cleared-memo reports have the bits of a computation that
+    remembers nothing."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("family", sorted(CERTIFICATE_FAMILIES))
+    def test_reports_equal_fresh(self, family, weighted, monkeypatch):
+        make = CERTIFICATE_FAMILIES[family]
+        with monkeypatch.context() as patch:
+            patch.setattr(theorems, "_remembered", lambda owner, key, compute: compute())
+            fresh = certificate_reports(certificate_pairs(make), weighted)
+        pairs = certificate_pairs(make)
+        assert certificate_reports(pairs, weighted) == fresh  # cold
+        assert {key[0] for key in localisation._memo[pairs[0]]} >= {
+            "element_norms",
+            "change",
+        }
+        assert certificate_reports(pairs, weighted) == fresh  # warm
+        for pair in pairs:
+            localisation._memo.pop(pair, None)
+        assert certificate_reports(pairs, weighted) == fresh  # cleared
+
+    def test_each_weight_vector_is_its_own_entry(self, monkeypatch):
+        pair = canonical_dual(gabor_pair())
+        K = random_operator(8, 8, seed=34)
+        weights = [poly_weight(pair.frame.index_set, t) for t in (0.0, 1.0, 2.0)]
+
+        def reports():
+            return [
+                repr(verify_projective(K, pair, pair, w1, w2).to_json())
+                for w1 in weights
+                for w2 in weights
+            ]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(theorems, "_remembered", lambda owner, key, compute: compute())
+            fresh = reports()
+        assert reports() == fresh
+        assert reports() == fresh
+
+    def test_change_bound_keys_hold_the_target_and_both_weights(self):
+        pair, other = canonical_dual(onb(4)), canonical_dual(rotated_onb(4))
+        weights = [np.ones(4), np.arange(1.0, 5.0), np.arange(4.0, 0.0, -1.0)]
+        for w_from in weights:
+            for w_to in weights:
+                a = np.abs(cross_gram(pair.frame, other.dual))
+                fresh = schur_weighted_bound(a, w_from, 1.5, w_out=w_to)
+                got = theorems._change_bound(pair, other, w_from, w_to, 1.5)
+                assert got == fresh
+        keys = list(localisation._memo[pair])
+        assert len(keys) == len(weights) ** 2
+        for key in keys:
+            assert key[0] == "change" and isinstance(key[1], weakref.ref)
+            assert key[1]() is other
+
+
+class TestCertificateLifetime:
+    """The remembered certificates hold no pair strongly, and they fit
+    beside a pair's op-norm entries."""
+
+    def test_pairs_die_when_dropped(self):
+        gc.collect()
+        before = len(localisation._memo)
+        pair, other = canonical_dual(gabor_pair()), canonical_dual(gabor_pair())
+        w = poly_weight(pair.frame.index_set, 1.0)
+        K = random_operator(8, 8, seed=32)
+        verify_projective(K, pair, other, w, w)
+        same = (pair, pair)
+        for p, q, axis in INDEPENDENCE_SPECS:
+            spec = MixedSpaceSpec(p, q, axis, np.outer(w, w))
+            verify_frame_independence(K, same, same, spec)
+            verify_frame_independence(K, same, (other, other), spec)
+            verify_frame_independence(K, (other, pair), (pair, other), spec)
+        assert {pair, other} <= set(localisation._memo)
+        alive = [weakref.ref(pair), weakref.ref(other)]
+        del pair, other, same
+        gc.collect()
+        assert [ref() for ref in alive] == [None, None]
+        assert len(localisation._memo) <= before
+
+    def test_second_pass_refills_nothing(self, monkeypatch):
+        """A five-exponent op-norm sweep and the three verifiers on one
+        pair fill one random block, five denominators, one element-norm
+        entry and one change-of-frame entry, then nothing."""
+        fills = {}
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counting(*args):
+                fills[name] = fills.get(name, 0) + 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counting)
+
+        count(coorbit, "_random_probes")
+        count(coorbit, "_probe_denominators")
+        count(theorems, "_element_norms")
+        count(theorems, "cross_gram")
+        pair = canonical_dual(gabor_pair())
+        w = poly_weight(pair.frame.index_set, 1.0)
+        K = random_operator(8, 8, seed=33)
+        spec = MixedSpaceSpec(2.0, 2.0, 0, np.outer(w, w))
+
+        def one_pass():
+            for p in (1.0, 1.5, 2.0, 3.0, np.inf):
+                schur_characterization(K, pair, pair, w, w, p, "ii", seed=5)
+            verify_inner(K, pair, pair, w, w)
+            verify_projective(K, pair, pair, w, w)
+            verify_frame_independence(K, (pair, pair), (pair, pair), spec)
+
+        one_pass()
+        assert fills == {
+            "_random_probes": 1,
+            "_probe_denominators": 5,
+            "_element_norms": 1,
+            "cross_gram": 2,
+        }
+        assert len(localisation._memo[pair]) == 8 <= localisation._ENTRIES_PER_OWNER
+        fills.clear()
+        one_pass()
+        assert fills == {}
