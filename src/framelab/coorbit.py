@@ -11,6 +11,7 @@ cases where an extreme-point sweep is provably exact.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,10 +191,29 @@ def coorbit_norm(spec: CoorbitSpec, f) -> float:
 
 
 class OpNormInterval(tuple):
-    """``(lower, upper)`` enclosure of an operator norm."""
+    """``(lower, upper)`` enclosure of an operator norm.
 
-    def __new__(cls, lower: float, upper: float):
-        return super().__new__(cls, (float(lower), float(upper)))
+    ``upper_source`` names the bound that gave ``upper``: ``"schur"``,
+    ``"row"``, ``"column"``, ``"spectral"`` or ``"exact-l2"``.
+    ``lower_source`` names the probe class that attained ``lower``:
+    ``"frame"``, ``"basis"``, ``"random"``, ``"extremizer"`` or
+    ``"witness"``, the first of them on a tie, and ``"none"`` when no
+    probe gave a positive ratio.  Both are ``None`` on an interval built
+    by hand, and neither takes part in comparisons: the interval is the
+    tuple ``(lower, upper)``."""
+
+    def __new__(
+        cls,
+        lower: float,
+        upper: float,
+        *,
+        upper_source: str | None = None,
+        lower_source: str | None = None,
+    ):
+        self = super().__new__(cls, (float(lower), float(upper)))
+        self.upper_source = upper_source
+        self.lower_source = lower_source
+        return self
 
     @property
     def lower(self) -> float:
@@ -366,6 +386,26 @@ def coorbit_opnorm(
     ``k`` columns whose ``n x k`` intermediates hold at most ``2**14``
     elements (``k >= 1``), so memory stays bounded at large ``n``.
 
+    From ``l^2`` into ``l^inf`` (``p = 2``, ``q = inf``) the norm has a
+    closed form, and the interval encloses it to a few units in the last
+    place instead: with ``A1 = diag(w1) C_dual1``, ``G = A1^H A1`` and
+    the weighted rows ``r_i`` of ``diag(w2) C_dual2 O``, the norm is
+    ``max_i sqrt(r_i G^-1 r_i^H)``, attained by the witness ``G^-1
+    r_i^H``.  ``G^-1`` is remembered per source pair and ``w1``; each
+    call ranks the rows in double precision and bounds the largest in
+    extended precision, above by an a posteriori certificate that holds
+    for any approximate witness ``x`` (its residual ``r_i^H - G x``
+    enters through ``sigma = min(w1) sqrt(A_dual1) <= sigma_min(A1)``),
+    below by the ratio of the witness itself, each rounded outward.
+    ``w1``, ``w2`` and ``O`` are first scaled by exact powers of two and
+    the bounds scaled back, so weights and operators of any finite
+    magnitude give a finite interval, or ``(inf, inf)`` when the norm
+    itself exceeds the float range.  No probe or bound of the sweep
+    above is formed, and ``upper_source`` is ``"exact-l2"``.  A weighted
+    Gram that cannot be inverted falls back to the sweep.
+
+    The interval names the bound that gave its upper end and the probe
+    class that attained its lower one (see :class:`OpNormInterval`).
     A lower bound above the upper one by at most ``16 eps`` relative is
     clamped to it; a larger excess raises ``FloatingPointError``.
     """
@@ -388,6 +428,10 @@ def _opnorm_interval(
     """:func:`coorbit_opnorm` of a checked ``d2 x d1`` matrix ``A`` from
     the ``l^p_w1`` coorbit space of ``pair1`` into the ``l^q_w2`` one of
     ``pair2``, for exponents and weights that are already checked."""
+    if p == 2.0 and q == np.inf:
+        interval = _l2_to_sup_interval(A, pair1, pair2, w1, w2)
+        if interval is not None:
+            return interval
     n1, d1 = pair1.frame.cardinality, pair1.frame.space_dim
     analysis2 = pair2.dual.vectors.conj() @ A
     # [analysis2 @ V1.T | analysis2], rows scaled by w2: its columns are
@@ -406,14 +450,17 @@ def _opnorm_interval(
     a = np.abs(B)
     uppers = []
     if p == q:
-        uppers.append(_schur_bound(a, p))
-    uppers.append(_pnorm(_pnorm_of_abs(a, _holder_conjugate(p), axis=1), q))
+        uppers.append((_schur_bound(a, p), "schur"))
+    row = _pnorm(_pnorm_of_abs(a, _holder_conjugate(p), axis=1), q)
+    uppers.append((row, "row"))
     if p == 1.0:  # the row bound took maxima, so a is intact
-        uppers.append(float(np.max(_pnorm_of_abs(a, q, axis=0), initial=0.0)))
+        column = float(np.max(_pnorm_of_abs(a, q, axis=0), initial=0.0))
+        uppers.append((column, "column"))
     del a
     if p == 2.0 and q == 2.0 and np.isfinite(B).all():
-        uppers.append(float(np.linalg.norm(B, 2)))
-    upper = min(uppers)
+        uppers.append((float(np.linalg.norm(B, 2)), "spectral"))
+    # the first of equal bounds, in the order above, names the upper end
+    upper, upper_source = min(uppers, key=lambda bound: bound[0])
 
     # only the random and extremizer probes meet A; the random block and
     # the other denominators are remembered per pair, the block fetched
@@ -435,9 +482,160 @@ def _opnorm_interval(
         Q = random
     num = np.concatenate([num, *_column_norms(analysis2, Q, w2, q)])
     live = (den > 0.0) & np.isfinite(den) & np.isfinite(num)
-    lower = float(np.max(num[live] / den[live], initial=0.0))
+    ratios = np.zeros_like(num)
+    np.divide(num, den, out=ratios, where=live)
+    best = int(np.argmax(ratios))
+    lower = float(ratios[best])
+    # probes are scored in the order frame, basis, random, extremizer, and
+    # argmax takes the first of equal ratios
+    ends = (n1, n1 + d1, n1 + d1 + random.shape[1])
+    lower_source = _PROBE_CLASSES[sum(best >= end for end in ends)]
+    _check_order(lower, upper)
+    return OpNormInterval(
+        min(lower, upper),
+        upper,
+        upper_source=upper_source,
+        lower_source=lower_source if lower > 0.0 else "none",
+    )
+
+
+_PROBE_CLASSES = ("frame", "basis", "random", "extremizer")
+
+
+def _check_order(lower: float, upper: float) -> None:
+    """Raise unless ``lower`` exceeds ``upper`` by at most ``_CLAMP_RTOL``
+    relative, the most that rounding may lift it."""
     if lower - upper > _CLAMP_RTOL * upper:
         raise FloatingPointError(
             f"operator-norm lower bound {lower!r} exceeds upper bound {upper!r}"
         )
-    return OpNormInterval(min(lower, upper), upper)
+
+
+def _binade(x: np.ndarray) -> int:
+    """The exponent ``e`` with the largest magnitude among the real and
+    imaginary parts of the C-contiguous ``x`` in ``[2**(e-1), 2**e)``, and
+    0 for an array of zeros: ``x * 2**-e`` has parts of at most 1."""
+    return int(np.frexp(np.abs(x.view(float)).max(initial=0.0))[1])
+
+
+def _ldexp(x: np.ndarray, e: int) -> np.ndarray:
+    """A new array ``x * 2**e`` for the C-contiguous ``x``, each real and
+    imaginary part scaled exactly unless it leaves the normal range."""
+    return np.ldexp(x.view(float), e).view(x.dtype)
+
+
+def _weighted_analysis(pair: FramePair, w: np.ndarray):
+    """``(A, G^-1)``: the weighted analysis map ``A = diag(w) C_dual`` in
+    extended precision and the inverse of its Gram ``G = A^H A`` in
+    double, both read-only; ``None`` when ``G`` cannot be inverted."""
+    A = pair.dual.vectors.conj() * w[:, None]
+    try:
+        G_inv = np.linalg.inv(A.conj().T @ A)
+    except np.linalg.LinAlgError:
+        return None
+    A = pair.dual.vectors.conj().astype(np.clongdouble) * w[:, None]
+    A.flags.writeable = G_inv.flags.writeable = False
+    return A, G_inv
+
+
+# rows whose double-precision norm estimate is within this relative
+# distance of the largest one are evaluated in extended precision
+_ROW_TIE = 2.0**-20
+
+
+def _l2_to_sup_interval(
+    A: np.ndarray, pair1: FramePair, pair2: FramePair, w1: np.ndarray, w2: np.ndarray
+) -> OpNormInterval | None:
+    """The norm of ``A`` from the ``l^2_w1`` coorbit space of ``pair1``
+    into the ``l^inf_w2`` one of ``pair2`` in closed form, or ``None``
+    when the weighted Gram of ``pair1`` cannot be inverted or the bounds
+    are not finite.
+
+    With ``A1 = diag(w1) C_dual1``, ``G = A1^H A1`` and the weighted rows
+    ``r_i = w2_i (C_dual2 A)_i``, the norm is ``max_i s_i`` with
+    ``s_i^2 = r_i G^-1 r_i^H``, attained by the witness ``x_i = G^-1
+    r_i^H``.  The rows are ranked by ``s_i^2`` in double precision, from
+    the remembered ``G^-1``.  Those estimates err by about ``eps`` times
+    the condition number of ``G``, so a row more than ``_ROW_TIE`` below
+    the largest is taken to stay below it; each row within ``_ROW_TIE``
+    is bounded from the inputs in extended precision, with its
+    double-precision witness ``x``:
+
+    * above, by ``s_i^2 = x^H G x + 2 Re(x^H e) + e^H G^-1 e <= ||A1
+      x||^2 + 2 Re(x^H e) + ||e||^2 / sigma^2`` with the residual ``e =
+      r_i^H - A1^H A1 x``, which holds for every ``x``, and ``sigma =
+      min(w1) sqrt(A_dual1) <= sigma_min(A1)`` from the dual's lower
+      frame bound.  The residual enters squared, so the bound exceeds
+      ``s_i`` by a term of second order in the error of ``x``;
+    * below, by ``|r_i x| / ||A1 x||``, at most the ratio ``||diag(w2)
+      C_dual2 A x||_inf / ||A1 x||_2`` of the probe ``x``, and equal to
+      it for the largest row.
+
+    Each bound is then rounded outward to double.  By homogeneity
+    ``w1``, ``w2``, ``A`` and the rows are first scaled by exact powers
+    of two to parts of at most 1, and both bounds are scaled back at the
+    end: a norm beyond the float range gives ``(inf, inf)``, and one
+    below the normal range is rounded to the nearest subnormal, without
+    a warning.
+    """
+    e1 = _binade(w1)
+    w1s = np.ldexp(w1, -e1)
+    factor = _remembered(
+        pair1, ("l2", w1.tobytes()), lambda: _weighted_analysis(pair1, w1s)
+    )
+    if factor is None:
+        return None
+    A1, G_inv = factor
+    A = np.ascontiguousarray(A)
+    eA, e2 = _binade(A), _binade(w2)
+    A = _ldexp(A, -eA)
+    R = pair2.dual.vectors.conj() @ A
+    R *= np.ldexp(w2, -e2)[:, None]
+    eR = _binade(R)
+    R = _ldexp(R, -eR)
+    w2s = np.ldexp(w2, -e2 - eR)  # R is w2s * (C_dual2 A), rounded
+    e = eA + e2 + eR - e1
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        X = G_inv @ R.conj().T
+        s2 = np.einsum("jk,kj->j", R, X).real
+        top = s2.max()
+        if not np.isfinite(top):
+            return None
+        if top == 0.0:  # R = 0
+            return OpNormInterval(
+                0.0, 0.0, upper_source="exact-l2", lower_source="none"
+            )
+        rows = np.flatnonzero(s2 >= top * (1.0 - _ROW_TIE))
+        x = X[:, rows].astype(np.clongdouble)
+        r = pair2.dual.vectors[rows].conj().astype(np.clongdouble) @ A
+        r *= w2s[rows, None]
+        y = A1 @ x
+        res = r.conj().T - (y.conj().T @ A1).conj().T
+        energy = (np.abs(y) ** 2).sum(axis=0)
+        sigma = w1s.min() * math.sqrt(pair1.dual.bounds[0])
+        upper = np.sqrt(
+            energy
+            + 2.0 * (x.conj() * res).sum(axis=0).real
+            + (np.abs(res) ** 2).sum(axis=0) / sigma**2
+        ).max()
+        lower = (np.abs((r * x.T).sum(axis=1)) / np.sqrt(energy)).max()
+        upper, lower = _outward(upper, np.inf), _outward(lower, -np.inf)
+        if not math.isfinite(upper):
+            return None
+        _check_order(lower, upper)
+        lower, upper = np.ldexp([min(lower, upper), upper], e)
+    return OpNormInterval(
+        lower,
+        upper,
+        upper_source="exact-l2",
+        lower_source="witness" if lower > 0.0 else "none",
+    )
+
+
+def _outward(v: np.longdouble, direction: float) -> float:
+    """The extended-precision ``v`` rounded to a double towards
+    ``direction``, ``inf`` or ``-inf``."""
+    d = np.float64(v)
+    if d != v and (d < v) == (direction > 0):
+        d = np.nextafter(d, direction)
+    return float(d)

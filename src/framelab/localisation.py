@@ -201,7 +201,15 @@ def _remembered(owner, key, compute):
       Schur certificate, under ``("element_norms", w.tobytes())``;
     * per source :class:`FramePair`, the change-of-frame Schur sums
       towards a target pair, under ``("change", weakref.ref(target),
-      w_from.tobytes(), w_to.tobytes())``.
+      w_from.tobytes(), w_to.tobytes())``;
+    * per source :class:`FramePair`, the weighted analysis map in
+      extended precision and the inverse of its Gram, which give the
+      exact ``l^2 -> l^inf`` operator norm, under ``("l2",
+      w.tobytes())``;
+    * per ``MixedSpaceSpec`` of the frame-independence check, the
+      constant grid of the same value for a family of another
+      cardinality, under ``("constant_grid", shape)``, so that its
+      factors are found once.
 
     Owners are held weakly, so their entries die with them.  An entry
     that depends on two pairs is stored with one of them as owner and
@@ -216,9 +224,11 @@ def _remembered(owner, key, compute):
     source exponent besides the random block, and a sweep over five
     exponents, with the certificates of the other verifiers beside it,
     must fit, or it evicts every key before its next use.  The largest
-    entry is a random block of ``10 d^2`` complex values (164 KB at
-    ``d = 32``).  Weights enter keys as bytes, never as an array's
-    identity, so a weight vector changed in place is a new key.
+    entries are the extended-precision analysis map, ``n d`` values of
+    32 bytes (262 KB at ``n = 256``, ``d = 32``), and a random block of
+    ``10 d^2`` complex values (164 KB at ``d = 32``).  Weights enter keys
+    as bytes, never as an array's identity, so a weight vector changed
+    in place is a new key.
 
     One lock makes each lookup, eviction and fill one step across
     threads.  It is not reentrant, so ``compute`` must not call

@@ -591,6 +591,19 @@ def _reference_opnorm(O, src, dst, seed=0):
     return OpNormInterval(min(lower, upper), upper)
 
 
+EPS = np.finfo(float).eps
+
+
+def assert_exact_inside(got, ref):
+    """The closed-form ``l^2 -> l^inf`` interval ``got`` lies inside the
+    probe sweep's ``ref`` up to rounding (2 eps below its lower end, 16
+    eps above its upper end), and is closed to 32 eps relative."""
+    assert got.lower >= ref.lower - 2 * EPS * ref.upper
+    assert got.upper <= ref.upper * (1 + 16 * EPS)
+    assert got.upper - got.lower <= 32 * EPS * got.upper
+    assert (got.upper_source, got.lower_source) == ("exact-l2", "witness")
+
+
 EXPONENTS = [1.0, 1.5, 2.0, 3.0, np.inf]
 FAMILIES = {
     "onb": lambda: onb(4),
@@ -615,7 +628,10 @@ class TestBlockedProbeSweep:
                 got = coorbit_opnorm(O, src, dst, seed=5)
                 ref = _reference_opnorm(O, src, dst, seed=5)
                 assert got.lower <= got.upper
-                np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
+                if (p, q) == (2.0, np.inf):
+                    assert_exact_inside(got, ref)
+                else:
+                    np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_orthonormal_basis_l1_source_is_exact(self, seed):
@@ -733,7 +749,8 @@ ORACLE_FAMILIES = {
 class TestOneMatrixProbeSweep:
     """All probes form one matrix scored in bounded chunks; the probes,
     their order and each column's formulas are those of the earlier
-    block sweep.
+    block sweep.  From ``l^2`` into ``l^inf`` no probe is scored: the
+    closed form lies inside the sweep's interval.
 
     A complex matrix product may round a column differently depending
     on where it falls in the product: OpenBLAS computes the last
@@ -756,7 +773,9 @@ class TestOneMatrixProbeSweep:
                 dst = CoorbitSpec(pair, SeqSpaceSpec(q, w))
                 got = coorbit_opnorm(O, src, dst, seed=7)
                 ref = _blocked_opnorm(O, src, dst, seed=7)
-                if d % 4 == 0:
+                if (p, q) == (2.0, np.inf):
+                    assert_exact_inside(got, ref)
+                elif d % 4 == 0:
                     assert got == ref, (p, q)
                 else:
                     eps = np.finfo(float).eps
@@ -907,14 +926,18 @@ class TestDenominatorMemo:
         for p in EXPONENTS:
             src = CoorbitSpec(pair, SeqSpaceSpec(p, w))
             dst = CoorbitSpec(pair, SeqSpaceSpec(np.inf, 1.0 / w))
-            key = (w.tobytes(), p, 3)
+            key = ("l2", w.tobytes()) if p == 2.0 else (w.tobytes(), p, 3)
             first = coorbit_opnorm(O, src, dst, seed=3)
             cold = localisation._memo[pair][key]
-            assert cold.tobytes() == fresh_denominators(pair, w, p, 3).tobytes()
-            assert not cold.flags.writeable
+            if p == 2.0:
+                assert (w.tobytes(), p, 3) not in localisation._memo[pair]
+            else:
+                assert cold.tobytes() == fresh_denominators(pair, w, p, 3).tobytes()
+                assert not cold.flags.writeable
             assert coorbit_opnorm(O, src, dst, seed=3) == first
             assert localisation._memo[pair][key] is cold
-        # one denominator entry per exponent and one random block
+        # one denominator entry per exponent but 2, whose l^2 -> l^inf
+        # interval takes the weighted Gram's entry, and one random block
         assert len(localisation._memo[pair]) == len(EXPONENTS) + 1
 
     def test_weights_changed_in_place_are_a_new_key(self):
@@ -981,9 +1004,10 @@ class TestDenominatorMemo:
 
     def test_opnorm_grid_misses_only_on_the_first_pass(self, monkeypatch):
         """The 33 verifier calls of one opnorm-grid op fill, per pair, one
-        random block and five denominator entries (one per source
-        exponent), and one Gram-sum entry for each of its frame and dual:
-        3, 15 and 6 fills, then none."""
+        random block, four denominator entries (one per source exponent
+        but 2), one weighted-Gram entry for variant ii at p = 2, and one
+        Gram-sum entry for each of its frame and dual: 3, 12, 3 and 6
+        fills, then none."""
         fills = {}
 
         def count(module, name):
@@ -997,6 +1021,7 @@ class TestDenominatorMemo:
 
         count(coorbit, "_random_probes")
         count(coorbit, "_probe_denominators")
+        count(coorbit, "_weighted_analysis")
         count(localisation, "gram")
         rng = np.random.default_rng(5)
         cases = []
@@ -1021,10 +1046,289 @@ class TestDenominatorMemo:
             return calls
 
         assert one_pass() == 33
-        assert fills == {"_random_probes": 3, "_probe_denominators": 15, "gram": 6}
+        assert fills == {
+            "_random_probes": 3,
+            "_probe_denominators": 12,
+            "_weighted_analysis": 3,
+            "gram": 6,
+        }
         fills.clear()
         assert one_pass() == 33
         assert fills == {}
+
+
+EXACT_FAMILIES = {
+    **FAMILIES,
+    **ORACLE_FAMILIES,
+    "onb12": lambda: onb(12),
+    "gabor16": lambda: finite_gabor(16, 2, 2, gaussian_window(16)),
+}
+
+
+def mp_l2_to_sup_norm(O, pair1, pair2, w1, w2):
+    """``max_i w2_i sqrt(r_i G^-1 r_i^H)`` at 50 digits from the float
+    inputs, with ``r_i`` the rows of ``C_dual2 O`` and ``G`` the Gram of
+    ``diag(w1) C_dual1``."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        C1 = pair1.dual.vectors.conj()
+        A1 = mpmath.matrix([[mpmath.mpc(z) * w for z in row] for row, w in zip(C1, w1)])
+        C2 = mpmath.matrix(pair2.dual.vectors.conj().tolist())
+        R = C2 * mpmath.matrix(O.tolist())
+        G = A1.H * A1
+        best = mpmath.mpf(0)
+        for i in range(R.rows):
+            r = R[i, :]
+            s2 = (r * mpmath.lu_solve(G, r.H))[0]
+            best = max(best, w2[i] * mpmath.sqrt(mpmath.re(s2)))
+        return best
+
+
+class TestExactL2Interval:
+    """From ``l^2_w1`` into ``l^inf_w2`` the interval is the closed form
+    ``max_i w2_i ||L^-1 r_i^H||``, enclosed to a few units in the last
+    place, from one remembered weighted Gram per source pair."""
+
+    @staticmethod
+    def specs(pair, w1, w2):
+        return CoorbitSpec(pair, SeqSpaceSpec(2.0, w1)), CoorbitSpec(
+            pair, SeqSpaceSpec(np.inf, w2)
+        )
+
+    @pytest.mark.parametrize("family", sorted(EXACT_FAMILIES))
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_inside_the_probe_sweep(self, family, t):
+        pair = canonical_dual(EXACT_FAMILIES[family]())
+        w = poly_weight(pair.frame.index_set, t)
+        d = pair.frame.space_dim
+        for seed in (3, 9):
+            O = random_operator(d, d, seed=seed)
+            for w2 in (w, 1.0 / w):
+                src, dst = self.specs(pair, w, w2)
+                got = coorbit_opnorm(O, src, dst, seed=7)
+                for ref in (
+                    _blocked_opnorm(O, src, dst, seed=7),
+                    _reference_opnorm(O, src, dst, seed=7),
+                ):
+                    assert_exact_inside(got, ref)
+
+    @pytest.mark.parametrize(
+        "family",
+        ["mercedes", "onb", "gabor", "decaying"],
+    )
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_contains_the_50_digit_norm(self, family, t):
+        pair = canonical_dual(FAMILIES[family]())
+        w = poly_weight(pair.frame.index_set, t)
+        d = pair.frame.space_dim
+        for seed in range(3):
+            O = random_operator(d, d, seed=seed)
+            src, dst = self.specs(pair, w, 1.0 / w)
+            got = coorbit_opnorm(O, src, dst)
+            exact = mp_l2_to_sup_norm(O, pair, pair, w, 1.0 / w)
+            assert got.lower <= exact <= got.upper
+
+    @pytest.mark.parametrize("family", ["gabor", "decaying", "mercedes"])
+    def test_certificate_holds_for_an_inexact_witness(self, family):
+        """With a remembered inverse that is off by 1e-3 the witnesses
+        are inexact; the residual term must still lift the upper bound
+        over the 50-digit norm."""
+        pair = canonical_dual(FAMILIES[family]())
+        w = poly_weight(pair.frame.index_set, 1.0)
+        d = pair.frame.space_dim
+        O = random_operator(d, d, seed=22)
+        src, dst = self.specs(pair, w, 1.0 / w)
+        coorbit_opnorm(O, src, dst)
+        key = ("l2", w.tobytes())
+        A1, G_inv = localisation._memo[pair][key]
+        off = G_inv + 1e-3 * np.abs(G_inv).max() * np.eye(d)
+        localisation._memo[pair][key] = (A1, off)
+        got = coorbit_opnorm(O, src, dst)
+        exact = mp_l2_to_sup_norm(O, pair, pair, w, 1.0 / w)
+        assert got.lower <= exact <= got.upper
+        assert got.upper - got.lower <= 1e-2 * got.upper
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("family", sorted(MEMO_FAMILIES))
+    def test_cold_warm_and_cleared_are_bit_identical(self, family, weighted):
+        pair = canonical_dual(MEMO_FAMILIES[family]())
+        n, d = pair.frame.cardinality, pair.frame.space_dim
+        w = poly_weight(pair.frame.index_set, 1.0) if weighted else np.ones(n)
+        O = random_operator(d, d, seed=16)
+        src, dst = self.specs(pair, w, 1.0 / w)
+        cold = coorbit_opnorm(O, src, dst)
+        assert list(localisation._memo[pair]) == [("l2", w.tobytes())]
+        A1, G_inv = entry = localisation._memo[pair][("l2", w.tobytes())]
+        assert not A1.flags.writeable and not G_inv.flags.writeable
+        warm = coorbit_opnorm(O, src, dst)
+        assert localisation._memo[pair][("l2", w.tobytes())] is entry
+        del localisation._memo[pair]
+        cleared = coorbit_opnorm(O, src, dst)
+        for got in (warm, cleared):
+            assert np.array(got).tobytes() == np.array(cold).tobytes()
+
+    def test_weights_changed_in_place_are_a_new_key(self):
+        pair = canonical_dual(MEMO_FAMILIES["gabor8"]())
+        w = poly_weight(pair.frame.index_set, 1.0)
+        O = random_operator(8, 8, seed=17)
+        first_w = w.tobytes()
+        first = coorbit_opnorm(O, *self.specs(pair, w, w))
+        w[3] *= 5.0
+        second = coorbit_opnorm(O, *self.specs(pair, w, w))
+        other = canonical_dual(MEMO_FAMILIES["gabor8"]())
+        assert second != first
+        assert second == coorbit_opnorm(O, *self.specs(other, w, w))
+        assert list(localisation._memo[pair]) == [("l2", first_w), ("l2", w.tobytes())]
+
+    def test_entry_dies_with_the_pair(self):
+        gc.collect()
+        before = len(localisation._memo)
+        pair = canonical_dual(MEMO_FAMILIES["gabor8"]())
+        w = np.ones(pair.frame.cardinality)
+        coorbit_opnorm(random_operator(8, 8, seed=18), *self.specs(pair, w, w))
+        assert len(localisation._memo) == before + 1
+        alive = weakref.ref(pair)
+        del pair
+        gc.collect()
+        assert alive() is None
+        assert len(localisation._memo) <= before
+
+    @pytest.mark.parametrize("family", ["gabor8", "decaying8"])
+    def test_subnormal_operator_gives_an_interval(self, family):
+        """At unit weights the probe sweep raised on these operators,
+        whose probe images are subnormal."""
+        make = {
+            "gabor8": lambda: finite_gabor(8, 2, 2, gaussian_window(8)),
+            "decaying8": lambda: decaying_perturbation(8, 4.0, 0.05, seed=7),
+        }[family]
+        pair = canonical_dual(make())
+        w = np.ones(pair.frame.cardinality)
+        O = 1e-310 * random_operator(8, 8, seed=7)
+        rep = schur_characterization(O, pair, pair, w, w, 2.0, "ii")
+        lower, upper = rep.details["opnorm_lower"], rep.details["opnorm_upper"]
+        assert 0.0 < lower <= upper < 1e-308
+        unit = coorbit_opnorm(random_operator(8, 8, seed=7), *self.specs(pair, w, w))
+        np.testing.assert_allclose(
+            [lower, upper], np.multiply(unit, 1e-310), rtol=1e-10
+        )
+
+    def test_zero_operator(self):
+        pair = canonical_dual(MEMO_FAMILIES["gabor8"]())
+        w = np.ones(pair.frame.cardinality)
+        got = coorbit_opnorm(np.zeros((8, 8)), *self.specs(pair, w, w))
+        assert got == (0.0, 0.0)
+        assert (got.upper_source, got.lower_source) == ("exact-l2", "none")
+
+    def test_gram_that_cannot_be_inverted_falls_back_to_the_sweep(self):
+        """A weight below 2**-1074 times the largest vanishes when the
+        weights are scaled, so the weighted Gram is singular; the probe
+        sweep still encloses the norm."""
+        pair = canonical_dual(onb(2))
+        w1 = np.array([1.0, 1e-320])
+        src, dst = self.specs(pair, w1, np.ones(2))
+        O = random_operator(2, 2, seed=19)
+        with np.errstate(over="ignore"):
+            got = coorbit_opnorm(O, src, dst, seed=2)
+            ref = _blocked_opnorm(O, src, dst, seed=2)
+        assert localisation._memo[pair][("l2", w1.tobytes())] is None
+        assert got == ref
+        assert got.upper_source != "exact-l2"
+
+
+class TestIntervalSources:
+    """Each interval names the bound that gave its upper end and the
+    probe class that attained its lower one; a tie goes to the first
+    class in the order frame, basis, random, extremizer."""
+
+    def test_hand_built_interval_has_no_sources(self):
+        interval = OpNormInterval(1.0, 2.0)
+        assert interval == (1.0, 2.0)
+        assert (interval.upper_source, interval.lower_source) == (None, None)
+        named = OpNormInterval(1.0, 2.0, upper_source="row", lower_source="frame")
+        assert named == interval
+
+    @staticmethod
+    def named_bounds(O, src, dst, seed):
+        """Each upper bound by name, and each probe class's best ratio,
+        by the one-probe-at-a-time formulas."""
+        A = as_matrix(O)
+        frame, d = src.pair.frame, src.pair.frame.space_dim
+        (p, w1), (q, w2) = (src.seq.p, src.seq.weight), (dst.seq.p, dst.seq.weight)
+        M = dst.pair.dual.vectors.conj() @ A @ frame.vectors.T
+        B = M * w2[:, None] / w1[None, :]
+        uppers = {"row": _pnorm(_pnorm_along(B, _holder_conjugate(p), axis=1), q)}
+        if p == 1.0:
+            uppers["column"] = float(np.max(_pnorm_along(B, q, axis=0)))
+        if p == q:
+            uppers["schur"] = _schur_bound(np.abs(B), p)
+        if p == q == 2.0:
+            uppers["spectral"] = float(np.linalg.norm(B, 2))
+        rw1 = (1.0 / w1).repeat(2)
+        probes = {
+            "frame": frame.vectors.T,
+            "basis": np.eye(d, dtype=complex),
+            "random": _random_probes(seed, d),
+            "extremizer": np.concatenate(
+                [np.empty((d, 0)), *_extremizers(B, frame.vectors, rw1, p)], axis=1
+            ),
+        }
+        lowers = {
+            name: max(
+                (coorbit_norm(dst, A @ f) / coorbit_norm(src, f) for f in P.T),
+                default=0.0,
+            )
+            for name, P in probes.items()
+        }
+        return uppers, lowers
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_sources_name_the_attaining_bound(self, family):
+        pair = canonical_dual(FAMILIES[family]())
+        w = poly_weight(pair.frame.index_set, 1.0)
+        d = pair.frame.space_dim
+        O = random_operator(d, d, seed=20)
+        for p in EXPONENTS:
+            for q in EXPONENTS:
+                if (p, q) == (2.0, np.inf):
+                    continue
+                src = CoorbitSpec(pair, SeqSpaceSpec(p, w))
+                dst = CoorbitSpec(pair, SeqSpaceSpec(q, w))
+                got = coorbit_opnorm(O, src, dst, seed=5)
+                uppers, lowers = self.named_bounds(O, src, dst, 5)
+                assert uppers[got.upper_source] == pytest.approx(got.upper, rel=1e-13)
+                assert min(uppers.values()) >= got.upper * (1 - 1e-13)
+                assert lowers[got.lower_source] == pytest.approx(got.lower, rel=1e-13)
+                assert max(lowers.values()) <= got.lower * (1 + 1e-13)
+
+    def test_frame_wins_a_tie_with_the_basis(self):
+        """The frame of ``onb(d)`` is the standard basis, so both classes
+        attain the column bound at p = 1; the row and column bounds tie
+        at q = 1 as well."""
+        pair = canonical_dual(onb(3))
+        spec = CoorbitSpec(pair, SeqSpaceSpec(1.0, np.ones(3)))
+        got = coorbit_opnorm(np.diag([1.0, 3.0, 2.0]), spec, spec)
+        assert got == (3.0, 3.0)
+        assert (got.upper_source, got.lower_source) == ("schur", "frame")
+
+    def test_zero_operator_has_no_attaining_probe(self):
+        pair = canonical_dual(onb(3))
+        spec = CoorbitSpec(pair, SeqSpaceSpec(1.5, np.ones(3)))
+        got = coorbit_opnorm(np.zeros((3, 3)), spec, spec)
+        assert got == (0.0, 0.0)
+        assert got.lower_source == "none"
+
+    def test_verifier_details_name_the_sources(self):
+        pair = canonical_dual(finite_gabor(8, 2, 2, gaussian_window(8)))
+        w = poly_weight(pair.frame.index_set, 1.0)
+        O = random_operator(8, 8, seed=21)
+        outer = verify_outer(O, pair, pair, w, w)
+        exact = schur_characterization(O, pair, pair, w, w, 2.0, "ii")
+        assert exact.details["opnorm_upper_source"] == "exact-l2"
+        assert exact.details["opnorm_lower_source"] == "witness"
+        for rep in (outer, exact):
+            assert rep.details["opnorm_lower_source"] in {
+                "frame", "basis", "random", "extremizer", "witness"
+            }
 
 
 class TestIntervalExact:

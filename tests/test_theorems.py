@@ -201,9 +201,8 @@ class TestVerifyProjective:
     def test_lower_side_above_upper_fails(self, monkeypatch):
         # the summed-coefficient norm never exceeds the nuclear sum, so
         # only a defect can break that side of the sandwich: double it
-        monkeypatch.setattr(
-            "framelab.theorems.mixed_norm", lambda c, spec: 2.0 * mixed_norm(c, spec)
-        )
+        real = theorems._grid_norm
+        monkeypatch.setattr(theorems, "_grid_norm", lambda *args: 2.0 * real(*args))
         pair = canonical_dual(onb(2))
         rep = verify_projective(O22, pair, pair, np.ones(2), np.ones(2))
         assert rep.lhs == pytest.approx(2.0 * rep.rhs)
@@ -992,8 +991,9 @@ class TestCertificateLifetime:
 
     def test_second_pass_refills_nothing(self, monkeypatch):
         """A five-exponent op-norm sweep and the three verifiers on one
-        pair fill one random block, five denominators, one element-norm
-        entry and one change-of-frame entry, then nothing."""
+        pair fill one random block, four denominators, one weighted-Gram
+        entry (variant ii at p = 2), one element-norm entry and one
+        change-of-frame entry, then nothing."""
         fills = {}
 
         def count(module, name):
@@ -1007,6 +1007,7 @@ class TestCertificateLifetime:
 
         count(coorbit, "_random_probes")
         count(coorbit, "_probe_denominators")
+        count(coorbit, "_weighted_analysis")
         count(theorems, "_element_norms")
         count(theorems, "cross_gram")
         pair = canonical_dual(gabor_pair())
@@ -1024,7 +1025,8 @@ class TestCertificateLifetime:
         one_pass()
         assert fills == {
             "_random_probes": 1,
-            "_probe_denominators": 5,
+            "_probe_denominators": 4,
+            "_weighted_analysis": 1,
             "_element_norms": 1,
             "cross_gram": 2,
         }

@@ -99,11 +99,35 @@ class TestCheckedOnce:
         spec = MixedSpaceSpec(np.inf, np.inf, 0, np.ones((4, 4)))
         verify_frame_independence(O, (pair, pair), (rot, rot), spec)
         assert len(calls) == 1
-        # families with different index grids get a second, constant grid;
-        # the first spec keeps its factors
+        # families with different index grids get a second, constant grid,
+        # remembered per spec and shape; the first spec keeps its factors
         mixed = canonical_dual(Frame.from_vectors(np.vstack([np.eye(4), np.eye(4)])))
-        verify_frame_independence(O, (pair, pair), (mixed, mixed), spec)
+        for _ in range(2):
+            verify_frame_independence(O, (pair, pair), (mixed, mixed), spec)
         assert len(calls) == 2
+        # ONB 8 against Gabor 8 (16 elements): one factoring per spec
+        onb8, O8 = canonical_dual(onb(8)), random_operator(8, 8, seed=4)
+        spec8 = MixedSpaceSpec(2.0, 2.0, 0, np.ones((8, 8)))
+        for _ in range(3):
+            verify_frame_independence(O8, (onb8, onb8), (GABOR, GABOR), spec8)
+        assert len(calls) == 4
+        assert calls[2] is spec8
+        assert calls[3].weights.shape == (N, N)
+
+    def test_inner_and_projective_build_no_spec(self, monkeypatch):
+        built = []
+        real = MixedSpaceSpec.__post_init__
+
+        def counting(spec):
+            built.append(spec)
+            real(spec)
+
+        monkeypatch.setattr(MixedSpaceSpec, "__post_init__", counting)
+        w = poly_weight(GABOR.frame.index_set, 1.0)
+        O = random_operator(8, 8, seed=5)
+        verify_inner(O, GABOR, GABOR, w, w)
+        verify_projective(O, GABOR, GABOR, w, w)
+        assert built == []
 
     def test_grid_that_is_not_rank_one_raises_on_every_call(self):
         pair = canonical_dual(onb(4))
