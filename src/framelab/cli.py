@@ -76,6 +76,23 @@ def _load_frame(path):
     return frame
 
 
+def _load_pair(path, loaded: dict):
+    """The canonical pair of the frame file ``path``.  ``loaded`` is the
+    invocation's table of pairs by path, so a file named twice is parsed
+    and factored once, and the op-norm data remembered for its pair are
+    filled once; each argument still gets its own ``loaded`` line."""
+    if path in loaded:
+        pair, description = loaded[path]
+    else:
+        frame = frame_from_json(_load_json(path))
+        pair, description = None, _describe(frame)
+    print(f"loaded {path}: {description}", file=sys.stderr)
+    if pair is None:
+        pair = canonical_dual(frame)
+        loaded[path] = pair, description
+    return pair
+
+
 def _load_matrix(path):
     return matrix_from_json(_load_json(path))
 
@@ -221,30 +238,33 @@ def _cmd_coorbit_norm(args) -> int:
 
 def _cmd_galerkin(args) -> int:
     O = _load_matrix(args.operator)
-    f1 = _load_frame(args.frame1)
-    f2 = _load_frame(args.frame2)
-    pair1, pair2 = canonical_dual(f1), canonical_dual(f2)
+    loaded = {}
+    pair1 = _load_pair(args.frame1, loaded)
+    pair2 = _load_pair(args.frame2, loaded)
     k = galerkin(O, pair1, pair2)
-    _emit_json(galerkin_to_json(k, f1.index_set, f2.index_set), args.output)
+    index_i, index_j = pair1.frame.index_set, pair2.frame.index_set
+    _emit_json(galerkin_to_json(k, index_i, index_j), args.output)
     return 0
 
 
 def _cmd_kernel_synth(args) -> int:
     k, index_i, index_j = galerkin_from_json(_load_json(args.coefficients))
-    f1 = _load_frame(args.frame1)
-    f2 = _load_frame(args.frame2)
-    if (len(index_i), len(index_j)) != (f1.cardinality, f2.cardinality):
+    loaded = {}
+    pair1 = _load_pair(args.frame1, loaded)
+    pair2 = _load_pair(args.frame2, loaded)
+    cardinalities = (pair1.frame.cardinality, pair2.frame.cardinality)
+    if (len(index_i), len(index_j)) != cardinalities:
         raise PreconditionError(
             "coefficient index sets do not match the frame cardinalities"
         )
-    pair1, pair2 = canonical_dual(f1), canonical_dual(f2)
     _emit_json(matrix_to_json(synthesize_kernel(k, pair1, pair2)), args.output)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    pair1 = canonical_dual(_load_frame(args.frame1))
-    pair2 = canonical_dual(_load_frame(args.frame2))
+    loaded = {}
+    pair1 = _load_pair(args.frame1, loaded)
+    pair2 = _load_pair(args.frame2, loaded)
     w1, w2 = _weights_for(args, pair1.frame, pair2.frame)
 
     which = args.which
@@ -253,8 +273,8 @@ def _cmd_verify(args) -> int:
             raise PreconditionError(
                 "independence needs --frame1b and --frame2b for the second family"
             )
-        pair1b = canonical_dual(_load_frame(args.frame1b))
-        pair2b = canonical_dual(_load_frame(args.frame2b))
+        pair1b = _load_pair(args.frame1b, loaded)
+        pair2b = _load_pair(args.frame2b, loaded)
         p = _parse_exponent(args.p)
         q = _parse_exponent(args.q)
         spec = MixedSpaceSpec(p, q, args.inner_axis, tensor_weights(w1, w2))
@@ -288,8 +308,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_compress(args) -> int:
     O = _load_matrix(args.operator)
-    pair1 = canonical_dual(_load_frame(args.frame1))
-    pair2 = canonical_dual(_load_frame(args.frame2))
+    loaded = {}
+    pair1 = _load_pair(args.frame1, loaded)
+    pair2 = _load_pair(args.frame2, loaded)
     w1, w2 = _weights_for(args, pair1.frame, pair2.frame)
     taus = [float(t) for t in args.tau.split(",")]
     results = [

@@ -18,7 +18,7 @@ import numpy as np
 
 from .frames import FramePair, _check_operator, analysis
 from .generators import substream
-from .localisation import _positive_finite, _remembered, _schur_bound, as_weight
+from .localisation import _positive_finite, _remembered, _schur_combine, as_weight
 from .numeric import PreconditionError, _check_exponent, as_matrix, as_vector
 
 
@@ -54,6 +54,22 @@ def _pnorm_of_abs(a: np.ndarray, p: float, axis) -> np.ndarray:
     a /= s
     np.power(a, p, out=a)
     return a.sum(axis=axis) ** (1.0 / p) * np.squeeze(s, axis=axis)
+
+
+def _pnorm_rows(a: np.ndarray, p: float) -> np.ndarray:
+    """The ``_pnorm(row, p)`` of each row of the non-negative ``(T, m)``
+    array ``a``, overwriting ``a``, from one pass over the stack.  Each
+    root ``sum ** (1/p)`` is taken on the trial's scalar sum, as
+    ``_pnorm`` takes it: NumPy's array power may round differently from
+    its scalar power."""
+    if np.isinf(p) or p == 1.0:
+        return _pnorm_of_abs(a, p, -1)
+    s = a.max(axis=-1, keepdims=True, initial=0.0)
+    s[(s == 0.0) | (s == np.inf)] = 1.0
+    a /= s
+    np.power(a, p, out=a)
+    sums = a.sum(axis=-1)
+    return np.array([sums[t] ** (1.0 / p) * s[t, 0] for t in range(len(sums))])
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +186,30 @@ def weighted_seq_norm(c, spec: SeqSpaceSpec) -> float:
 
 
 def mixed_norm(C, spec: MixedSpaceSpec) -> float:
-    A = as_matrix(C)
+    A = np.asarray(C, dtype=complex)
+    if A.ndim != 2:
+        raise PreconditionError(f"expected a 2-D matrix, got ndim={A.ndim}")
     if A.shape != spec.weights.shape:
         raise PreconditionError(
             f"array shape {A.shape} does not match weight grid {spec.weights.shape}"
         )
-    a = np.abs(A)
-    a *= spec.weights
-    inner = _pnorm_of_abs(a, spec.p, axis=spec.inner_axis)
-    return _pnorm(inner, spec.q)
+    return float(_grid_norm(A[None], spec.weights, spec.p, spec.inner_axis, spec.q)[0])
+
+
+def _grid_norm(K: np.ndarray, grid: np.ndarray, p: float, axis: int, q: float):
+    """``mixed_norm(K[t], MixedSpaceSpec(p, q, axis, grid))`` of each
+    trial of the ``(T, n1, n2)`` stack ``K``, for a checked grid, as an
+    array of ``T`` norms; this is the one kernel-norm core.  A trial is
+    checked with ``as_matrix`` only when its norm is not finite, which
+    rejects NaN and inf entries; finite entries whose norm overflows
+    give inf."""
+    a = np.abs(K)
+    a *= grid
+    norms = _pnorm_rows(_pnorm_of_abs(a, p, axis - 2), q)
+    for t, norm in enumerate(norms):
+        if not math.isfinite(norm):
+            as_matrix(K[t])
+    return norms
 
 
 def coorbit_norm(spec: CoorbitSpec, f) -> float:
@@ -284,26 +315,36 @@ def _extremizers(B: np.ndarray, V: np.ndarray, rw1: np.ndarray, p: float) -> lis
     has lost bits, takes its phase from the entry lifted by ``_LIFT``,
     which is exact; so every extremizer of a finite row is finite.
 
+    ``B`` may be a stack ``(T, n2, n1)`` of such matrices, which gives
+    ``(T, d, k)`` blocks, one ``d x k`` block per trial; every
+    operation is elementwise or per row, so each trial has the bits of
+    its own call.  Only a one-trial stack may have rows that are not
+    finite, because dropping them changes the block's shape.
+
     They are synthesized from ``k`` rows of ``B`` at a time, ``k x n``
-    elements at most ``_SCORE_ELEMENTS / 2`` (``k >= 1``): a block holds
-    about twice as many ``k x n`` temporaries at once as a scoring
-    chunk, and no ``n x n`` temporary is built.  At ``p = 1`` each
-    extremizer is a multiple of a frame vector, so there are none."""
+    elements at most ``_SCORE_ELEMENTS / 2`` per trial (``k >= 1``): a
+    block holds about twice as many ``k x n`` temporaries at once as a
+    scoring chunk, and no ``n x n`` temporary is built.  At ``p = 1``
+    each extremizer is a multiple of a frame vector, so there are
+    none."""
     if p == 1.0:
         return []
     expo = _holder_conjugate(p) - 1.0
-    step = max(1, _SCORE_ELEMENTS // (2 * B.shape[1]))
+    step = max(1, _SCORE_ELEMENTS // (2 * B.shape[-1]))
     blocks = []
-    for j in range(0, B.shape[0], step):
-        rows = B[j : j + step]
+    for j in range(0, B.shape[-2], step):
+        rows = B[..., j : j + step, :]
         mag = np.abs(rows)
-        top = mag.max(axis=1, keepdims=True)
-        finite = np.isfinite(top[:, 0])
+        top = mag.max(axis=-1, keepdims=True)
+        finite = np.isfinite(top[..., 0])
         if not finite.all():
             if not finite.any():
                 continue
-            rows, mag, top = rows[finite], mag[finite], top[finite]
-        tiny = mag.min() < _TINY  # a zero or subnormal entry
+            keep = finite.reshape(-1)
+            rows, mag, top = rows[..., keep, :], mag[..., keep, :], top[..., keep, :]
+        # a zero or subnormal entry; the masked steps below change no
+        # other entry, so a stack may take them for every trial
+        tiny = mag.min() < _TINY
         if tiny:  # only then can a row be all zero
             top[top == 0.0] = 1.0
         size = (mag / top) ** expo
@@ -318,19 +359,39 @@ def _extremizers(B: np.ndarray, V: np.ndarray, rw1: np.ndarray, p: float) -> lis
         parts = X.view(float).reshape(*X.shape, 2)
         parts *= np.reciprocal(mag, out=mag)[..., None]
         parts *= size[..., None]
-        blocks.append(V.T @ _scale(X, rw1).T)
+        blocks.append(V.T @ _scale(X, rw1).swapaxes(-1, -2))
     return blocks
 
 
 def _column_norms(M: np.ndarray, P: np.ndarray, w: np.ndarray, p: float) -> list:
     """``l^p`` norms of the columns of ``(M @ P) * w[:, None]``, as one
     array per chunk of columns; each ``n x k`` product holds at most
-    ``_SCORE_ELEMENTS`` elements (``k >= 1``)."""
+    ``_SCORE_ELEMENTS`` elements (``k >= 1``).  ``M`` or ``P`` may be a
+    stack of trials; a trial's products keep the shape and the column
+    chunks of its own call."""
     step = max(1, _SCORE_ELEMENTS // len(w))
     return [
-        _pnorm_along(_scale(M @ P[:, c : c + step], w[:, None]), p, axis=0)
-        for c in range(0, P.shape[1], step)
+        _pnorm_along(_scale(M @ P[..., c : c + step], w[:, None]), p, axis=-2)
+        for c in range(0, P.shape[-1], step)
     ]
+
+
+def _trial_slices(T: int, elements: int) -> list:
+    """Consecutive slices of ``T`` trials, ``max(1, _SCORE_ELEMENTS //
+    elements)`` at a time: with ``elements`` a trial's largest
+    temporary, no stacked temporary holds more than ``_SCORE_ELEMENTS``
+    entries, or one trial's when that is larger."""
+    step = max(1, _SCORE_ELEMENTS // elements)
+    return [slice(t, t + step) for t in range(0, T, step)]
+
+
+def _interval_elements(pair1: FramePair, pair2: FramePair) -> int:
+    """A bound on the largest temporary of one trial of
+    :func:`_opnorm_interval`: the buffer ``[analysis2 @ V1^T |
+    analysis2]``, the ``d1 x (10 d1 + n2)`` probe block and the products
+    of the probe scoring."""
+    (n1, d1), n2 = pair1.frame.vectors.shape, len(pair2.frame.vectors)
+    return max(n2 * (n1 + d1), max(d1, n2) * (10 * d1 + n2), n1 * n2)
 
 
 def _probe_denominators(
@@ -412,7 +473,7 @@ def coorbit_opnorm(
     A = _check_operator(O, src.pair, dst.pair)
     p, q = src.seq.p, dst.seq.p
     w1, w2 = src.seq.weight, dst.seq.weight
-    return _opnorm_interval(A, src.pair, dst.pair, p, q, w1, w2, seed)
+    return _opnorm_interval(A[None], src.pair, dst.pair, p, q, w1, w2, seed)[0]
 
 
 def _opnorm_interval(
@@ -424,43 +485,89 @@ def _opnorm_interval(
     w1: np.ndarray,
     w2: np.ndarray,
     seed: int,
-) -> OpNormInterval:
-    """:func:`coorbit_opnorm` of a checked ``d2 x d1`` matrix ``A`` from
-    the ``l^p_w1`` coorbit space of ``pair1`` into the ``l^q_w2`` one of
-    ``pair2``, for exponents and weights that are already checked."""
-    if p == 2.0 and q == np.inf:
-        interval = _l2_to_sup_interval(A, pair1, pair2, w1, w2)
-        if interval is not None:
-            return interval
+) -> list:
+    """:func:`coorbit_opnorm` of each trial of a checked ``(T, d2, d1)``
+    stack ``A`` from the ``l^p_w1`` coorbit space of ``pair1`` into the
+    ``l^q_w2`` one of ``pair2``, for exponents and weights that are
+    already checked: one :class:`OpNormInterval` per trial.
+
+    Each trial gets the bits of its own one-trial call:
+
+    * its BLAS products keep the shape and the column chunks of a
+      one-trial call, as one slice of a stacked ``matmul``, because
+      OpenBLAS rounds the last ``N mod 4`` columns of a product
+      differently;
+    * scalings, finiteness masks, row selection, roots and the argmax
+      are taken per trial, so that one trial's magnitude, overflow or
+      NaN changes no other trial's bits.  A stack in which some trial
+      has a coefficient matrix ``B`` that is not finite is scored one
+      trial at a time, since its extremizers drop rows.
+
+    Trials are scored in chunks (:func:`_trial_slices` of
+    :func:`_interval_elements`), so no stacked temporary holds more than
+    ``_SCORE_ELEMENTS`` entries, or one trial's when that is larger.  The
+    first trial whose lower bound exceeds its upper one raises, as its
+    own call would."""
+    intervals = []
+    for part in _trial_slices(len(A), _interval_elements(pair1, pair2)):
+        stack = A[part]
+        found = [None] * len(stack)
+        if p == 2.0 and q == np.inf:
+            found = _l2_to_sup_interval(stack, pair1, pair2, w1, w2)
+        todo = [t for t, interval in enumerate(found) if interval is None]
+        if todo:
+            rest = stack if len(todo) == len(stack) else stack[todo]
+            swept = _sweep(rest, pair1, pair2, p, q, w1, w2, seed)
+            for t, interval in zip(todo, swept):
+                found[t] = interval
+        intervals += found
+    return intervals
+
+
+def _sweep(A, pair1, pair2, p, q, w1, w2, seed) -> list:
+    """The probe-sweep intervals of the ``(T, d2, d1)`` stack ``A``
+    (see :func:`coorbit_opnorm`)."""
+    T = len(A)
     n1, d1 = pair1.frame.cardinality, pair1.frame.space_dim
     analysis2 = pair2.dual.vectors.conj() @ A
     # [analysis2 @ V1.T | analysis2], rows scaled by w2: its columns are
     # the images of the frame-vector and basis probes, and its first n1
     # columns, scaled by 1 / w1, the coefficient-domain matrix B
-    NB = np.empty((len(w2), n1 + d1), dtype=complex)
-    np.matmul(analysis2, pair1.frame.vectors.T, out=NB[:, :n1])
-    NB[:, n1:] = analysis2
+    NB = np.empty((T, len(w2), n1 + d1), dtype=complex)
+    np.matmul(analysis2, pair1.frame.vectors.T, out=NB[..., :n1])
+    NB[..., n1:] = analysis2
     _scale(NB, w2[:, None])
-    num = _pnorm_along(NB, q, axis=0)
+    num = _pnorm_along(NB, q, axis=-2)
     rw1 = (1.0 / w1).repeat(2)
-    B = _scale(NB[:, :n1], rw1)
+    B = _scale(NB[..., :n1], rw1)
+    if T > 1 and not np.isfinite(B).all():
+        return [
+            interval
+            for t in range(T)
+            for interval in _sweep(A[t : t + 1], pair1, pair2, p, q, w1, w2, seed)
+        ]
 
     # one |B| serves every upper bound: each reads it before any
     # _pnorm_of_abs that overwrites it
     a = np.abs(B)
-    uppers = []
+    uppers = [[] for _ in range(T)]
     if p == q:
-        uppers.append((_schur_bound(a, p), "schur"))
-    row = _pnorm(_pnorm_of_abs(a, _holder_conjugate(p), axis=1), q)
-    uppers.append((row, "row"))
+        rows = a.sum(axis=-1).max(axis=-1, initial=0.0)
+        cols = a.sum(axis=-2).max(axis=-1, initial=0.0)
+        for t in range(T):
+            bound = _schur_combine(float(rows[t]), float(cols[t]), p)
+            uppers[t].append((bound, "schur"))
+    row = _pnorm_rows(_pnorm_of_abs(a, _holder_conjugate(p), axis=-1), q).tolist()
+    for t in range(T):
+        uppers[t].append((row[t], "row"))
     if p == 1.0:  # the row bound took maxima, so a is intact
-        column = float(np.max(_pnorm_of_abs(a, q, axis=0), initial=0.0))
-        uppers.append((column, "column"))
+        column = _pnorm_of_abs(a, q, axis=-2).max(axis=-1, initial=0.0)
+        for t in range(T):
+            uppers[t].append((float(column[t]), "column"))
     del a
     if p == 2.0 and q == 2.0 and np.isfinite(B).all():
-        uppers.append((float(np.linalg.norm(B, 2)), "spectral"))
-    # the first of equal bounds, in the order above, names the upper end
-    upper, upper_source = min(uppers, key=lambda bound: bound[0])
+        for t in range(T):  # a LAPACK call per trial in any case
+            uppers[t].append((float(np.linalg.norm(B[t], 2)), "spectral"))
 
     # only the random and extremizer probes meet A; the random block and
     # the other denominators are remembered per pair, the block fetched
@@ -473,33 +580,52 @@ def _opnorm_interval(
     )
     extremizers = _extremizers(B, pair1.frame.vectors, rw1, p)
     if extremizers:
-        Q = np.concatenate([random, *extremizers], axis=1)
-        ext = Q[:, random.shape[1] :]
-        den = np.concatenate(
-            [den, *_column_norms(pair1.dual.vectors.conj(), ext, w1, p)]
-        )
+        Q = _shared_then(random, extremizers)
+        ext = Q[..., random.shape[1] :]
+        den = _shared_then(den, _column_norms(pair1.dual.vectors.conj(), ext, w1, p))
     else:
         Q = random
-    num = np.concatenate([num, *_column_norms(analysis2, Q, w2, q)])
+    num = np.concatenate([num, *_column_norms(analysis2, Q, w2, q)], axis=-1)
     live = (den > 0.0) & np.isfinite(den) & np.isfinite(num)
     ratios = np.zeros_like(num)
     np.divide(num, den, out=ratios, where=live)
-    best = int(np.argmax(ratios))
-    lower = float(ratios[best])
+    best = np.argmax(ratios, axis=-1).tolist()
     # probes are scored in the order frame, basis, random, extremizer, and
     # argmax takes the first of equal ratios
     ends = (n1, n1 + d1, n1 + d1 + random.shape[1])
-    lower_source = _PROBE_CLASSES[sum(best >= end for end in ends)]
-    _check_order(lower, upper)
-    return OpNormInterval(
-        min(lower, upper),
-        upper,
-        upper_source=upper_source,
-        lower_source=lower_source if lower > 0.0 else "none",
-    )
+    intervals = []
+    for t in range(T):
+        # the first of equal bounds, in the order above, names the upper end
+        upper, upper_source = min(uppers[t], key=lambda bound: bound[0])
+        lower = float(ratios[t, best[t]])
+        lower_source = _PROBE_CLASSES[sum(best[t] >= end for end in ends)]
+        _check_order(lower, upper)
+        intervals.append(
+            OpNormInterval(
+                min(lower, upper),
+                upper,
+                upper_source=upper_source,
+                lower_source=lower_source if lower > 0.0 else "none",
+            )
+        )
+    return intervals
 
 
 _PROBE_CLASSES = ("frame", "basis", "random", "extremizer")
+
+
+def _shared_then(shared: np.ndarray, blocks: list) -> np.ndarray:
+    """``shared``, the same for every trial, followed along the last axis
+    by the ``(T, ..., k)`` ``blocks``: a new ``(T, ...)`` stack, built
+    without a broadcast copy of ``shared``."""
+    width = shared.shape[-1]
+    out = np.empty(
+        (len(blocks[0]), *shared.shape[:-1], width + sum(b.shape[-1] for b in blocks)),
+        dtype=blocks[0].dtype,
+    )
+    out[..., :width] = shared
+    np.concatenate(blocks, axis=-1, out=out[..., width:])
+    return out
 
 
 def _check_order(lower: float, upper: float) -> None:
@@ -511,16 +637,21 @@ def _check_order(lower: float, upper: float) -> None:
         )
 
 
-def _binade(x: np.ndarray) -> int:
+def _binade(x: np.ndarray, axis=None):
     """The exponent ``e`` with the largest magnitude among the real and
     imaginary parts of the C-contiguous ``x`` in ``[2**(e-1), 2**e)``, and
-    0 for an array of zeros: ``x * 2**-e`` has parts of at most 1."""
-    return int(np.frexp(np.abs(x.view(float)).max(initial=0.0))[1])
+    0 for an array of zeros: ``x * 2**-e`` has parts of at most 1.  With
+    ``axis``, an integer array of one exponent per trial of the stack
+    ``x``, over the given axes of ``x.view(float)``."""
+    top = np.abs(x.view(float)).max(axis=axis, initial=0.0)
+    e = np.frexp(top)[1]
+    return int(e) if axis is None else e
 
 
-def _ldexp(x: np.ndarray, e: int) -> np.ndarray:
+def _ldexp(x: np.ndarray, e) -> np.ndarray:
     """A new array ``x * 2**e`` for the C-contiguous ``x``, each real and
-    imaginary part scaled exactly unless it leaves the normal range."""
+    imaginary part scaled exactly unless it leaves the normal range;
+    ``e`` broadcasts against ``x.view(float)``."""
     return np.ldexp(x.view(float), e).view(x.dtype)
 
 
@@ -545,11 +676,12 @@ _ROW_TIE = 2.0**-20
 
 def _l2_to_sup_interval(
     A: np.ndarray, pair1: FramePair, pair2: FramePair, w1: np.ndarray, w2: np.ndarray
-) -> OpNormInterval | None:
-    """The norm of ``A`` from the ``l^2_w1`` coorbit space of ``pair1``
-    into the ``l^inf_w2`` one of ``pair2`` in closed form, or ``None``
-    when the weighted Gram of ``pair1`` cannot be inverted or the bounds
-    are not finite.
+) -> list:
+    """The norm of each trial of the ``(T, d2, d1)`` stack ``A`` from the
+    ``l^2_w1`` coorbit space of ``pair1`` into the ``l^inf_w2`` one of
+    ``pair2`` in closed form, as a list with ``None`` for a trial whose
+    bounds are not finite, and ``None`` for every trial when the
+    weighted Gram of ``pair1`` cannot be inverted.
 
     With ``A1 = diag(w1) C_dual1``, ``G = A1^H A1`` and the weighted rows
     ``r_i = w2_i (C_dual2 A)_i``, the norm is ``max_i s_i`` with
@@ -577,53 +709,72 @@ def _l2_to_sup_interval(
     end: a norm beyond the float range gives ``(inf, inf)``, and one
     below the normal range is rounded to the nearest subnormal, without
     a warning.
+
+    The ranking is stacked; the powers of two are taken per trial, and
+    the tie rows of each trial, whose number varies, are bounded one
+    trial at a time (:func:`_l2_bounds`).
     """
+    T = len(A)
     e1 = _binade(w1)
     w1s = np.ldexp(w1, -e1)
     factor = _remembered(
         pair1, ("l2", w1.tobytes()), lambda: _weighted_analysis(pair1, w1s)
     )
     if factor is None:
-        return None
+        return [None] * T
     A1, G_inv = factor
     A = np.ascontiguousarray(A)
-    eA, e2 = _binade(A), _binade(w2)
-    A = _ldexp(A, -eA)
+    eA, e2 = _binade(A, axis=(-2, -1)), _binade(w2)
+    A = _ldexp(A, -eA[:, None, None])
     R = pair2.dual.vectors.conj() @ A
     R *= np.ldexp(w2, -e2)[:, None]
-    eR = _binade(R)
-    R = _ldexp(R, -eR)
-    w2s = np.ldexp(w2, -e2 - eR)  # R is w2s * (C_dual2 A), rounded
-    e = eA + e2 + eR - e1
+    eR = _binade(R, axis=(-2, -1))
+    R = _ldexp(R, -eR[:, None, None])
+    # R[t] is w2s[t] * (C_dual2 A[t]), rounded
+    w2s = np.ldexp(w2, -e2 - eR[:, None])
+    sigma = w1s.min() * math.sqrt(pair1.dual.bounds[0])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        X = G_inv @ R.conj().T
-        s2 = np.einsum("jk,kj->j", R, X).real
-        top = s2.max()
-        if not np.isfinite(top):
-            return None
-        if top == 0.0:  # R = 0
-            return OpNormInterval(
-                0.0, 0.0, upper_source="exact-l2", lower_source="none"
+        X = G_inv @ R.conj().swapaxes(-1, -2)
+        s2 = np.einsum("tjk,tkj->tj", R, X).real
+        tops = s2.max(axis=-1)
+        intervals = []
+        for t in range(T):
+            e = int(eA[t]) + e2 + int(eR[t]) - e1
+            intervals.append(
+                _l2_bounds(
+                    A[t], X[t], s2[t], tops[t], w2s[t], e, pair2, A1, sigma
+                )
             )
-        rows = np.flatnonzero(s2 >= top * (1.0 - _ROW_TIE))
-        x = X[:, rows].astype(np.clongdouble)
-        r = pair2.dual.vectors[rows].conj().astype(np.clongdouble) @ A
-        r *= w2s[rows, None]
-        y = A1 @ x
-        res = r.conj().T - (y.conj().T @ A1).conj().T
-        energy = (np.abs(y) ** 2).sum(axis=0)
-        sigma = w1s.min() * math.sqrt(pair1.dual.bounds[0])
-        upper = np.sqrt(
-            energy
-            + 2.0 * (x.conj() * res).sum(axis=0).real
-            + (np.abs(res) ** 2).sum(axis=0) / sigma**2
-        ).max()
-        lower = (np.abs((r * x.T).sum(axis=1)) / np.sqrt(energy)).max()
-        upper, lower = _outward(upper, np.inf), _outward(lower, -np.inf)
-        if not math.isfinite(upper):
-            return None
-        _check_order(lower, upper)
-        lower, upper = np.ldexp([min(lower, upper), upper], e)
+    return intervals
+
+
+def _l2_bounds(A, X, s2, top, w2s, e, pair2, A1, sigma) -> OpNormInterval | None:
+    """One trial of :func:`_l2_to_sup_interval`, from its scaled ``A``,
+    its witnesses ``X``, their double-precision ``s2`` and its largest
+    ``top``: the extended-precision bounds of its tie rows, scaled back
+    by ``2**e``."""
+    if not np.isfinite(top):
+        return None
+    if top == 0.0:  # R = 0
+        return OpNormInterval(0.0, 0.0, upper_source="exact-l2", lower_source="none")
+    rows = np.flatnonzero(s2 >= top * (1.0 - _ROW_TIE))
+    x = X[:, rows].astype(np.clongdouble)
+    r = pair2.dual.vectors[rows].conj().astype(np.clongdouble) @ A
+    r *= w2s[rows, None]
+    y = A1 @ x
+    res = r.conj().T - (y.conj().T @ A1).conj().T
+    energy = (np.abs(y) ** 2).sum(axis=0)
+    upper = np.sqrt(
+        energy
+        + 2.0 * (x.conj() * res).sum(axis=0).real
+        + (np.abs(res) ** 2).sum(axis=0) / sigma**2
+    ).max()
+    lower = (np.abs((r * x.T).sum(axis=1)) / np.sqrt(energy)).max()
+    upper, lower = _outward(upper, np.inf), _outward(lower, -np.inf)
+    if not math.isfinite(upper):
+        return None
+    _check_order(lower, upper)
+    lower, upper = np.ldexp([min(lower, upper), upper], e)
     return OpNormInterval(
         lower,
         upper,

@@ -27,13 +27,12 @@ from .generators import (
 from .localisation import JaffardParams, jaffard_norm, poly_weight, schur_weighted_bound
 from .tensor_kernels import correspondence_residual, galerkin, synthesize_kernel
 from .theorems import (
+    _independence_reports,
+    _inner_reports,
+    _opnorm_report,
+    _projective_reports,
+    _schatten_reports,
     compress_operator,
-    schatten_check,
-    schur_characterization,
-    verify_frame_independence,
-    verify_inner,
-    verify_outer,
-    verify_projective,
 )
 
 
@@ -51,24 +50,38 @@ def _families(fast: bool):
     }
 
 
-def _random_op(d2, d1, seed, trial):
-    return random_operator(d2, d1, kind="dense", seed=seed * 1000 + trial)
+def _random_op(draws, d2, d1, seed, trial):
+    """The seeded trial operator ``(d2, d1, seed, trial)``, read-only,
+    drawn once per run: ``draws`` is the run's own table."""
+    key = (d2, d1, seed, trial)
+    O = draws.get(key)
+    if O is None:
+        O = random_operator(d2, d1, kind="dense", seed=seed * 1000 + trial)
+        O.flags.writeable = False
+        draws[key] = O
+    return O
 
 
-def check_kernel_roundtrip(seed: int, fast: bool):
+def _random_ops(draws, d2, d1, seed, trials):
+    """The ``(T, d2, d1)`` stack of the seeded trial operators of
+    ``trials``, for the verifier cores."""
+    return np.stack([_random_op(draws, d2, d1, seed, t) for t in trials])
+
+
+def check_kernel_roundtrip(seed: int, fast: bool, draws):
     trials = 4 if fast else 34
     worst = 0.0
     for name, pair in _families(fast).items():
         d = pair.frame.space_dim
         for t in range(trials):
-            O = _random_op(d, d, seed, t)
+            O = _random_op(draws, d, d, seed, t)
             back = synthesize_kernel(galerkin(O, pair, pair), pair, pair)
             rel = np.linalg.norm(back - O) / np.linalg.norm(O)
             worst = max(worst, rel)
     return worst <= 1e-9, {"worst_relative_error": float(worst), "trials": trials}
 
 
-def check_correspondence(seed: int, fast: bool):
+def check_correspondence(seed: int, fast: bool, draws):
     trials = 5 if fast else 50
     worst_res = 0.0
     worst_idem = 0.0
@@ -77,7 +90,7 @@ def check_correspondence(seed: int, fast: bool):
         n = pair.frame.cardinality
         rng = substream(seed, "suite", "correspondence", name)
         for t in range(trials):
-            O = _random_op(d, d, seed, t)
+            O = _random_op(draws, d, d, seed, t)
             worst_res = max(
                 worst_res, correspondence_residual(galerkin(O, pair, pair), pair, pair)
             )
@@ -91,103 +104,135 @@ def check_correspondence(seed: int, fast: bool):
     }
 
 
-def check_outer_onb(seed: int, fast: bool):
+# The checks below score all trials of one family and weight as one stack
+# through the verifier cores, once per (p, variant), then scan the reports
+# in (trial, weight, p, variant) order, so the first failure they name is
+# the one a trial-by-trial loop would meet first.
+
+
+def check_outer_onb(seed: int, fast: bool, draws):
     d = 8 if fast else 16
     trials = 10 if fast else 100
     pair = canonical_dual(onb(d))
     weights = [np.ones(d), poly_weight(pair.frame.index_set, 1.0)]
+    ops = _random_ops(draws, d, d, seed, range(trials))
+    reports = [
+        _opnorm_report(ops, pair, pair, w, w, 1.0, "ii", seed, outer=True)
+        for w in weights
+    ]
     worst = 0.0
     for t in range(trials):
-        O = _random_op(d, d, seed, t)
-        for w in weights:
-            rep = verify_outer(O, pair, pair, w, w, seed=seed)
+        for rep in (by_weight[t] for by_weight in reports):
             if not rep.passed:
                 return False, {"failed_trial": t}
             worst = max(worst, abs(rep.ratio - 1.0))
     return worst <= 1e-9, {"worst_ratio_gap": float(worst), "trials": trials}
 
 
-def check_outer_gabor(seed: int, fast: bool):
+def check_outer_gabor(seed: int, fast: bool, draws):
     N = 8
     pair = canonical_dual(finite_gabor(N, 2, 2, gaussian_window(N)))
     trials = 5 if fast else 20
     w = np.ones(pair.frame.cardinality)
-    for t in range(trials):
-        O = _random_op(N, N, seed, t)
-        rep = verify_outer(O, pair, pair, w, w, seed=seed)
+    ops = _random_ops(draws, N, N, seed, range(trials))
+    reports = _opnorm_report(ops, pair, pair, w, w, 1.0, "ii", seed, outer=True)
+    for t, rep in enumerate(reports):
         if not rep.passed:
             return False, {"failed_trial": t, "ratio": rep.ratio}
     return True, {"trials": trials}
 
 
-def check_schur_onb(seed: int, fast: bool):
+def _schur_scan(reports, trials, cases):
+    """The first failing ``(trial, p, variant)`` of ``reports[case]``
+    in trial-major order, with its report, or ``None``."""
+    for t in range(trials):
+        for case in cases:
+            rep = reports[case][t]
+            if not rep.passed:
+                return [t, *case], rep
+    return None
+
+
+def check_schur_onb(seed: int, fast: bool, draws):
     d = 6 if fast else 12
     pair = canonical_dual(onb(d))
     w = np.ones(d)
-    worst = 0.0
     trials = 3 if fast else 20
-    for t in range(trials):
-        O = _random_op(d, d, seed, t)
-        for p in (1.0, 2.0, np.inf):
-            for variant in ("i", "ii"):
-                rep = schur_characterization(O, pair, pair, w, w, p, variant, seed=seed)
-                if not rep.passed:
-                    return False, {"failed": [t, p, variant]}
-                worst = max(worst, abs(rep.ratio - 1.0))
+    ops = _random_ops(draws, d, d, seed, range(trials))
+    cases = [(p, variant) for p in (1.0, 2.0, np.inf) for variant in ("i", "ii")]
+    reports = {
+        (p, variant): _opnorm_report(ops, pair, pair, w, w, p, variant, seed)
+        for p, variant in cases
+    }
+    failed = _schur_scan(reports, trials, cases)
+    if failed is not None:
+        return False, {"failed": failed[0]}
+    ratios = [rep.ratio for by_case in reports.values() for rep in by_case]
+    worst = max(0.0, *(abs(ratio - 1.0) for ratio in ratios))
     return worst <= 1e-9, {"worst_ratio_gap": float(worst)}
 
 
-def check_schur_gabor(seed: int, fast: bool):
+def check_schur_gabor(seed: int, fast: bool, draws):
     N = 8
     pair = canonical_dual(finite_gabor(N, 2, 2, gaussian_window(N)))
     w = np.ones(pair.frame.cardinality)
     trials = 5 if fast else 50
-    for t in range(trials):
-        O = _random_op(N, N, seed, t)
-        for p, variant in ((2.0, "i"), (2.0, "ii")):
-            rep = schur_characterization(O, pair, pair, w, w, p, variant, seed=seed)
-            if not rep.passed:
-                return False, {"failed": [t, p, variant], "ratio": rep.ratio}
+    ops = _random_ops(draws, N, N, seed, range(trials))
+    cases = [(2.0, "i"), (2.0, "ii")]
+    reports = {
+        (p, variant): _opnorm_report(ops, pair, pair, w, w, p, variant, seed)
+        for p, variant in cases
+    }
+    failed = _schur_scan(reports, trials, cases)
+    if failed is not None:
+        return False, {"failed": failed[0], "ratio": failed[1].ratio}
     return True, {"trials": trials}
 
 
-def check_projective(seed: int, fast: bool):
+def _sandwich_scan(onb_reports, mercedes_reports):
+    """The first failure of the ONB and Mercedes reports of each trial,
+    in that order, as the details of a failed check, or ``None``."""
+    for t, (rep, rep2) in enumerate(zip(onb_reports, mercedes_reports)):
+        if not rep.passed:
+            return {"failed_trial": t}
+        if not rep2.passed:
+            return {"failed_trial": t, "family": "mercedes"}
+    return None
+
+
+def check_projective(seed: int, fast: bool, draws):
     d = 4 if fast else 8
     pair_onb = canonical_dual(onb(d))
     pair_mer = canonical_dual(mercedes())
     w = np.ones(d)
     w3 = np.ones(3)
     trials = 10 if fast else 50
-    worst = 0.0
-    for t in range(trials):
-        K = _random_op(d, d, seed, t)
-        rep = verify_projective(K, pair_onb, pair_onb, w, w)
-        if not rep.passed:
-            return False, {"failed_trial": t}
-        worst = max(worst, abs(rep.ratio - 1.0))
-        K2 = _random_op(2, 2, seed, t + trials)
-        rep2 = verify_projective(K2, pair_mer, pair_mer, w3, w3)
-        if not rep2.passed:
-            return False, {"failed_trial": t, "family": "mercedes"}
+    K = _random_ops(draws, d, d, seed, range(trials))
+    K2 = _random_ops(draws, 2, 2, seed, range(trials, 2 * trials))
+    reports = _projective_reports(K, pair_onb, pair_onb, w, w)
+    failed = _sandwich_scan(
+        reports, _projective_reports(K2, pair_mer, pair_mer, w3, w3)
+    )
+    if failed is not None:
+        return False, failed
+    worst = max(0.0, *(abs(rep.ratio - 1.0) for rep in reports))
     return worst <= 1e-10, {"worst_onb_ratio_gap": float(worst), "trials": trials}
 
 
-def check_inner(seed: int, fast: bool):
+def check_inner(seed: int, fast: bool, draws):
     d = 4 if fast else 8
     pair_onb = canonical_dual(onb(d))
     pair_mer = canonical_dual(mercedes())
     trials = 5 if fast else 20
-    worst = 0.0
-    for t in range(trials):
-        K = _random_op(d, d, seed, t)
-        rep = verify_inner(K, pair_onb, pair_onb, np.ones(d), np.ones(d))
-        if not rep.passed:
-            return False, {"failed_trial": t}
-        worst = max(worst, abs(rep.ratio - 1.0))
-        K2 = _random_op(2, 2, seed, t + trials)
-        rep2 = verify_inner(K2, pair_mer, pair_mer, np.ones(3), np.ones(3))
-        if not rep2.passed:
-            return False, {"failed_trial": t, "family": "mercedes"}
+    K = _random_ops(draws, d, d, seed, range(trials))
+    K2 = _random_ops(draws, 2, 2, seed, range(trials, 2 * trials))
+    reports = _inner_reports(K, pair_onb, pair_onb, np.ones(d), np.ones(d))
+    failed = _sandwich_scan(
+        reports, _inner_reports(K2, pair_mer, pair_mer, np.ones(3), np.ones(3))
+    )
+    if failed is not None:
+        return False, failed
+    worst = max(0.0, *(abs(rep.ratio - 1.0) for rep in reports))
     return worst <= 1e-10, {"worst_onb_ratio_gap": float(worst)}
 
 
@@ -198,40 +243,39 @@ def _rotated_onb(d: int, seed: int):
     return canonical_dual(Frame(d, linear_index_set(d), q))
 
 
-def check_independence(seed: int, fast: bool):
+def check_independence(seed: int, fast: bool, draws):
     d = 4
     trials = 10 if fast else 100
     pair = canonical_dual(onb(d))
     rot = _rotated_onb(d, seed)
     spec = MixedSpaceSpec(np.inf, np.inf, 0, np.ones((d, d)))
+    ops = _random_ops(draws, d, d, seed, range(trials))
+    rotated = _independence_reports(ops, (pair, pair), (rot, rot), spec)
+    same = _independence_reports(ops, (pair, pair), (pair, pair), spec)
     for t in range(trials):
-        O = _random_op(d, d, seed, t)
-        rep = verify_frame_independence(O, (pair, pair), (rot, rot), spec)
-        if not rep.passed:
-            return False, {"failed_trial": t, "ratio": rep.ratio}
-        same = verify_frame_independence(O, (pair, pair), (pair, pair), spec)
-        if abs(same.ratio - 1.0) > 1e-12:
-            return False, {"failed_trial": t, "identical_frames_ratio": same.ratio}
+        if not rotated[t].passed:
+            return False, {"failed_trial": t, "ratio": rotated[t].ratio}
+        if abs(same[t].ratio - 1.0) > 1e-12:
+            return False, {"failed_trial": t, "identical_frames_ratio": same[t].ratio}
     return True, {"trials": trials}
 
 
-def check_schatten(seed: int, fast: bool):
+def check_schatten(seed: int, fast: bool, draws):
     d = 8 if fast else 16
     pair = canonical_dual(onb(d))
     trials = 10 if fast else 50
-    worst_eq = 0.0
+    ops = _random_ops(draws, d, d, seed, range(trials))
+    exponents = (1.0, 1.5, 2.0)
+    reports = {p: _schatten_reports(ops, pair, pair, p) for p in exponents}
     for t in range(trials):
-        O = _random_op(d, d, seed, t)
-        for p in (1.0, 1.5, 2.0):
-            rep = schatten_check(O, pair, pair, p)
-            if not rep.passed:
+        for p in exponents:
+            if not reports[p][t].passed:
                 return False, {"failed": [t, p]}
-            if p == 2.0:
-                worst_eq = max(worst_eq, abs(rep.ratio - 1.0))
+    worst_eq = max(0.0, *(abs(rep.ratio - 1.0) for rep in reports[2.0]))
     return worst_eq <= 1e-10, {"worst_p2_ratio_gap": float(worst_eq)}
 
 
-def check_gabor_tightness(seed: int, fast: bool):
+def check_gabor_tightness(seed: int, fast: bool, draws):
     N = 8 if fast else 16
     rng = substream(seed, "suite", "gabor_window", N)
     windows = [
@@ -248,7 +292,7 @@ def check_gabor_tightness(seed: int, fast: bool):
     return worst <= 1e-9, {"worst_gap": float(worst)}
 
 
-def check_decaying_jaffard(seed: int, fast: bool):
+def check_decaying_jaffard(seed: int, fast: bool, draws):
     seeds = 5 if fast else 20
     worst = 0.0
     for s in range(seeds):
@@ -258,7 +302,7 @@ def check_decaying_jaffard(seed: int, fast: bool):
     return worst <= 2.0, {"max_jaffard_norm": float(worst), "seeds": seeds}
 
 
-def check_element_norm_bounds(seed: int, fast: bool):
+def check_element_norm_bounds(seed: int, fast: bool, draws):
     worst = 0.0
     for name, pair in _families(fast).items():
         n = pair.frame.cardinality
@@ -271,7 +315,7 @@ def check_element_norm_bounds(seed: int, fast: bool):
     return worst <= 1.0 + 1e-9, {"worst_normalized_element_norm": float(worst)}
 
 
-def check_compression(seed: int, fast: bool):
+def check_compression(seed: int, fast: bool, draws):
     N = 8 if fast else 16
     pair = canonical_dual(finite_gabor(N, 2, 2, gaussian_window(N)))
     n = pair.frame.cardinality
@@ -320,9 +364,10 @@ def run_suite(name: str = "fast", seed: int = 0) -> dict:
     fast = name == "fast"
     t_start = time.perf_counter()
     results = []
+    draws = {}  # this run's seeded trial operators, dropped when it ends
     for check_name, fn in CHECKS:
         t0 = time.perf_counter()
-        ok, details = fn(seed, fast)
+        ok, details = fn(seed, fast, draws)
         results.append(
             {
                 "name": check_name,

@@ -31,12 +31,15 @@ def galerkin(O, pair1: FramePair, pair2: FramePair) -> np.ndarray:
 
     The result is a row-major (C-contiguous) ``n1 x n2`` array.
     """
-    return _galerkin(_check_operator(O, pair1, pair2), pair1, pair2)
+    return _galerkin(_check_operator(O, pair1, pair2)[None], pair1, pair2)[0]
 
 
 def _galerkin(A: np.ndarray, pair1: FramePair, pair2: FramePair) -> np.ndarray:
-    """:func:`galerkin` of an already checked ``d2 x d1`` matrix ``A``."""
-    return pair1.dual.vectors @ (A.T @ pair2.dual.vectors.conj().T)
+    """:func:`galerkin` of each trial of a checked ``(T, d2, d1)`` stack
+    ``A``, as a C-contiguous ``(T, n1, n2)`` stack; each trial's two
+    products are slices of stacked ``matmul`` calls with the shapes of
+    a one-trial call, so they have its bits."""
+    return pair1.dual.vectors @ (A.swapaxes(-1, -2) @ pair2.dual.vectors.conj().T)
 
 
 def synthesize_kernel(k, pair1: FramePair, pair2: FramePair) -> np.ndarray:

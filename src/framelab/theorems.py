@@ -39,13 +39,14 @@ import numpy as np
 from .coorbit import (
     MixedSpaceSpec,
     _check_grid,
+    _grid_norm,
     _holder_conjugate,
     _opnorm_interval,
-    _pnorm,
     _pnorm_along,
     _pnorm_of_abs,
+    _pnorm_rows,
+    _trial_slices,
     _weight_grid,
-    mixed_norm,
 )
 from .frames import FramePair, _check_operator, cross_gram
 from .localisation import (
@@ -161,31 +162,17 @@ def _onb_equality(passed: bool, ratio: float, budget: float) -> bool:
     return bool(passed)
 
 
-def _grid_norm(k: np.ndarray, grid: np.ndarray, p: float, axis: int, q: float) -> float:
-    """``mixed_norm(k, MixedSpaceSpec(p, q, axis, grid))`` of a Galerkin
-    matrix on a checked weight grid, with the same arithmetic and without
-    building the spec.  ``k`` is checked only when the norm is not
-    finite, which rejects a Galerkin matrix that overflowed."""
-    a = np.abs(k)
-    a *= grid
-    norm = _pnorm(_pnorm_of_abs(a, p, axis), q)
-    if not math.isfinite(norm):
-        as_matrix(k)
-    return norm
-
-
 # ---------------------------------------------------------------------------
 # kernel mixed norm vs operator norm: the outer correspondence and the
 # Schur-test characterisations of intermediate operator classes
 
 
-def _opnorm_report(
-    O, pair1, pair2, w1, w2, p, variant, seed, outer=False
-) -> VerificationReport:
+def _opnorm_report(A, pair1, pair2, w1, w2, p, variant, seed, outer=False) -> list:
     """The Schur ``variant`` check at ``p`` of maps from a weighted
     coorbit space of ``pair1`` into a dual one of ``pair2``, for checked
-    weights; with ``outer``, the outer check, which is variant ``"ii"`` at
-    ``p = 1`` with the kernel on the left of the ratio.
+    weights, on each trial of a checked ``(T, d2, d1)`` stack ``A``: one
+    report per trial; with ``outer``, the outer check, which is variant
+    ``"ii"`` at ``p = 1`` with the kernel on the left of the ratio.
 
     Variant ``"i"`` maps ``l^1_w1`` into ``l^p`` and measures the kernel
     with inner exponent ``p`` along the second index; variant ``"ii"``
@@ -202,76 +189,90 @@ def _opnorm_report(
     verdict fails.  ``details`` names the bound that gave each end of
     the interval under ``"opnorm_upper_source"`` and
     ``"opnorm_lower_source"`` (see :class:`coorbit.OpNormInterval`).
+
+    The kernels are measured in the chunks of
+    :func:`coorbit._trial_slices`, and the intervals chunk their own
+    trials, so no stacked temporary holds more than ``_SCORE_ELEMENTS``
+    entries (or one trial's); each report has the bits of its trial's
+    one-trial call (see :func:`coorbit._opnorm_interval`).
     """
     if variant == "i":
         p_src, p_dst, kernel_exp, inner_axis = 1.0, p, p, 1
     else:
         p_src, p_dst, kernel_exp, inner_axis = p, np.inf, _holder_conjugate(p), 0
-    A = _check_operator(O, pair1, pair2)
+    n1, n2 = pair1.frame.cardinality, pair2.frame.cardinality
     # only overflow and division by zero are silenced: an invalid
     # operation still warns
     with np.errstate(over="ignore", divide="ignore"):
         grid = _check_grid(1.0 / np.outer(w1, w2))
         w2_dst = _check_positive(1.0 / w2)
-        k = _galerkin(A, pair1, pair2)
-        # _grid_norm's arithmetic, inline so that ``a`` (n1 x n2) is freed
-        # only after the interval: freeing it before moved opnorm-grid's
-        # op_cal by about +20%, through the allocator's state
-        a = np.abs(k)
-        a *= grid
-        kernel = _pnorm(_pnorm_of_abs(a, kernel_exp, inner_axis), np.inf)
-        if not math.isfinite(kernel):
-            as_matrix(k)  # rejects a Galerkin matrix that overflowed
-        interval = _opnorm_interval(
-            A, pair1, pair2, p_src, p_dst, w1, w2_dst, seed
-        )
+        kernels = []
+        for part in _trial_slices(len(A), n1 * n2):
+            k = _galerkin(A[part], pair1, pair2)
+            # _grid_norm's arithmetic, inline so that the last ``a`` is
+            # freed only after the intervals: freeing it before moved
+            # opnorm-grid's op_cal by about +20%, through the allocator's
+            # state
+            a = np.abs(k)
+            a *= grid
+            chunk = _pnorm_of_abs(a, kernel_exp, inner_axis - 2)
+            for t, kernel in enumerate(chunk.max(axis=-1, initial=0.0).tolist()):
+                if not math.isfinite(kernel):
+                    as_matrix(k[t])  # rejects a Galerkin matrix that overflowed
+                kernels.append(kernel)
+        intervals = _opnorm_interval(A, pair1, pair2, p_src, p_dst, w1, w2_dst, seed)
 
     c_a = _gram_schur_bound(pair1.frame, w1, p_src)
     c_b = _gram_schur_bound(pair1.dual, w1, p_src)
-    passed = _within(kernel, c_b, interval.upper) and _within(
-        interval.lower, c_a, kernel
-    )
-    bounds = {"opnorm_lower": interval.lower, "opnorm_upper": interval.upper}
-    sources = {
-        "opnorm_upper_source": interval.upper_source,
-        "opnorm_lower_source": interval.lower_source,
-    }
-    schur = {"gram_schur_bound": c_a, "dual_gram_schur_bound": c_b}
-    if outer:
-        name, lhs, rhs = "outer", kernel, interval.midpoint
-        details = {**bounds, **sources, "opnorm_exact": interval.exact, **schur}
-    else:
-        name, lhs, rhs = f"schur-{variant}", interval.midpoint, kernel
-        details = {
-            "variant": variant,
-            "p": p,
-            "kernel_inner_exponent": kernel_exp,
-            "exponent_note": (
-                "variant ii measures the kernel with the Hoelder conjugate "
-                "of p along the first index; the orthonormal-frame oracle "
-                "fixes this choice"
-            ),
-            **bounds,
-            **sources,
-            **schur,
-        }
-    overflowed = [
-        key
-        for key, x in (("kernel", kernel), *bounds.items())
-        if not math.isfinite(x)
-    ]
-    if overflowed:
-        details["overflowed"] = overflowed
     budget = max(c_a, c_b)
-    return _report(
-        name,
-        lhs,
-        rhs,
-        budget,
-        _onb_equality(passed, _safe_ratio(lhs, rhs), budget),
-        details,
-        seed,
-    )
+    schur = {"gram_schur_bound": c_a, "dual_gram_schur_bound": c_b}
+    reports = []
+    for kernel, interval in zip(kernels, intervals):
+        passed = _within(kernel, c_b, interval.upper) and _within(
+            interval.lower, c_a, kernel
+        )
+        bounds = {"opnorm_lower": interval.lower, "opnorm_upper": interval.upper}
+        sources = {
+            "opnorm_upper_source": interval.upper_source,
+            "opnorm_lower_source": interval.lower_source,
+        }
+        if outer:
+            name, lhs, rhs = "outer", kernel, interval.midpoint
+            details = {**bounds, **sources, "opnorm_exact": interval.exact, **schur}
+        else:
+            name, lhs, rhs = f"schur-{variant}", interval.midpoint, kernel
+            details = {
+                "variant": variant,
+                "p": p,
+                "kernel_inner_exponent": kernel_exp,
+                "exponent_note": (
+                    "variant ii measures the kernel with the Hoelder conjugate "
+                    "of p along the first index; the orthonormal-frame oracle "
+                    "fixes this choice"
+                ),
+                **bounds,
+                **sources,
+                **schur,
+            }
+        overflowed = [
+            key
+            for key, x in (("kernel", kernel), *bounds.items())
+            if not math.isfinite(x)
+        ]
+        if overflowed:
+            details["overflowed"] = overflowed
+        reports.append(
+            _report(
+                name,
+                lhs,
+                rhs,
+                budget,
+                _onb_equality(passed, _safe_ratio(lhs, rhs), budget),
+                details,
+                seed,
+            )
+        )
+    return reports
 
 
 def verify_outer(
@@ -286,7 +287,8 @@ def verify_outer(
     Gram and dual Gram.
     """
     w1, w2 = _check_weights(pair1, pair2, w1, w2)
-    return _opnorm_report(O, pair1, pair2, w1, w2, 1.0, "ii", seed, outer=True)
+    A = _check_operator(O, pair1, pair2)
+    return _opnorm_report(A[None], pair1, pair2, w1, w2, 1.0, "ii", seed, outer=True)[0]
 
 
 def schur_characterization(
@@ -316,7 +318,8 @@ def schur_characterization(
         raise PreconditionError(f"variant must be 'i' or 'ii', got {variant!r}")
     p = _check_exponent(p, "p=")
     w1, w2 = _check_weights(pair1, pair2, w1, w2)
-    return _opnorm_report(O, pair1, pair2, w1, w2, p, variant, seed)
+    A = _check_operator(O, pair1, pair2)
+    return _opnorm_report(A[None], pair1, pair2, w1, w2, p, variant, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -335,14 +338,17 @@ def _element_norms(pair: FramePair, w: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _projective_sides(K, pair1: FramePair, pair2: FramePair, w1, w2):
-    """``(c, lower, upper, budget, passed)``: the Galerkin coefficients of
-    a kernel, their weighted summed norm, the nuclear sum
-    ``sum |c_ij| ||psi1_i|| ||psi2_j||`` with element norms in the
-    weighted-l1 coorbit norm, the product of the two Schur certificates
-    for ``||psi_i|| <= C w_i``, and whether ``lower <= upper <= budget
-    lower``."""
+    """``(c, lower, upper, budget, passed)`` of each trial of a checked
+    ``(T, d2, d1)`` stack ``K`` of kernels: their ``(T, n1, n2)`` Galerkin
+    coefficients, and per trial, as lists, the weighted summed norm, the
+    nuclear sum ``sum |c_ij| ||psi1_i|| ||psi2_j||`` with element norms
+    in the weighted-l1 coorbit norm and whether ``lower <= upper <=
+    budget lower``; the budget, the product of the two Schur
+    certificates for ``||psi_i|| <= C w_i``, is one for all trials.
+    Each nuclear sum is a ``gemv`` and a ``dot`` of its own trial, as in
+    a one-trial call."""
     c = _galerkin(K, pair1, pair2)
-    lower = _grid_norm(c, _check_grid(_weight_grid(w1, w2)), 1.0, 0, 1.0)
+    lower = _grid_norm(c, _check_grid(_weight_grid(w1, w2)), 1.0, 0, 1.0).tolist()
     norms = []
     budget = 1.0
     for pair, w in ((pair1, w1), (pair2, w2)):
@@ -351,9 +357,51 @@ def _projective_sides(K, pair1: FramePair, pair2: FramePair, w1, w2):
         )
         norms.append(side)
         budget *= certificate
-    upper = float(norms[0] @ np.abs(c) @ norms[1])
-    passed = _within(lower, 1.0, upper) and _within(upper, budget, lower)
+    upper = ((norms[0] @ np.abs(c))[:, None, :] @ norms[1])[:, 0].tolist()
+    passed = [
+        _within(lo, 1.0, up) and _within(up, budget, lo)
+        for lo, up in zip(lower, upper)
+    ]
     return c, lower, upper, budget, passed
+
+
+def _inner_reports(K, pair1: FramePair, pair2: FramePair, w1, w2) -> list:
+    """:func:`verify_inner` of each trial of a checked ``(T, d2, d1)``
+    stack ``K``, for checked weights, in chunks of at most
+    ``_SCORE_ELEMENTS`` Galerkin entries (or one trial's).  Each trial's
+    reconstruction goes through the public ``synthesize_kernel``, so the
+    residual measures the synthesis that callers use."""
+    n1, n2 = pair1.frame.cardinality, pair2.frame.cardinality
+    reports = []
+    for part in _trial_slices(len(K), n1 * n2):
+        stack = K[part]
+        c, rhs, nuclear, budget, passed = _projective_sides(stack, pair1, pair2, w1, w2)
+        for t, k in enumerate(stack):
+            rebuilt = synthesize_kernel(c[t], pair1, pair2)
+            with np.errstate(over="ignore"):
+                scale = np.linalg.norm(k)
+            if not np.isfinite(scale):
+                # entries above about 1e154 overflow the norm, and an error
+                # over an infinite norm reads 0: measure both in units of
+                # k's largest part
+                top = max(np.abs(k.real).max(), np.abs(k.imag).max())
+                rebuilt, k = rebuilt / top, k / top
+                scale = np.linalg.norm(k)
+            residual = float(np.linalg.norm(rebuilt - k) / max(scale, 1.0))
+            reports.append(
+                _report(
+                    "inner",
+                    nuclear[t],
+                    rhs[t],
+                    budget,
+                    passed[t] and residual <= REPORT_TOL,
+                    {
+                        "reconstruction_residual": residual,
+                        "terms": int(np.count_nonzero(c[t])),
+                    },
+                )
+            )
+    return reports
 
 
 def verify_inner(K, pair1: FramePair, pair2: FramePair, w1, w2) -> VerificationReport:
@@ -373,25 +421,24 @@ def verify_inner(K, pair1: FramePair, pair2: FramePair, w1, w2) -> VerificationR
     """
     w1, w2 = _check_weights(pair1, pair2, w1, w2)
     K = _check_operator(K, pair1, pair2)
-    c, rhs, nuclear, budget, passed = _projective_sides(K, pair1, pair2, w1, w2)
-    rebuilt = synthesize_kernel(c, pair1, pair2)
-    with np.errstate(over="ignore"):
-        scale = np.linalg.norm(K)
-    if not np.isfinite(scale):
-        # entries above about 1e154 overflow the norm, and an error over an
-        # infinite norm reads 0: measure both in units of K's largest part
-        top = max(np.abs(K.real).max(), np.abs(K.imag).max())
-        rebuilt, K = rebuilt / top, K / top
-        scale = np.linalg.norm(K)
-    residual = float(np.linalg.norm(rebuilt - K) / max(scale, 1.0))
-    return _report(
-        "inner",
-        nuclear,
-        rhs,
-        budget,
-        passed and residual <= REPORT_TOL,
-        {"reconstruction_residual": residual, "terms": int(np.count_nonzero(c))},
-    )
+    return _inner_reports(K[None], pair1, pair2, w1, w2)[0]
+
+
+def _projective_reports(K, pair1: FramePair, pair2: FramePair, w1, w2) -> list:
+    """:func:`verify_projective` of each trial of a checked ``(T, d2,
+    d1)`` stack ``K``, for checked weights, in chunks of at most
+    ``_SCORE_ELEMENTS`` Galerkin entries (or one trial's)."""
+    n1, n2 = pair1.frame.cardinality, pair2.frame.cardinality
+    reports = []
+    for part in _trial_slices(len(K), n1 * n2):
+        _, lower, upper, budget, passed = _projective_sides(
+            K[part], pair1, pair2, w1, w2
+        )
+        for lo, up, ok in zip(lower, upper, passed):
+            reports.append(
+                _report("projective", lo, up, budget, ok, {"lower": lo, "upper": up})
+            )
+    return reports
 
 
 def verify_projective(
@@ -410,10 +457,7 @@ def verify_projective(
     """
     w1, w2 = _check_weights(pair1, pair2, w1, w2)
     K = _check_operator(K, pair1, pair2)
-    _, lower, upper, budget, passed = _projective_sides(K, pair1, pair2, w1, w2)
-    return _report(
-        "projective", lower, upper, budget, passed, {"lower": lower, "upper": upper}
-    )
+    return _projective_reports(K[None], pair1, pair2, w1, w2)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -511,12 +555,46 @@ def verify_frame_independence(
     ):
         raise PreconditionError("frame families act on different spaces")
     A = _check_operator(O, a1, a2)
-    k_a = _galerkin(A, a1, a2)
+    return _independence_reports(A[None], pairs_a, pairs_b, spec)[0]
+
+
+def _independence_reports(A, pairs_a, pairs_b, spec: MixedSpaceSpec) -> list:
+    """:func:`verify_frame_independence` of each trial of a checked
+    ``(T, d2, d1)`` stack ``A``, in chunks of at most ``_SCORE_ELEMENTS``
+    Galerkin entries (or one trial's); the second spec and the budgets
+    are found once for all trials."""
+    a1, a2 = pairs_a
+    b1, b2 = pairs_b
     shape_b = (b1.frame.cardinality, b2.frame.cardinality)
+    shape_a = (a1.frame.cardinality, a2.frame.cardinality)
+    elements = max(shape_a[0] * shape_a[1], shape_b[0] * shape_b[1])
+    spec_b = _second_spec(spec, shape_b)
+    norm_a, norm_b = [], []
+    for part in _trial_slices(len(A), elements):
+        k_a, k_b = _galerkin(A[part], a1, a2), _galerkin(A[part], b1, b2)
+        for k, sp, norms in ((k_a, spec, norm_a), (k_b, spec_b, norm_b)):
+            norms += _grid_norm(k, sp.weights, sp.p, sp.inner_axis, sp.q).tolist()
+    budget_ab, budget_ba = _independence_budget(pairs_a, pairs_b, spec, spec_b)
+    return [
+        _report(
+            "independence",
+            a,
+            b,
+            max(budget_ab, budget_ba),
+            _within(b, budget_ab, a) and _within(a, budget_ba, b),
+            {"budget_ab": budget_ab, "budget_ba": budget_ba},
+        )
+        for a, b in zip(norm_a, norm_b)
+    ]
+
+
+def _second_spec(spec: MixedSpaceSpec, shape_b) -> MixedSpaceSpec:
+    """The spec of the second family: ``spec`` itself on the same index
+    grid, else the remembered constant grid of ``spec``'s value."""
     if spec.weights.shape == shape_b:
-        spec_b = spec
-    elif np.ptp(spec.weights) == 0.0:
-        spec_b = _remembered(
+        return spec
+    if np.ptp(spec.weights) == 0.0:
+        return _remembered(
             spec,
             ("constant_grid", shape_b),
             lambda: MixedSpaceSpec(
@@ -526,21 +604,9 @@ def verify_frame_independence(
                 np.full(shape_b, float(spec.weights.flat[0])),
             ),
         )
-    else:
-        raise PreconditionError(
-            "families have different index grids; the weight grid must be "
-            "constant"
-        )
-    norm_a = mixed_norm(k_a, spec)
-    norm_b = mixed_norm(_galerkin(A, b1, b2), spec_b)
-    budget_ab, budget_ba = _independence_budget(pairs_a, pairs_b, spec, spec_b)
-    return _report(
-        "independence",
-        norm_a,
-        norm_b,
-        max(budget_ab, budget_ba),
-        _within(norm_b, budget_ab, norm_a) and _within(norm_a, budget_ba, norm_b),
-        {"budget_ab": budget_ab, "budget_ba": budget_ba},
+    raise PreconditionError(
+        "families have different index grids; the weight grid must be "
+        "constant"
     )
 
 
@@ -562,26 +628,45 @@ def schatten_check(O, pair1: FramePair, pair2: FramePair, p) -> VerificationRepo
     if not (1.0 <= p <= 2.0):
         raise PreconditionError(f"Schatten exponent p={p} outside [1, 2]")
     A = _check_operator(O, pair1, pair2)
-    lhs = _pnorm(np.linalg.svd(A, compute_uv=False), p)
-    col_norms = _pnorm_along(A @ pair1.dual.vectors.T, 2.0, axis=0)
-    rhs = _pnorm(col_norms, p)
+    return _schatten_reports(A[None], pair1, pair2, p)[0]
 
+
+def _schatten_reports(A, pair1: FramePair, pair2: FramePair, p: float) -> list:
+    """:func:`schatten_check` of each trial of a checked ``(T, d2, d1)``
+    stack ``A`` at a checked ``p``, in chunks of at most
+    ``_SCORE_ELEMENTS`` entries per stacked temporary (or one trial's);
+    the singular values are LAPACK calls of one trial each, and every
+    root is taken per trial (see :func:`coorbit._pnorm_rows`)."""
+    n1, n2 = pair1.frame.cardinality, pair2.frame.cardinality
+    d2, d1 = A.shape[-2:]
     budget = float(np.sqrt(pair1.bounds[1]))
-    kernel_h2p = _pnorm(_pnorm_along(_galerkin(A, pair1, pair2), 2.0, axis=1), p)
-    return _report(
-        "schatten",
-        lhs,
-        rhs,
-        budget,
-        _within(lhs, budget, rhs),
-        {
-            "p": p,
-            "one_sided": True,
-            "frobenius": _pnorm(A, 2.0),
-            "kernel_h2p": kernel_h2p,
-            "source_bounds": list(pair1.bounds),
-        },
-    )
+    reports = []
+    for part in _trial_slices(len(A), max(n1 * n2, d2 * n1, d2 * d1)):
+        B = A[part]
+        lhs = _pnorm_rows(np.linalg.svd(B, compute_uv=False), p).tolist()
+        col_norms = _pnorm_along(B @ pair1.dual.vectors.T, 2.0, axis=-2)
+        rhs = _pnorm_rows(col_norms, p).tolist()
+        rows = _pnorm_along(_galerkin(B, pair1, pair2), 2.0, axis=-1)
+        kernel_h2p = _pnorm_rows(rows, p).tolist()
+        frobenius = _pnorm_rows(np.abs(B).reshape(len(B), -1), 2.0).tolist()
+        for t in range(len(B)):
+            reports.append(
+                _report(
+                    "schatten",
+                    lhs[t],
+                    rhs[t],
+                    budget,
+                    _within(lhs[t], budget, rhs[t]),
+                    {
+                        "p": p,
+                        "one_sided": True,
+                        "frobenius": frobenius[t],
+                        "kernel_h2p": kernel_h2p[t],
+                        "source_bounds": list(pair1.bounds),
+                    },
+                )
+            )
+    return reports
 
 
 # ---------------------------------------------------------------------------

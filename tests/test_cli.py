@@ -358,6 +358,43 @@ class TestKernelVerbs:
 
 
 class TestVerify:
+    @pytest.mark.parametrize(
+        "verb, names",
+        [
+            (["verify", "outer"], ["--frame1", "--frame2"]),
+            (
+                ["verify", "independence", "--p", "inf", "--q", "inf"],
+                ["--frame1", "--frame2", "--frame1b", "--frame2b"],
+            ),
+            (["compress", "--tau", "0.5"], ["--frame1", "--frame2"]),
+        ],
+        ids=["outer", "independence", "compress"],
+    )
+    def test_each_frame_file_is_parsed_once(
+        self, verb, names, onb4, op44, monkeypatch, capsys
+    ):
+        """A file named by several arguments is parsed and factored once,
+        and each argument still gets its own ``loaded`` line."""
+        calls = {"frame_from_json": 0, "canonical_dual": 0}
+        for name in calls:
+            real = getattr(cli, name)
+
+            def counting(obj, name=name, real=real):
+                calls[name] += 1
+                return real(obj)
+
+            monkeypatch.setattr(cli, name, counting)
+        if verb[0] == "compress":
+            argv = ["compress", str(op44), str(onb4), str(onb4), *verb[1:]]
+        else:
+            argv = [*verb, "--op", str(op44)]
+            for name in names:
+                argv += [name, str(onb4)]
+        assert dispatch(argv) == 0
+        assert calls == {"frame_from_json": 1, "canonical_dual": 1}
+        loaded = f"loaded {onb4}: 4 vectors in C^4, bounds (1, 1)\n"
+        assert capsys.readouterr().err == len(names) * loaded
+
     def test_outer_report(self, onb4, op44, capsys):
         code = dispatch(
             [

@@ -121,6 +121,29 @@ class TestMixedNorm:
         with pytest.raises(PreconditionError):
             mixed_norm(np.ones((2, 3)), MixedSpaceSpec(1.0, 1.0, 0, np.ones((2, 2))))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    @pytest.mark.parametrize("p, q", [(1.0, 1.0), (2.0, np.inf), (1.5, 3.0)])
+    def test_non_finite_input_is_rejected(self, bad, p, q):
+        """The input is checked only when the norm is not finite, which
+        every NaN or inf entry makes it."""
+        C = np.ones((3, 3), dtype=complex)
+        C[1, 2] = bad
+        for axis in (0, 1):
+            with pytest.raises(PreconditionError, match="NaN or Inf entries"):
+                mixed_norm(C, MixedSpaceSpec(p, q, axis, np.ones((3, 3))))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 1), ()])
+    def test_non_matrix_input_is_rejected_first(self, shape):
+        spec = MixedSpaceSpec(1.0, 1.0, 0, np.ones((2, 2)))
+        with pytest.raises(PreconditionError, match=f"got ndim={len(shape)}"):
+            mixed_norm(np.full(shape, np.nan), spec)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("p, q", [(1.0, 1.0), (2.0, np.inf), (np.inf, 2.0)])
+    def test_finite_input_whose_norm_overflows_is_inf(self, p, q):
+        spec = MixedSpaceSpec(p, q, 0, np.full((4, 4), 10.0))
+        assert mixed_norm(np.full((4, 4), 1e307), spec) == np.inf
+
 
 def _reference_pnorm_along(A, p, axis):
     a = np.abs(A)

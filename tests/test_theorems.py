@@ -1034,3 +1034,223 @@ class TestCertificateLifetime:
         fills.clear()
         one_pass()
         assert fills == {}
+
+
+# ---------------------------------------------------------------------------
+# stacked verifier cores: each public verifier is the one-trial case
+
+
+def _rotated_pair():
+    return canonical_dual(rotated_onb(4, seed=9))
+
+
+STACK_FAMILIES = {
+    "onb4": lambda: canonical_dual(onb(4)),
+    "onb12": lambda: canonical_dual(onb(12)),
+    "onb16": lambda: canonical_dual(onb(16)),
+    "mercedes": lambda: canonical_dual(mercedes()),
+    "gabor8": lambda: canonical_dual(gabor_pair(8)),
+    "gabor16": lambda: canonical_dual(gabor_pair(16)),
+    "decaying8": lambda: canonical_dual(decaying_perturbation(8, 4.0, 0.05, seed=7)),
+    "decaying32": lambda: canonical_dual(decaying_perturbation(32, 4.0, 0.05, seed=7)),
+    "rotated4": _rotated_pair,
+}
+# 100 trials cross a chunk boundary on every family; the small families
+# with the most trials per chunk run them all, the others the first 7
+STACK_LONG = {"onb4", "onb16", "gabor8"}
+STACK_EXPONENTS = (1.0, 1.5, 2.0, 3.0, np.inf)
+ONES44 = np.ones((4, 4))
+
+
+def _stack_cases(pair, w):
+    """``(label, core, public)`` of every verifier on ``pair`` with the
+    weights ``w``: ``core`` scores a stack, ``public`` one operator."""
+    cases = [
+        (
+            "outer",
+            lambda A: theorems._opnorm_report(
+                A, pair, pair, w, w, 1.0, "ii", 3, outer=True
+            ),
+            lambda O: verify_outer(O, pair, pair, w, w, seed=3),
+        ),
+        (
+            "inner",
+            lambda A: theorems._inner_reports(A, pair, pair, w, w),
+            lambda O: verify_inner(O, pair, pair, w, w),
+        ),
+        (
+            "projective",
+            lambda A: theorems._projective_reports(A, pair, pair, w, w),
+            lambda O: verify_projective(O, pair, pair, w, w),
+        ),
+    ]
+    for p in STACK_EXPONENTS:
+        for variant in ("i", "ii"):
+            cases.append(
+                (
+                    f"schur-{variant}-{p}",
+                    lambda A, p=p, v=variant: theorems._opnorm_report(
+                        A, pair, pair, w, w, p, v, 3
+                    ),
+                    lambda O, p=p, v=variant: schur_characterization(
+                        O, pair, pair, w, w, p, v, seed=3
+                    ),
+                )
+            )
+        if p <= 2.0:
+            cases.append(
+                (
+                    f"schatten-{p}",
+                    lambda A, p=p: theorems._schatten_reports(A, pair, pair, p),
+                    lambda O, p=p: schatten_check(O, pair, pair, p),
+                )
+            )
+    # a rotated ONB has another index grid unless the frame is a basis,
+    # and only a constant grid carries over to another grid
+    others = [pair]
+    if pair.frame.cardinality == pair.frame.space_dim or np.ptp(w) == 0.0:
+        others.append(canonical_dual(rotated_onb(pair.frame.space_dim, seed=5)))
+    for p, q, axis in INDEPENDENCE_SPECS:
+        spec = MixedSpaceSpec(p, q, axis, np.outer(w, w))
+        for other in others:
+            cases.append(
+                (
+                    f"independence-{p}-{q}-{axis}-{other is pair}",
+                    lambda A, s=spec, o=other: theorems._independence_reports(
+                        A, (pair, pair), (o, o), s
+                    ),
+                    lambda O, s=spec, o=other: verify_frame_independence(
+                        O, (pair, pair), (o, o), s
+                    ),
+                )
+            )
+    return cases
+
+
+def _bits(rep):
+    return repr(rep.to_json())
+
+
+class TestStackedCores:
+    """Each stacked core gives, for every trial of a stack, the report of
+    the public verifier on that trial, details included, bit for bit:
+    every family, unit and ``t = 1`` weights, every verifier, ``p`` in
+    ``{1, 1.5, 2, 3, inf}`` with both Schur variants, and stacks of 1, 2,
+    7 and 100 trials."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("family", sorted(STACK_FAMILIES))
+    def test_stack_equals_public_calls(self, family, weighted):
+        pair = STACK_FAMILIES[family]()
+        n, d = pair.frame.cardinality, pair.frame.space_dim
+        w = poly_weight(pair.frame.index_set, 1.0) if weighted else np.ones(n)
+        sizes = (1, 2, 7, 100) if family in STACK_LONG else (1, 2, 7)
+        ops = np.stack(
+            [random_operator(d, d, seed=500 + t) for t in range(max(sizes))]
+        )
+        for label, core, public in _stack_cases(pair, w):
+            expected = [_bits(public(O)) for O in ops]
+            for T in sizes:
+                got = [_bits(rep) for rep in core(ops[:T])]
+                assert got == expected[:T], (label, T)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("family", ["onb4", "gabor8", "mercedes"])
+    def test_overflowed_trial_leaves_the_others_alone(self, family):
+        """A zero operator, two unit ones and a ``1e300``-scaled one in
+        one stack: only the scaled trial overflows, and every report is
+        its trial's own."""
+        pair = STACK_FAMILIES[family]()
+        n, d = pair.frame.cardinality, pair.frame.space_dim
+        w = np.full(n, 1e-150)
+        ops = np.stack(
+            [
+                np.zeros((d, d), dtype=complex),
+                random_operator(d, d, seed=1),
+                1e300 * random_operator(d, d, seed=2),
+                random_operator(d, d, seed=3),
+            ]
+        )
+        for label, core, public in _stack_cases(pair, w)[:13]:
+            reports = core(ops)
+            assert [_bits(rep) for rep in reports] == [_bits(public(O)) for O in ops]
+            if label.startswith(("outer", "schur")):
+                flagged = ["overflowed" in rep.details for rep in reports]
+                assert flagged == [False, False, True, False], label
+
+    @pytest.mark.parametrize(
+        "scale, run, error",
+        [
+            # the Galerkin matrix of a 1e300 operator against a frame of
+            # 1e-10 vectors (dual vectors of 1e10) overflows
+            (
+                1e300,
+                lambda A, pair, w: theorems._opnorm_report(
+                    A, pair, pair, w, w, 1.0, "ii", 0, outer=True
+                ),
+                PreconditionError,
+            ),
+            (
+                1e300,
+                lambda A, pair, w: theorems._projective_reports(A, pair, pair, w, w),
+                PreconditionError,
+            ),
+            (
+                1e300,
+                lambda A, pair, w: theorems._independence_reports(
+                    A, (pair, pair), (pair, pair), MixedSpaceSpec(1.0, 1.0, 0, ONES44)
+                ),
+                PreconditionError,
+            ),
+            # subnormal entries lift a lower bound past the clamp
+            (
+                1e-310,
+                lambda A, pair, w: theorems._opnorm_report(
+                    A, pair, pair, w, w, 1.5, "ii", 0
+                ),
+                FloatingPointError,
+            ),
+        ],
+        ids=[
+            "outer-overflow",
+            "projective-overflow",
+            "independence-overflow",
+            "schur-subnormal",
+        ],
+    )
+    def test_stack_raises_as_its_raising_trial(self, scale, run, error):
+        if scale < 1.0:
+            pair, d = canonical_dual(onb(8)), 8
+        else:
+            pair, d = canonical_dual(Frame.from_vectors(1e-10 * np.eye(4))), 4
+        w = np.ones(pair.frame.cardinality)
+        bad = scale * random_operator(d, d, seed=7)
+        good = random_operator(d, d, seed=8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(error) as alone:
+                run(bad[None], pair, w)
+            run(good[None], pair, w)
+            for stack in ([good, bad], [bad, good], [good, good, bad]):
+                with pytest.raises(error) as stacked:
+                    run(np.stack(stack), pair, w)
+                assert str(stacked.value) == str(alone.value)
+
+    def test_chunked_stack_memory_is_bounded(self):
+        """The stacked temporaries of a 100-trial ONB 16 call are cut into
+        chunks of at most ``_SCORE_ELEMENTS`` entries: the peak above the
+        inputs and the reports stays within four such complex
+        temporaries (it reads about 2.5 of them, 0.74 MB), where
+        unchunked stacks take about 53 (13.9 MB)."""
+        pair = canonical_dual(onb(16))
+        w = poly_weight(pair.frame.index_set, 1.0)
+        ops = np.stack([random_operator(16, 16, seed=t) for t in range(100)])
+        theorems._opnorm_report(ops[:1], pair, pair, w, w, 1.5, "ii", 0)  # fill
+        gc.collect()
+        tracemalloc.start()
+        try:
+            reports = theorems._opnorm_report(ops, pair, pair, w, w, 1.5, "ii", 0)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == 100
+        assert peak - kept <= 4 * coorbit._SCORE_ELEMENTS * 16
