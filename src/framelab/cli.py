@@ -81,15 +81,11 @@ def _load_pair(path, loaded: dict):
     invocation's table of pairs by path, so a file named twice is parsed
     and factored once, and the op-norm data remembered for its pair are
     filled once; each argument still gets its own ``loaded`` line."""
-    if path in loaded:
-        pair, description = loaded[path]
-    else:
-        frame = frame_from_json(_load_json(path))
-        pair, description = None, _describe(frame)
-    print(f"loaded {path}: {description}", file=sys.stderr)
+    pair = loaded.get(path)
     if pair is None:
-        pair = canonical_dual(frame)
-        loaded[path] = pair, description
+        pair = loaded[path] = canonical_dual(_load_frame(path))
+    else:
+        print(f"loaded {path}: {_describe(pair.frame)}", file=sys.stderr)
     return pair
 
 
@@ -211,26 +207,24 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_dual(args) -> int:
-    pair = canonical_dual(_load_frame(args.frame))
+    pair = _load_pair(args.frame, {})
     _emit_json(frame_to_json(pair.dual), args.output)
     return 0
 
 
 def _cmd_localize(args) -> int:
-    frame = _load_frame(args.frame)
-    pair = canonical_dual(frame)
+    pair = _load_pair(args.frame, {})
     report = localisation_report(
-        pair, JaffardParams(args.s, frame.index_set), threshold=args.threshold
+        pair, JaffardParams(args.s, pair.frame.index_set), threshold=args.threshold
     )
     _emit_json(_with_provenance(report.to_json(), args), args.output)
     return 0
 
 
 def _cmd_coorbit_norm(args) -> int:
-    frame = _load_frame(args.frame)
-    pair = canonical_dual(frame)
+    pair = _load_pair(args.frame, {})
     f = _load_vector(args.vector)
-    w = _load_weight(args.weight, frame.cardinality)
+    w = _load_weight(args.weight, pair.frame.cardinality)
     spec = CoorbitSpec(pair, SeqSpaceSpec(_parse_exponent(args.p), w))
     _emit_json({"norm": coorbit_norm(spec, f)}, args.output)
     return 0
@@ -457,8 +451,9 @@ def dispatch(argv) -> int:
     try:
         return args.func(args)
     # PreconditionError, ConditioningError, NotAFrameError and
-    # json.JSONDecodeError are all ValueErrors
-    except (FileNotFoundError, KeyError, ValueError) as exc:
+    # json.JSONDecodeError are all ValueErrors; a missing file, a
+    # directory or an unreadable path is an OSError
+    except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VALIDATION_ERROR
 

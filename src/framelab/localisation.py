@@ -205,11 +205,7 @@ def _remembered(owner, key, compute):
     * per source :class:`FramePair`, the weighted analysis map in
       extended precision and the inverse of its Gram, which give the
       exact ``l^2 -> l^inf`` operator norm, under ``("l2",
-      w.tobytes())``;
-    * per ``MixedSpaceSpec`` of the frame-independence check, the
-      constant grid of the same value for a family of another
-      cardinality, under ``("constant_grid", shape)``, so that its
-      factors are found once.
+      w.tobytes())``.
 
     Owners are held weakly, so their entries die with them.  An entry
     that depends on two pairs is stored with one of them as owner and

@@ -266,7 +266,7 @@ def check_schatten(seed: int, fast: bool, draws):
     trials = 10 if fast else 50
     ops = _random_ops(draws, d, d, seed, range(trials))
     exponents = (1.0, 1.5, 2.0)
-    reports = {p: _schatten_reports(ops, pair, pair, p) for p in exponents}
+    reports = dict(zip(exponents, _schatten_reports(ops, pair, pair, exponents)))
     for t in range(trials):
         for p in exponents:
             if not reports[p][t].passed:

@@ -484,14 +484,14 @@ def _change_bound(
 
 
 def _independence_budget(
-    pairs_a, pairs_b, spec_a: MixedSpaceSpec, spec_b: MixedSpaceSpec
+    pairs_a, pairs_b, p, q, inner_axis, factors_a, factors_b
 ) -> tuple[float, float]:
-    """(budget for norm_B <= c * norm_A, and the reverse)."""
+    """(budget for norm_B <= c * norm_A, and the reverse), for the
+    factors ``(v1, v2)`` of each family's weight grid."""
     a1, a2 = pairs_a
     b1, b2 = pairs_b
-    v1a, v2a = spec_a._factors
-    v1b, v2b = spec_b._factors
-    p, q = spec_a.p, spec_a.q
+    v1a, v2a = factors_a
+    v1b, v2b = factors_b
 
     if p == q:
         ab = _change_bound(a1, b1, v1a, v1b, p) * _change_bound(a2, b2, v2a, v2b, p)
@@ -507,10 +507,10 @@ def _independence_budget(
     # through the operator-norm equivalence.  The grid is interpreted as
     # the reciprocal of the operator weights.
     w1a, w1b = _check_positive(1.0 / v1a), _check_positive(1.0 / v1b)
-    if spec_a.inner_axis == 1:
-        src_p, kernel_exp = 1.0, spec_a.p
+    if inner_axis == 1:
+        src_p, kernel_exp = 1.0, p
     else:
-        kernel_exp = spec_a.p
+        kernel_exp = p
         src_p = _holder_conjugate(kernel_exp)
 
     def one_direction(src, dst, wsrc_1, wdst_1, vsrc_2, vdst_2):
@@ -536,16 +536,16 @@ def verify_frame_independence(
     """Measure the same operator's kernel in two tensor frames and check
     the norm ratio against the cross-Gram change-of-frame budget.
 
-    ``spec`` describes the norm on the first family's index grid; when
-    the families have different cardinalities its weight grid must be
-    constant, and the second family gets the same constant.
+    ``spec`` describes the norm on the first family's index grid, so
+    its weight grid must have that grid's shape; when the families have
+    different cardinalities the weight grid must also be constant, and
+    the second family gets the same constant.
 
     The budgets depend only on the frames and the weight grid: their
     change-of-frame Schur sums are computed once per ordered pair of
     pairs and weight factors, and the Gram Schur sums once per frame and
     weight vector, and both are remembered (see
-    ``localisation._remembered``), as is the second family's constant
-    grid, per ``spec`` and shape, so its factors are found once.
+    ``localisation._remembered``).
     """
     a1, a2 = pairs_a
     b1, b2 = pairs_b
@@ -561,20 +561,39 @@ def verify_frame_independence(
 def _independence_reports(A, pairs_a, pairs_b, spec: MixedSpaceSpec) -> list:
     """:func:`verify_frame_independence` of each trial of a checked
     ``(T, d2, d1)`` stack ``A``, in chunks of at most ``_SCORE_ELEMENTS``
-    Galerkin entries (or one trial's); the second spec and the budgets
-    are found once for all trials."""
+    Galerkin entries (or one trial's); the second family's grid and the
+    budgets are found once for all trials."""
     a1, a2 = pairs_a
     b1, b2 = pairs_b
-    shape_b = (b1.frame.cardinality, b2.frame.cardinality)
     shape_a = (a1.frame.cardinality, a2.frame.cardinality)
-    elements = max(shape_a[0] * shape_a[1], shape_b[0] * shape_b[1])
-    spec_b = _second_spec(spec, shape_b)
+    shape_b = (b1.frame.cardinality, b2.frame.cardinality)
+    p, q, axis, grid_a = spec.p, spec.q, spec.inner_axis, spec.weights
+    if grid_a.shape != shape_a:
+        raise PreconditionError(
+            f"weight grid of shape {grid_a.shape} does not fit the first "
+            f"family's index grid {shape_a}"
+        )
+    grid_b, factors_b = grid_a, None
+    if shape_b != shape_a:
+        c = grid_a[0, 0]
+        if (grid_a != c).any():
+            raise PreconditionError(
+                "families have different index grids; the weight grid must be "
+                "constant"
+            )
+        # the constant grid of the second family, and the factors that
+        # MixedSpaceSpec._factors finds for it: its first column and ones
+        grid_b = np.full(shape_b, c)
+        factors_b = grid_b[:, 0], np.ones(shape_b[1])
     norm_a, norm_b = [], []
-    for part in _trial_slices(len(A), elements):
+    for part in _trial_slices(len(A), max(grid_a.size, grid_b.size)):
         k_a, k_b = _galerkin(A[part], a1, a2), _galerkin(A[part], b1, b2)
-        for k, sp, norms in ((k_a, spec, norm_a), (k_b, spec_b, norm_b)):
-            norms += _grid_norm(k, sp.weights, sp.p, sp.inner_axis, sp.q).tolist()
-    budget_ab, budget_ba = _independence_budget(pairs_a, pairs_b, spec, spec_b)
+        norm_a += _grid_norm(k_a, grid_a, p, axis, q).tolist()
+        norm_b += _grid_norm(k_b, grid_b, p, axis, q).tolist()
+    factors_a = spec._factors
+    budget_ab, budget_ba = _independence_budget(
+        pairs_a, pairs_b, p, q, axis, factors_a, factors_b or factors_a
+    )
     return [
         _report(
             "independence",
@@ -586,28 +605,6 @@ def _independence_reports(A, pairs_a, pairs_b, spec: MixedSpaceSpec) -> list:
         )
         for a, b in zip(norm_a, norm_b)
     ]
-
-
-def _second_spec(spec: MixedSpaceSpec, shape_b) -> MixedSpaceSpec:
-    """The spec of the second family: ``spec`` itself on the same index
-    grid, else the remembered constant grid of ``spec``'s value."""
-    if spec.weights.shape == shape_b:
-        return spec
-    if np.ptp(spec.weights) == 0.0:
-        return _remembered(
-            spec,
-            ("constant_grid", shape_b),
-            lambda: MixedSpaceSpec(
-                spec.p,
-                spec.q,
-                spec.inner_axis,
-                np.full(shape_b, float(spec.weights.flat[0])),
-            ),
-        )
-    raise PreconditionError(
-        "families have different index grids; the weight grid must be "
-        "constant"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -628,44 +625,50 @@ def schatten_check(O, pair1: FramePair, pair2: FramePair, p) -> VerificationRepo
     if not (1.0 <= p <= 2.0):
         raise PreconditionError(f"Schatten exponent p={p} outside [1, 2]")
     A = _check_operator(O, pair1, pair2)
-    return _schatten_reports(A[None], pair1, pair2, p)[0]
+    return _schatten_reports(A[None], pair1, pair2, (p,))[0][0]
 
 
-def _schatten_reports(A, pair1: FramePair, pair2: FramePair, p: float) -> list:
+def _schatten_reports(A, pair1: FramePair, pair2: FramePair, exponents) -> list:
     """:func:`schatten_check` of each trial of a checked ``(T, d2, d1)``
-    stack ``A`` at a checked ``p``, in chunks of at most
-    ``_SCORE_ELEMENTS`` entries per stacked temporary (or one trial's);
-    the singular values are LAPACK calls of one trial each, and every
-    root is taken per trial (see :func:`coorbit._pnorm_rows`)."""
+    stack ``A`` at each checked exponent: one list of reports per
+    exponent.  Trials go in chunks of at most ``_SCORE_ELEMENTS``
+    entries per stacked temporary (or one trial's); the singular values,
+    column norms and Galerkin row norms of a chunk are found once for
+    all exponents, the singular values by LAPACK calls of one trial
+    each, and every root is taken per trial (see
+    :func:`coorbit._pnorm_rows`)."""
     n1, n2 = pair1.frame.cardinality, pair2.frame.cardinality
     d2, d1 = A.shape[-2:]
     budget = float(np.sqrt(pair1.bounds[1]))
-    reports = []
+    reports = [[] for _ in exponents]
     for part in _trial_slices(len(A), max(n1 * n2, d2 * n1, d2 * d1)):
         B = A[part]
-        lhs = _pnorm_rows(np.linalg.svd(B, compute_uv=False), p).tolist()
+        singular = np.linalg.svd(B, compute_uv=False)
         col_norms = _pnorm_along(B @ pair1.dual.vectors.T, 2.0, axis=-2)
-        rhs = _pnorm_rows(col_norms, p).tolist()
         rows = _pnorm_along(_galerkin(B, pair1, pair2), 2.0, axis=-1)
-        kernel_h2p = _pnorm_rows(rows, p).tolist()
         frobenius = _pnorm_rows(np.abs(B).reshape(len(B), -1), 2.0).tolist()
-        for t in range(len(B)):
-            reports.append(
-                _report(
-                    "schatten",
-                    lhs[t],
-                    rhs[t],
-                    budget,
-                    _within(lhs[t], budget, rhs[t]),
-                    {
-                        "p": p,
-                        "one_sided": True,
-                        "frobenius": frobenius[t],
-                        "kernel_h2p": kernel_h2p[t],
-                        "source_bounds": list(pair1.bounds),
-                    },
+        for p, out in zip(exponents, reports):
+            # _pnorm_rows overwrites its input
+            lhs = _pnorm_rows(singular.copy(), p).tolist()
+            rhs = _pnorm_rows(col_norms.copy(), p).tolist()
+            kernel_h2p = _pnorm_rows(rows.copy(), p).tolist()
+            for t in range(len(B)):
+                out.append(
+                    _report(
+                        "schatten",
+                        lhs[t],
+                        rhs[t],
+                        budget,
+                        _within(lhs[t], budget, rhs[t]),
+                        {
+                            "p": p,
+                            "one_sided": True,
+                            "frobenius": frobenius[t],
+                            "kernel_h2p": kernel_h2p[t],
+                            "source_bounds": list(pair1.bounds),
+                        },
+                    )
                 )
-            )
     return reports
 
 

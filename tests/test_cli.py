@@ -331,6 +331,32 @@ class TestSimpleVerbs:
         assert capsys.readouterr().err.endswith("error: rows must be an integer, got 2.9\n")
 
 
+class TestUnusablePaths:
+    """A path that cannot be read or written, such as a directory, is an
+    input error: exit 3 with one ``error:`` line, not a traceback and
+    exit 1, which means a failed verification."""
+
+    @pytest.mark.parametrize("verb", ["bounds", "gen", "dual", "localize"])
+    def test_directory_as_input(self, verb, tmp_path, capsys):
+        extra = ["--s", "2"] if verb == "localize" else []
+        assert dispatch([verb, str(tmp_path), *extra]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv", [["bounds", "{frame}"], ["suite", "fast"]], ids=["bounds", "suite"]
+    )
+    def test_directory_as_output(self, argv, onb4, tmp_path, capsys):
+        argv = [arg.format(frame=onb4) for arg in argv]
+        assert dispatch([*argv, "-o", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error: ") == 1
+        assert captured.err.endswith(f"Is a directory: '{tmp_path}'\n")
+
+
 class TestKernelVerbs:
     def test_galerkin_synth_round_trip(self, onb4, op44, tmp_path):
         k = tmp_path / "k.json"

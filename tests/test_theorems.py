@@ -879,24 +879,32 @@ INDEPENDENCE_SPECS = [
 
 
 def certificate_pairs(make):
-    """A family's pair, a second build of it, and a rotated ONB of its
-    dimension."""
+    """A family's pair, a second build of it, and a rotated ONB and a
+    doubled ONB (each basis vector twice) of its dimension."""
     pair = canonical_dual(make())
     d = pair.frame.space_dim
-    return pair, canonical_dual(make()), canonical_dual(rotated_onb(d, seed=d))
+    doubled = Frame.from_vectors(np.vstack([np.eye(d), np.eye(d)]))
+    return (
+        pair,
+        canonical_dual(make()),
+        canonical_dual(rotated_onb(d, seed=d)),
+        canonical_dual(doubled),
+    )
 
 
 def certificate_reports(pairs, weighted):
     """``repr`` of every inner, projective and independence report on
     ``certificate_pairs``, at unit or ``poly_weight(., 1)`` weights:
     independence against the same pair object, against the second build
-    and, at unit weights, against the rotated ONB."""
-    pair, other, rotated = pairs
+    and, at unit weights, against the rotated ONB and the doubled ONB,
+    whose index grid differs from the family's unless it has ``2 d``
+    elements."""
+    pair, other, rotated, doubled = pairs
     n, d = pair.frame.cardinality, pair.frame.space_dim
     w = poly_weight(pair.frame.index_set, 1.0) if weighted else np.ones(n)
     K = random_operator(d, d, seed=31)
     reports = [verify_inner(K, pair, pair, w, w), verify_projective(K, pair, pair, w, w)]
-    targets = [pair, other] if weighted else [pair, other, rotated]
+    targets = [pair, other] if weighted else [pair, other, rotated, doubled]
     for p, q, axis in INDEPENDENCE_SPECS:
         spec = MixedSpaceSpec(p, q, axis, np.outer(w, w))
         for target in targets:
@@ -1101,7 +1109,11 @@ def _stack_cases(pair, w):
             cases.append(
                 (
                     f"schatten-{p}",
-                    lambda A, p=p: theorems._schatten_reports(A, pair, pair, p),
+                    # 1.5 first: its pass over the shared norms must leave
+                    # them intact for p
+                    lambda A, p=p: theorems._schatten_reports(
+                        A, pair, pair, (1.5, p)
+                    )[1],
                     lambda O, p=p: schatten_check(O, pair, pair, p),
                 )
             )

@@ -99,20 +99,19 @@ class TestCheckedOnce:
         spec = MixedSpaceSpec(np.inf, np.inf, 0, np.ones((4, 4)))
         verify_frame_independence(O, (pair, pair), (rot, rot), spec)
         assert len(calls) == 1
-        # families with different index grids get a second, constant grid,
-        # remembered per spec and shape; the first spec keeps its factors
+        # a family with another index grid gets the constant grid of the
+        # same value and its known factors: no second factoring
         mixed = canonical_dual(Frame.from_vectors(np.vstack([np.eye(4), np.eye(4)])))
         for _ in range(2):
             verify_frame_independence(O, (pair, pair), (mixed, mixed), spec)
-        assert len(calls) == 2
+        assert len(calls) == 1
         # ONB 8 against Gabor 8 (16 elements): one factoring per spec
         onb8, O8 = canonical_dual(onb(8)), random_operator(8, 8, seed=4)
         spec8 = MixedSpaceSpec(2.0, 2.0, 0, np.ones((8, 8)))
         for _ in range(3):
             verify_frame_independence(O8, (onb8, onb8), (GABOR, GABOR), spec8)
-        assert len(calls) == 4
-        assert calls[2] is spec8
-        assert calls[3].weights.shape == (N, N)
+        assert len(calls) == 2
+        assert calls[0] is spec and calls[1] is spec8
 
     def test_inner_and_projective_build_no_spec(self, monkeypatch):
         built = []
@@ -219,7 +218,13 @@ OPERATOR_RUNS = {
 }
 
 RANK_ONE = "frame-independence budgets need a rank-one weight grid"
+SHAPE = (
+    r"weight grid of shape \(1, 1\) does not fit the first family's index "
+    r"grid \(16, 16\)"
+)
 GRID_CASES = {
+    # a grid that does not fit the 16 x 16 index grid of the first family
+    "shape-mismatch": (np.ones((1, 1)), SHAPE, SHAPE),
     "not-rank-one": (np.ones((N, N)) + np.eye(N), RANK_ONE, RANK_ONE),
     # reciprocal of the subnormal column factor overflows on the
     # outer-sup route; the p = q route never inverts it
