@@ -2,9 +2,13 @@
 
 Exit codes: 0 success, 1 failed verification, 2 usage error, 3 input
 validation error.  Reports go to stdout (or ``-o``), diagnostics to
-stderr; every emitted report embeds the resolved configuration and the
-tool version.  The default seed can be overridden with the
-``FRAMELAB_SEED`` environment variable.
+stderr.  The JSON reports of ``localize``, ``verify``, ``compress`` and
+``suite`` embed the resolved configuration and the tool version; CSV
+rows, ``bounds``, ``coorbit-norm`` and the data files of ``gen``,
+``dual``, ``galerkin`` and ``kernel-synth`` do not.  An ``-o`` path
+that cannot be written fails before any work, and one that this call
+created is removed again on an input error.  The default seed can be
+overridden with the ``FRAMELAB_SEED`` environment variable.
 """
 
 from __future__ import annotations
@@ -448,13 +452,22 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
+    out, created = args.output, False
     try:
+        if out:
+            # an unusable -o fails before the work; append mode truncates
+            # nothing, so an input file may also be the output
+            existed = os.path.exists(out)
+            open(out, "a").close()
+            created = not existed
         return args.func(args)
     # PreconditionError, ConditioningError, NotAFrameError and
     # json.JSONDecodeError are all ValueErrors; a missing file, a
     # directory or an unreadable path is an OSError
     except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if created:
+            os.remove(out)
         return VALIDATION_ERROR
 
 

@@ -94,8 +94,8 @@ class SeqSpaceSpec:
 class MixedSpaceSpec:
     """Double-index ``p,q`` norm on ``I x J`` arrays (rows = first index).
 
-    ``inner_axis`` selects the summation order, which matters when
-    ``p != q``:
+    ``inner_axis``, the integer 0 or 1, selects the summation order,
+    which matters when ``p != q``:
 
     * ``inner_axis=0``: inner ``l^p`` over the first index (down each
       column), outer ``l^q`` over the second — the plain ``l^{p,q}``
@@ -115,7 +115,10 @@ class MixedSpaceSpec:
     def __post_init__(self):
         object.__setattr__(self, "p", _check_exponent(self.p))
         object.__setattr__(self, "q", _check_exponent(self.q))
-        if self.inner_axis not in (0, 1):
+        axis = self.inner_axis
+        # 1.0 and True would pass ``in (0, 1)``
+        integer = isinstance(axis, (int, np.integer)) and type(axis) is not bool
+        if not integer or axis not in (0, 1):
             raise PreconditionError("inner_axis must be 0 or 1")
         W = _check_grid(np.array(self.weights, dtype=float))
         W.flags.writeable = False

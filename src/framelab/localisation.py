@@ -197,34 +197,23 @@ def _remembered(owner, key, compute):
     * per :class:`FramePair`, the seeded random probe block, under
       ``("random", seed)``, and the probe denominators, under
       ``(w.tobytes(), p, seed)``;
-    * per :class:`FramePair`, the element norms of its frame and their
-      Schur certificate, under ``("element_norms", w.tobytes())``;
-    * per source :class:`FramePair`, the change-of-frame Schur sums
-      towards a target pair, under ``("change", weakref.ref(target),
-      w_from.tobytes(), w_to.tobytes())``;
     * per source :class:`FramePair`, the weighted analysis map in
       extended precision and the inverse of its Gram, which give the
       exact ``l^2 -> l^inf`` operator norm, under ``("l2",
       w.tobytes())``.
 
-    Owners are held weakly, so their entries die with them.  An entry
-    that depends on two pairs is stored with one of them as owner and
-    holds the other only through a ``weakref.ref`` in its key, and no
-    value holds a pair.  A strong reference would keep the other pair
-    alive as long as the owner lives, and the owner itself forever when
-    the two are one pair (a pair changed into itself).  A key whose
-    target has died matches no live pair and is evicted in turn.
+    Owners are held weakly, so their entries die with them, and no key
+    or value holds a frame or pair.
 
     Each owner keeps at most ``_ENTRIES_PER_OWNER`` entries, the oldest
     evicted first: the op-norm verifiers take one denominator key per
-    source exponent besides the random block, and a sweep over five
-    exponents, with the certificates of the other verifiers beside it,
-    must fit, or it evicts every key before its next use.  The largest
-    entries are the extended-precision analysis map, ``n d`` values of
-    32 bytes (262 KB at ``n = 256``, ``d = 32``), and a random block of
-    ``10 d^2`` complex values (164 KB at ``d = 32``).  Weights enter keys
-    as bytes, never as an array's identity, so a weight vector changed
-    in place is a new key.
+    source exponent besides the random block and the ``l2`` entry, and
+    a sweep over five exponents must fit, or it evicts every key before
+    its next use.  The largest entries are the extended-precision
+    analysis map, ``n d`` values of 32 bytes (262 KB at ``n = 256``,
+    ``d = 32``), and a random block of ``10 d^2`` complex values (164 KB
+    at ``d = 32``).  Weights enter keys as bytes, never as an array's
+    identity, so a weight vector changed in place is a new key.
 
     One lock makes each lookup, eviction and fill one step across
     threads.  It is not reentrant, so ``compute`` must not call

@@ -31,7 +31,6 @@ interval from the unchecked cores in ``localisation`` and ``coorbit``.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,9 +51,6 @@ from .frames import FramePair, _check_operator, cross_gram
 from .localisation import (
     _check_positive,
     _gram_schur_bound,
-    _remembered,
-    _schur_combine,
-    _schur_sums,
     _weighted_schur_bound,
     as_weight,
 )
@@ -330,11 +326,9 @@ def schur_characterization(
 def _element_norms(pair: FramePair, w: np.ndarray) -> tuple[np.ndarray, float]:
     """``(norms, C)``: the weighted-l1 coorbit norms ``||psi_i||`` of the
     elements of ``pair``'s frame, and the Schur certificate ``C`` for
-    ``||psi_i|| <= C w_i``; the norms are read-only."""
+    ``||psi_i|| <= C w_i``."""
     coeffs = np.abs(cross_gram(pair.frame, pair.dual))
-    norms = w @ coeffs
-    norms.flags.writeable = False
-    return norms, _weighted_schur_bound(coeffs, w, w, 1.0)
+    return w @ coeffs, _weighted_schur_bound(coeffs, w, w, 1.0)
 
 
 def _projective_sides(K, pair1: FramePair, pair2: FramePair, w1, w2):
@@ -352,9 +346,7 @@ def _projective_sides(K, pair1: FramePair, pair2: FramePair, w1, w2):
     norms = []
     budget = 1.0
     for pair, w in ((pair1, w1), (pair2, w2)):
-        side, certificate = _remembered(
-            pair, ("element_norms", w.tobytes()), lambda: _element_norms(pair, w)
-        )
+        side, certificate = _element_norms(pair, w)
         norms.append(side)
         budget *= certificate
     upper = ((norms[0] @ np.abs(c))[:, None, :] @ norms[1])[:, 0].tolist()
@@ -416,8 +408,8 @@ def verify_inner(K, pair1: FramePair, pair2: FramePair, w1, w2) -> VerificationR
     certificates.  ``details["terms"]`` counts the rank-one terms.
 
     The element norms and the budget depend only on the frames and the
-    weights, so they are computed once per pair and weight vector and
-    remembered (see ``localisation._remembered``).
+    weights; each call computes them anew, and a stack of kernels shares
+    one computation.
     """
     w1, w2 = _check_weights(pair1, pair2, w1, w2)
     K = _check_operator(K, pair1, pair2)
@@ -452,8 +444,8 @@ def verify_projective(
     frames with unit weights the two collapse to the same value.
 
     The element norms and the budget depend only on the frames and the
-    weights, so they are computed once per pair and weight vector and
-    remembered (see ``localisation._remembered``).
+    weights; each call computes them anew, and a stack of kernels shares
+    one computation.
     """
     w1, w2 = _check_weights(pair1, pair2, w1, w2)
     K = _check_operator(K, pair1, pair2)
@@ -468,19 +460,9 @@ def _change_bound(
     pair_from: FramePair, pair_to: FramePair, w_from, w_to, p
 ) -> float:
     """Schur certificate for coefficient change: dual-analysis with the
-    target pair applied to source-pair synthesis.
-
-    Its two Schur sums depend only on the pairs and weights, so they are
-    remembered for ``pair_from`` under a key that holds ``pair_to``
-    weakly: an entry of the store must hold no pair strongly, or it
-    would keep that pair, or its own owner, alive."""
-
-    def sums():
-        a = np.abs(cross_gram(pair_from.frame, pair_to.dual))
-        return _schur_sums(a * w_to[:, None] / w_from[None, :])
-
-    key = ("change", weakref.ref(pair_to), w_from.tobytes(), w_to.tobytes())
-    return _schur_combine(*_remembered(pair_from, key, sums), p)
+    target pair applied to source-pair synthesis."""
+    a = np.abs(cross_gram(pair_from.frame, pair_to.dual))
+    return _weighted_schur_bound(a, w_from, w_to, p)
 
 
 def _independence_budget(
@@ -541,11 +523,10 @@ def verify_frame_independence(
     different cardinalities the weight grid must also be constant, and
     the second family gets the same constant.
 
-    The budgets depend only on the frames and the weight grid: their
-    change-of-frame Schur sums are computed once per ordered pair of
-    pairs and weight factors, and the Gram Schur sums once per frame and
-    weight vector, and both are remembered (see
-    ``localisation._remembered``).
+    The budgets depend only on the frames and the weight grid.  Each
+    call computes their change-of-frame Schur sums anew; only the Gram
+    Schur sums of the outer-sup branch are remembered, per frame and
+    weight vector (see ``localisation._remembered``).
     """
     a1, a2 = pairs_a
     b1, b2 = pairs_b

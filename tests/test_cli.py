@@ -356,6 +356,35 @@ class TestUnusablePaths:
         assert captured.err.count("error: ") == 1
         assert captured.err.endswith(f"Is a directory: '{tmp_path}'\n")
 
+    @pytest.mark.parametrize(
+        "target", ["{dir}", "{dir}/missing/out.json"], ids=["directory", "no-parent"]
+    )
+    def test_unusable_output_fails_before_the_work(
+        self, target, tmp_path, capsys, monkeypatch
+    ):
+        def run_suite(*args, **kwargs):
+            raise AssertionError("the suite ran before its output was opened")
+
+        monkeypatch.setattr(cli, "run_suite", run_suite)
+        out = target.format(dir=tmp_path)
+        assert dispatch(["suite", "full", "-o", out]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.count("error: ") == 1
+        assert not (tmp_path / "missing").exists()
+
+    def test_input_error_removes_only_the_output_it_created(self, onb4, op44, tmp_path):
+        weight = tmp_path / "w.json"
+        write_json(weight, ["1", 1.0, 1.0, 1.0])
+        argv = ["verify", "outer", "--frame1", str(onb4), "--frame2", str(onb4)]
+        argv += ["--op", str(op44), "--weight1", str(weight), "-o"]
+        new = tmp_path / "new.json"
+        assert dispatch([*argv, str(new)]) == 3
+        assert not new.exists()
+        old = tmp_path / "old.json"
+        old.write_text("kept\n")
+        assert dispatch([*argv, str(old)]) == 3
+        assert old.read_text() == "kept\n"
+
 
 class TestKernelVerbs:
     def test_galerkin_synth_round_trip(self, onb4, op44, tmp_path):

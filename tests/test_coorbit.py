@@ -226,6 +226,19 @@ class TestWeightGridValidation:
             MixedSpaceSpec(1.0, 1.0, 0, np.ones(shape))
 
 
+class TestInnerAxisValidation:
+    @pytest.mark.parametrize("axis", [0, 1, np.int64(0), np.intp(1)])
+    def test_accepts_integer(self, axis):
+        assert MixedSpaceSpec(2.0, 2.0, axis, np.ones((2, 2))).inner_axis == axis
+
+    @pytest.mark.parametrize(
+        "axis", [1.0, 0.0, np.float64(1.0), True, False, np.bool_(True), 2, -1, "0"]
+    )
+    def test_rejects_non_integer_or_out_of_range(self, axis):
+        with pytest.raises(PreconditionError, match="^inner_axis must be 0 or 1$"):
+            MixedSpaceSpec(2.0, 2.0, axis, np.ones((2, 2)))
+
+
 class TestOverflowGivesInf:
     """A slice whose largest entry overflows has norm inf, not NaN."""
 
