@@ -4,8 +4,11 @@ the ambient space through dual-frame coefficients.
 The vector norm is ``||f|| = || analysis(dual, f) ||_{l^p_w}``; kernels
 of operators get the analogous double-index (mixed) norms.  Operator
 norms between two such spaces are returned as rigorous
-``(lower, upper)`` intervals; the interval collapses to a point in the
-cases where an extreme-point sweep is provably exact.
+``(lower, upper)`` intervals on the routes of the Schur-test
+characterisations, out of a weighted ``l^1`` space or into a weighted
+``l^inf`` one; other routes are refused.  Each route has one upper
+bound: ``"row"`` into ``l^inf``, ``"column"`` out of ``l^1`` and the
+closed form ``"exact-l2"`` from ``l^2`` into ``l^inf``.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import numpy as np
 
 from .frames import FramePair, _check_operator, analysis
 from .generators import substream
-from .localisation import _positive_finite, _remembered, _schur_combine, as_weight
-from .numeric import PreconditionError, _check_exponent, as_matrix, as_vector
+from .localisation import _positive_finite, _remembered, as_weight
+from .numeric import PreconditionError, _check_exponent, _check_seed, as_matrix, as_vector
 
 
 def _holder_conjugate(p: float) -> float:
@@ -227,8 +230,10 @@ def coorbit_norm(spec: CoorbitSpec, f) -> float:
 class OpNormInterval(tuple):
     """``(lower, upper)`` enclosure of an operator norm.
 
-    ``upper_source`` names the bound that gave ``upper``: ``"schur"``,
-    ``"row"``, ``"column"``, ``"spectral"`` or ``"exact-l2"``.
+    ``upper_source`` names the bound that gave ``upper``: ``"row"``, the
+    largest row norm into ``l^inf``; ``"column"``, the largest column
+    norm out of ``l^1`` into ``l^q`` with ``q < inf``; or ``"exact-l2"``,
+    the closed form from ``l^2`` into ``l^inf``.
     ``lower_source`` names the probe class that attained ``lower``:
     ``"frame"``, ``"basis"``, ``"random"``, ``"extremizer"`` or
     ``"witness"``, the first of them on a tie, and ``"none"`` when no
@@ -415,66 +420,60 @@ def _probe_denominators(
 def coorbit_opnorm(
     O, src: CoorbitSpec, dst: CoorbitSpec, seed: int = 0
 ) -> OpNormInterval:
-    """Enclose the norm of ``O`` as a map between two coorbit spaces.
+    """Enclose the norm of ``O`` from the ``l^p_w1`` coorbit space of
+    ``src`` into the ``l^q_w2`` one of ``dst``, on a route of the
+    Schur-test characterisations: out of ``l^1`` (``p = 1``, any ``q``)
+    or into ``l^inf`` (``q = inf``, any ``p``).  Any other ``(p, q)``,
+    and a ``seed`` that is not an integer, raise
+    :class:`PreconditionError` before any work.
 
-    The upper bound comes from the coefficient-domain matrix
-    ``M = C_dual2 O D_frame1`` (an exact factorization of the operator
-    through the source coefficients), combining the column bound (exact
-    for ``p=1``), the row Hoelder bound (exact for ``q=inf``), the Schur
-    interpolation bound for ``p=q`` and the spectral norm for
-    ``p=q=2``; weights that overflow the scaled matrix give the upper
-    bound inf, and the spectral norm is then skipped.  The lower bound
-    is the best ratio ``||O f|| / ||f||`` over frame vectors, standard
-    basis vectors, ``10 * d1`` seeded random probes and (``p > 1``) the
-    synthesized Hoelder extremizers of the rows ``b`` of the weighted
-    ``B = w2 M / w1``, with entries ``conj(b_j) / |b_j|`` times
-    ``(|b_j| / max|b|)^(p' - 1)`` and phase 1 where ``b_j = 0``, formed
-    without transcendental functions; a probe whose norm overflowed, or
-    whose norm is zero, is skipped.  On an orthonormal basis at ``p=1``
-    the frame vectors attain the column bound, so the interval is exact
-    up to rounding.
+    The upper bound is the norm of the coefficient-domain matrix ``B =
+    w2 M / w1``, with ``M = C_dual2 O D_frame1`` an exact factorization
+    of the operator through the source coefficients: into ``l^inf`` the
+    largest row ``l^{p'}`` norm of ``B`` (``"row"``), and out of ``l^1``
+    into ``l^q``, ``q < inf``, its largest column ``l^q`` norm
+    (``"column"``).  Weights that overflow the scaled matrix give the
+    upper bound inf.  The lower bound is the best ratio ``||O f|| /
+    ||f||`` over frame vectors, standard basis vectors, ``10 * d1``
+    seeded random probes and (``p > 1``) the synthesized Hoelder
+    extremizers of the rows ``b`` of ``B``, with entries ``conj(b_j) /
+    |b_j|`` times ``(|b_j| / max|b|)^(p' - 1)`` and phase 1 where ``b_j =
+    0``, formed without transcendental functions; a probe whose norm
+    overflowed, or whose norm is zero, is skipped.  On an orthonormal
+    basis at ``p=1`` the frame vectors attain the column bound, so the
+    interval is exact up to rounding.
 
-    Each call multiplies only what depends on ``O``:
+    Each call multiplies only what depends on ``O``: the images of the
+    frame and basis vectors are the columns of ``C_dual2 O V1^T`` and of
+    ``C_dual2 O``, which the upper bound forms anyway; the random block
+    and the extremizers go through ``C_dual2 O``, and the extremizers,
+    which depend on ``O``, through ``C_dual1`` as well.  The random block
+    and the denominators ``||f||`` of the frame, basis and random probes
+    depend only on the source pair, ``w1``, ``p`` and ``seed``, so they
+    are remembered per source pair (see ``localisation._remembered``).
+    Probes are multiplied in chunks of ``k`` columns whose ``n x k``
+    intermediates hold at most ``2**14`` elements (``k >= 1``).
 
-    * the images of the frame vectors and basis vectors are the columns
-      of ``C_dual2 O V1^T`` and of ``C_dual2 O``, which the upper bound
-      forms anyway;
-    * the extremizers and the random block are multiplied through
-      ``C_dual2 O``, and the extremizers, which depend on ``O``, through
-      ``C_dual1`` as well.
-
-    The random block and the denominators ``||f||`` of the frame-vector,
-    basis and random probes depend only on the source pair, ``w1``, ``p``
-    and ``seed``, so they are remembered per source pair (see
-    ``localisation._remembered``).  Probes are multiplied in chunks of
-    ``k`` columns whose ``n x k`` intermediates hold at most ``2**14``
-    elements (``k >= 1``), so memory stays bounded at large ``n``.
-
-    From ``l^2`` into ``l^inf`` (``p = 2``, ``q = inf``) the norm has a
-    closed form, and the interval encloses it to a few units in the last
-    place instead: with ``A1 = diag(w1) C_dual1``, ``G = A1^H A1`` and
-    the weighted rows ``r_i`` of ``diag(w2) C_dual2 O``, the norm is
-    ``max_i sqrt(r_i G^-1 r_i^H)``, attained by the witness ``G^-1
-    r_i^H``.  ``G^-1`` is remembered per source pair and ``w1``; each
-    call ranks the rows in double precision and bounds the largest in
-    extended precision, above by an a posteriori certificate that holds
-    for any approximate witness ``x`` (its residual ``r_i^H - G x``
-    enters through ``sigma = min(w1) sqrt(A_dual1) <= sigma_min(A1)``),
-    below by the ratio of the witness itself, each rounded outward.
-    ``w1``, ``w2`` and ``O`` are first scaled by exact powers of two and
-    the bounds scaled back, so weights and operators of any finite
-    magnitude give a finite interval, or ``(inf, inf)`` when the norm
-    itself exceeds the float range.  No probe or bound of the sweep
-    above is formed, and ``upper_source`` is ``"exact-l2"``.  A weighted
-    Gram that cannot be inverted falls back to the sweep.
+    From ``l^2`` into ``l^inf`` (``p = 2``, ``q = inf``) the norm has the
+    closed form ``max_i sqrt(r_i G^-1 r_i^H)``, with ``G`` the Gram of
+    ``diag(w1) C_dual1`` and ``r_i`` the rows of ``diag(w2) C_dual2 O``.
+    The interval encloses it to a few units in the last place from one
+    ``G^-1`` remembered per source pair and ``w1``
+    (:func:`_l2_to_sup_interval`), or gives ``(inf, inf)`` for a norm
+    beyond the float range; no probe is scored, and ``upper_source`` is
+    ``"exact-l2"``.  A weighted Gram that cannot be inverted falls back
+    to the sweep.
 
     The interval names the bound that gave its upper end and the probe
     class that attained its lower one (see :class:`OpNormInterval`).
     A lower bound above the upper one by at most ``16 eps`` relative is
     clamped to it; a larger excess raises ``FloatingPointError``.
     """
-    A = _check_operator(O, src.pair, dst.pair)
     p, q = src.seq.p, dst.seq.p
+    if p > 1.0 and q < np.inf:
+        raise PreconditionError(f"op-norm needs p = 1 or q = inf, got p={p:g}, q={q:g}")
+    seed = _check_seed(seed)
+    A = _check_operator(O, src.pair, dst.pair)
     w1, w2 = src.seq.weight, dst.seq.weight
     return _opnorm_interval(A[None], src.pair, dst.pair, p, q, w1, w2, seed)[0]
 
@@ -491,8 +490,8 @@ def _opnorm_interval(
 ) -> list:
     """:func:`coorbit_opnorm` of each trial of a checked ``(T, d2, d1)``
     stack ``A`` from the ``l^p_w1`` coorbit space of ``pair1`` into the
-    ``l^q_w2`` one of ``pair2``, for exponents and weights that are
-    already checked: one :class:`OpNormInterval` per trial.
+    ``l^q_w2`` one of ``pair2``, for a route, exponents and weights that
+    are already checked: one :class:`OpNormInterval` per trial.
 
     Each trial gets the bits of its own one-trial call:
 
@@ -550,32 +549,20 @@ def _sweep(A, pair1, pair2, p, q, w1, w2, seed) -> list:
             for interval in _sweep(A[t : t + 1], pair1, pair2, p, q, w1, w2, seed)
         ]
 
-    # one |B| serves every upper bound: each reads it before any
-    # _pnorm_of_abs that overwrites it
+    # the route's one exact bound of B: its largest row l^p' norm into
+    # l^inf, else (p = 1) its largest column l^q norm
+    if q == np.inf:
+        exponent, axis, upper_source = _holder_conjugate(p), -1, "row"
+    else:
+        exponent, axis, upper_source = q, -2, "column"
     a = np.abs(B)
-    uppers = [[] for _ in range(T)]
-    if p == q:
-        rows = a.sum(axis=-1).max(axis=-1, initial=0.0)
-        cols = a.sum(axis=-2).max(axis=-1, initial=0.0)
-        for t in range(T):
-            bound = _schur_combine(float(rows[t]), float(cols[t]), p)
-            uppers[t].append((bound, "schur"))
-    row = _pnorm_rows(_pnorm_of_abs(a, _holder_conjugate(p), axis=-1), q).tolist()
-    for t in range(T):
-        uppers[t].append((row[t], "row"))
-    if p == 1.0:  # the row bound took maxima, so a is intact
-        column = _pnorm_of_abs(a, q, axis=-2).max(axis=-1, initial=0.0)
-        for t in range(T):
-            uppers[t].append((float(column[t]), "column"))
+    uppers = _pnorm_of_abs(a, exponent, axis).max(axis=-1, initial=0.0).tolist()
     del a
-    if p == 2.0 and q == 2.0 and np.isfinite(B).all():
-        for t in range(T):  # a LAPACK call per trial in any case
-            uppers[t].append((float(np.linalg.norm(B[t], 2)), "spectral"))
 
     # only the random and extremizer probes meet A; the random block and
     # the other denominators are remembered per pair, the block fetched
     # first because a fill must not call _remembered
-    random = _remembered(pair1, ("random", seed), lambda: _random_probes(int(seed), d1))
+    random = _remembered(pair1, ("random", seed), lambda: _random_probes(seed, d1))
     den = _remembered(
         pair1,
         (w1.tobytes(), p, seed),
@@ -597,9 +584,7 @@ def _sweep(A, pair1, pair2, p, q, w1, w2, seed) -> list:
     # argmax takes the first of equal ratios
     ends = (n1, n1 + d1, n1 + d1 + random.shape[1])
     intervals = []
-    for t in range(T):
-        # the first of equal bounds, in the order above, names the upper end
-        upper, upper_source = min(uppers[t], key=lambda bound: bound[0])
+    for t, upper in enumerate(uppers):
         lower = float(ratios[t, best[t]])
         lower_source = _PROBE_CLASSES[sum(best[t] >= end for end in ends)]
         _check_order(lower, upper)

@@ -59,6 +59,13 @@ def _check_exponent(p, prefix: str = "") -> float:
     return p
 
 
+def _check_seed(seed) -> int:
+    """``seed`` as an ``int``: a Python or NumPy integer, not a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise PreconditionError(f"seed must be an integer, got {seed!r}")
+    return int(seed)
+
+
 def svd_values(M) -> np.ndarray:
     """Singular values, descending; ``min(rows, cols)`` of them."""
     A = as_matrix(M)

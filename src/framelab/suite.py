@@ -25,6 +25,7 @@ from .generators import (
     substream,
 )
 from .localisation import JaffardParams, jaffard_norm, poly_weight, schur_weighted_bound
+from .numeric import _check_seed
 from .tensor_kernels import correspondence_residual, galerkin, synthesize_kernel
 from .theorems import (
     _independence_reports,
@@ -361,7 +362,7 @@ def run_suite(name: str = "fast", seed: int = 0) -> dict:
     """Run every check; returns a summary dict (JSON-serializable)."""
     if name not in ("fast", "full"):
         raise ValueError(f"unknown suite {name!r}; expected 'fast' or 'full'")
-    fast = name == "fast"
+    seed, fast = _check_seed(seed), name == "fast"
     t_start = time.perf_counter()
     results = []
     draws = {}  # this run's seeded trial operators, dropped when it ends

@@ -54,7 +54,7 @@ from .localisation import (
     _weighted_schur_bound,
     as_weight,
 )
-from .numeric import PreconditionError, _check_exponent, as_matrix
+from .numeric import PreconditionError, _check_exponent, _check_seed, as_matrix
 from .tensor_kernels import _galerkin, synthesize_kernel
 
 REPORT_TOL = 1e-9
@@ -282,6 +282,7 @@ def verify_outer(
     general the ratio is controlled by the Schur bounds of the source
     Gram and dual Gram.
     """
+    seed = _check_seed(seed)
     w1, w2 = _check_weights(pair1, pair2, w1, w2)
     A = _check_operator(O, pair1, pair2)
     return _opnorm_report(A[None], pair1, pair2, w1, w2, 1.0, "ii", seed, outer=True)[0]
@@ -312,7 +313,7 @@ def schur_characterization(
     """
     if variant not in ("i", "ii"):
         raise PreconditionError(f"variant must be 'i' or 'ii', got {variant!r}")
-    p = _check_exponent(p, "p=")
+    p, seed = _check_exponent(p, "p="), _check_seed(seed)
     w1, w2 = _check_weights(pair1, pair2, w1, w2)
     A = _check_operator(O, pair1, pair2)
     return _opnorm_report(A[None], pair1, pair2, w1, w2, p, variant, seed)[0]

@@ -16,6 +16,7 @@ from framelab.generators import (
     decaying_perturbation,
     finite_gabor,
     gaussian_window,
+    mercedes,
     onb,
     random_operator,
     substream,
@@ -350,3 +351,66 @@ class TestCoreModulesKeepTheirChecks:
     def test_schur_weighted_bound_checks_its_weights(self):
         with pytest.raises(PreconditionError, match=POSITIVE):
             localisation.schur_weighted_bound(np.eye(2), [1.0, np.nan], 1.0)
+
+
+ROUTE = "^op-norm needs p = 1 or q = inf, got p="
+
+
+class TestOpnormRoutes:
+    """Op-norm intervals are enclosed out of ``l^1`` (``p = 1``) or into
+    ``l^inf`` (``q = inf``) only, the routes of the Schur-test
+    characterisations; any other route is refused before any work, so
+    the pair gets no entry in the store."""
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [(p, q) for p in (1.5, 2.0, 3.0, np.inf) for q in (1.0, 1.5, 2.0, 3.0)],
+    )
+    def test_other_routes_are_refused(self, p, q):
+        pair = canonical_dual(finite_gabor(8, 2, 2, gaussian_window(8)))
+        src = coorbit.CoorbitSpec(pair, coorbit.SeqSpaceSpec(p, ONES))
+        dst = coorbit.CoorbitSpec(pair, coorbit.SeqSpaceSpec(q, ONES))
+        with pytest.raises(PreconditionError, match=ROUTE):
+            coorbit.coorbit_opnorm(OP, src, dst)
+        assert pair not in localisation._memo
+
+
+MERCEDES = canonical_dual(mercedes())
+W3 = np.ones(3)
+O2 = random_operator(2, 2, seed=6)
+SEEDED = {
+    "coorbit_opnorm": lambda seed: coorbit.coorbit_opnorm(
+        O2,
+        coorbit.CoorbitSpec(MERCEDES, coorbit.SeqSpaceSpec(1.0, W3)),
+        coorbit.CoorbitSpec(MERCEDES, coorbit.SeqSpaceSpec(np.inf, W3)),
+        seed=seed,
+    ),
+    "verify_outer": lambda seed: verify_outer(
+        O2, MERCEDES, MERCEDES, W3, W3, seed=seed
+    ),
+    "schur_characterization": lambda seed: schur_characterization(
+        O2, MERCEDES, MERCEDES, W3, W3, 1.5, "ii", seed=seed
+    ),
+    "run_suite": lambda seed: run_suite("fast", seed),
+}
+
+
+class TestSeedIsAnInteger:
+    """A seed is a Python or NumPy integer that is not a bool.  A float
+    was used truncated (1.5 and 1.9 drew seed 1's probes) but reported as
+    given, and a string went into the report."""
+
+    @pytest.mark.parametrize(
+        "seed", [1.5, 1.9, 1.0, np.float64(1.0), "1", True, np.bool_(True), None]
+    )
+    @pytest.mark.parametrize("entry", sorted(SEEDED))
+    def test_other_seeds_are_refused(self, entry, seed):
+        with pytest.raises(PreconditionError, match="^seed must be an integer, got "):
+            SEEDED[entry](seed)
+
+    @pytest.mark.parametrize("seed", [1, np.int64(1), np.int32(1), np.uint8(1)])
+    def test_integer_seeds_are_reported_as_ints(self, seed):
+        report = SEEDED["verify_outer"](seed)
+        assert type(report.seed) is int
+        assert report == SEEDED["verify_outer"](1)
+        assert type(SEEDED["run_suite"](seed)["seed"]) is int
