@@ -99,17 +99,24 @@ def solve_posdef(M, B) -> np.ndarray:
 
 # Complex entries in one row block of a reduction over a matrix product:
 # the largest temporary that ``localisation._gram_sup`` and
-# ``tensor_kernels.correspondence_residual`` form.
+# ``tensor_kernels.correspondence_residual`` form (per trial of a stack).
 _BLOCK_ENTRIES = 2**16
 
 
 def _row_blocks(n_rows: int, n_cols: int) -> list[tuple[int, int]]:
     """Row ranges ``(r0, r1)`` covering ``0..n_rows`` in blocks of about
-    ``_BLOCK_ENTRIES / n_cols`` rows.  No block has a single row unless
-    ``n_rows == 1``: NumPy hands a one-row product to ``gemv``, whose
-    sums need not match the bits of the ``gemm`` that a full product
-    uses, so a trailing single row joins the block before it."""
-    step = max(_BLOCK_ENTRIES // n_cols, 2)
+    ``_BLOCK_ENTRIES / n_cols`` rows, a multiple of 6 and at least 6.
+
+    A row block must keep the bits of the rows of the full product.
+    OpenBLAS's Haswell and Zen ``zgemm`` kernels (one thread) round a
+    row by where it falls in their tiles, and blocks whose height is a
+    multiple of 6 keep every row's bits where heights such as 2, 4, 5,
+    7 or 8 do not; the SkylakeX kernel keeps them at any height.  No
+    block has a single row unless ``n_rows == 1``: NumPy hands a one-row
+    product to ``gemv``, whose sums need not match the bits of the
+    ``gemm`` that a full product uses, so a trailing single row joins
+    the block before it."""
+    step = max(_BLOCK_ENTRIES // n_cols // 6 * 6, 6)
     starts = list(range(0, n_rows, step))
     if len(starts) > 1 and n_rows - starts[-1] == 1:
         starts.pop()

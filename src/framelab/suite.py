@@ -4,6 +4,15 @@
 under a minute; ``run_suite("full", seed)`` runs the declared sizes.
 Given a root seed the summary is deterministic except for the elapsed
 timing fields.
+
+Each run keeps one table, dropped when it ends: its three frame
+families (``onb``, ``gabor`` and ``decaying``), built once for the
+round-trip, correspondence, element-norm and compression checks, and
+its seeded trial operators, each drawn once.  The checks that draw
+operators score their trials as stacks through stack-aware cores, in
+chunks that keep each stacked temporary within
+``coorbit._SCORE_ELEMENTS`` entries, and each trial keeps the bits of
+its one-trial call.
 """
 
 from __future__ import annotations
@@ -13,7 +22,13 @@ import time
 import numpy as np
 
 from . import __version__
-from .coorbit import CoorbitSpec, MixedSpaceSpec, SeqSpaceSpec, coorbit_norm
+from .coorbit import (
+    CoorbitSpec,
+    MixedSpaceSpec,
+    SeqSpaceSpec,
+    _trial_slices,
+    coorbit_norm,
+)
 from .frames import Frame, canonical_dual, frame_bounds, gram, linear_index_set
 from .generators import (
     decaying_perturbation,
@@ -26,7 +41,7 @@ from .generators import (
 )
 from .localisation import JaffardParams, jaffard_norm, poly_weight, schur_weighted_bound
 from .numeric import _check_seed
-from .tensor_kernels import correspondence_residual, galerkin, synthesize_kernel
+from .tensor_kernels import _galerkin, _residuals, _synthesize, galerkin
 from .theorems import (
     _independence_reports,
     _inner_reports,
@@ -37,18 +52,18 @@ from .theorems import (
 )
 
 
-def _families(fast: bool):
-    if fast:
-        return {
-            "onb": canonical_dual(onb(8)),
-            "gabor": canonical_dual(finite_gabor(8, 2, 2, gaussian_window(8))),
-            "decaying": canonical_dual(decaying_perturbation(8, 4.0, 0.05, seed=7)),
+def _families(fast: bool, draws):
+    """The run's ``onb``, ``gabor`` and ``decaying`` frame pairs, built
+    once per run: ``draws`` is the run's own table."""
+    families = draws.get("families")
+    if families is None:
+        N, d = (8, 8) if fast else (16, 32)
+        families = draws["families"] = {
+            "onb": canonical_dual(onb(d)),
+            "gabor": canonical_dual(finite_gabor(N, 2, 2, gaussian_window(N))),
+            "decaying": canonical_dual(decaying_perturbation(d, 4.0, 0.05, seed=7)),
         }
-    return {
-        "onb": canonical_dual(onb(32)),
-        "gabor": canonical_dual(finite_gabor(16, 2, 2, gaussian_window(16))),
-        "decaying": canonical_dual(decaying_perturbation(32, 4.0, 0.05, seed=7)),
-    }
+    return families
 
 
 def _random_op(draws, d2, d1, seed, trial):
@@ -72,13 +87,13 @@ def _random_ops(draws, d2, d1, seed, trials):
 def check_kernel_roundtrip(seed: int, fast: bool, draws):
     trials = 4 if fast else 34
     worst = 0.0
-    for name, pair in _families(fast).items():
-        d = pair.frame.space_dim
-        for t in range(trials):
-            O = _random_op(draws, d, d, seed, t)
-            back = synthesize_kernel(galerkin(O, pair, pair), pair, pair)
-            rel = np.linalg.norm(back - O) / np.linalg.norm(O)
-            worst = max(worst, rel)
+    for pair in _families(fast, draws).values():
+        d, n = pair.frame.space_dim, pair.frame.cardinality
+        for part in _trial_slices(trials, n * n):
+            ops = _random_ops(draws, d, d, seed, range(trials)[part])
+            back = _synthesize(_galerkin(ops, pair, pair), pair, pair)
+            for O, B in zip(ops, back):
+                worst = max(worst, np.linalg.norm(B - O) / np.linalg.norm(O))
     return worst <= 1e-9, {"worst_relative_error": float(worst), "trials": trials}
 
 
@@ -86,18 +101,20 @@ def check_correspondence(seed: int, fast: bool, draws):
     trials = 5 if fast else 50
     worst_res = 0.0
     worst_idem = 0.0
-    for name, pair in _families(fast).items():
+    for name, pair in _families(fast, draws).items():
         d = pair.frame.space_dim
         n = pair.frame.cardinality
         rng = substream(seed, "suite", "correspondence", name)
-        for t in range(trials):
-            O = _random_op(draws, d, d, seed, t)
-            worst_res = max(
-                worst_res, correspondence_residual(galerkin(O, pair, pair), pair, pair)
-            )
-            k = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            p1 = galerkin(synthesize_kernel(k, pair, pair), pair, pair)
-            worst_idem = max(worst_idem, correspondence_residual(p1, pair, pair))
+        for part in _trial_slices(trials, n * n):
+            chunk = range(trials)[part]
+            k = _galerkin(_random_ops(draws, d, d, seed, chunk), pair, pair)
+            res = _residuals(k, _synthesize(k, pair, pair), pair, pair)
+            # each trial's (n, n) real then imaginary draws, in trial order
+            z = rng.standard_normal((len(chunk), 2, n, n))
+            k = _galerkin(_synthesize(z[:, 0] + 1j * z[:, 1], pair, pair), pair, pair)
+            idem = _residuals(k, _synthesize(k, pair, pair), pair, pair)
+            worst_res = max(worst_res, *res.tolist())
+            worst_idem = max(worst_idem, *idem.tolist())
     ok = worst_res <= 1e-9 and worst_idem <= 1e-10
     return ok, {
         "worst_galerkin_residual": float(worst_res),
@@ -305,7 +322,7 @@ def check_decaying_jaffard(seed: int, fast: bool, draws):
 
 def check_element_norm_bounds(seed: int, fast: bool, draws):
     worst = 0.0
-    for name, pair in _families(fast).items():
+    for pair in _families(fast, draws).values():
         n = pair.frame.cardinality
         for w in (np.ones(n), poly_weight(pair.frame.index_set, 1.0)):
             bound = schur_weighted_bound(gram(pair.dual), w, 1.0)
@@ -317,9 +334,8 @@ def check_element_norm_bounds(seed: int, fast: bool, draws):
 
 
 def check_compression(seed: int, fast: bool, draws):
-    N = 8 if fast else 16
-    pair = canonical_dual(finite_gabor(N, 2, 2, gaussian_window(N)))
-    n = pair.frame.cardinality
+    pair = _families(fast, draws)["gabor"]
+    N, n = pair.frame.space_dim, pair.frame.cardinality
     w = np.ones(n)
     # circular convolution by a localized filter
     rng = substream(seed, "suite", "filter", N)
@@ -365,7 +381,9 @@ def run_suite(name: str = "fast", seed: int = 0) -> dict:
     seed, fast = _check_seed(seed), name == "fast"
     t_start = time.perf_counter()
     results = []
-    draws = {}  # this run's seeded trial operators, dropped when it ends
+    # this run's frame families and seeded trial operators, dropped when
+    # it ends
+    draws = {}
     for check_name, fn in CHECKS:
         t0 = time.perf_counter()
         ok, details = fn(seed, fast, draws)

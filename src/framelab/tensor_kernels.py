@@ -52,7 +52,15 @@ def synthesize_kernel(k, pair1: FramePair, pair2: FramePair) -> np.ndarray:
         raise PreconditionError(
             f"coefficient array shape {K.shape}, expected ({n1}, {n2})"
         )
-    return pair2.frame.vectors.T @ K.T @ pair1.frame.vectors.conj()
+    return _synthesize(K[None], pair1, pair2)[0]
+
+
+def _synthesize(K: np.ndarray, pair1: FramePair, pair2: FramePair) -> np.ndarray:
+    """:func:`synthesize_kernel` of each trial of a checked ``(T, n1,
+    n2)`` coefficient stack ``K``, as a ``(T, d2, d1)`` stack; each
+    trial's products have the shapes, and so the bits, of a one-trial
+    call."""
+    return pair2.frame.vectors.T @ K.swapaxes(-1, -2) @ pair1.frame.vectors.conj()
 
 
 def correspondence_residual(k, pair1: FramePair, pair2: FramePair) -> float:
@@ -67,18 +75,33 @@ def correspondence_residual(k, pair1: FramePair, pair2: FramePair) -> float:
     ``n1 x n2`` complex temporary is built; a non-finite block makes the
     residual non-finite.
     """
-    A = _check_operator(synthesize_kernel(k, pair1, pair2), pair1, pair2)
+    A = synthesize_kernel(k, pair1, pair2)
     K = np.asarray(k, dtype=complex)  # validated by synthesize_kernel
+    return float(_residuals(K[None], A[None], pair1, pair2)[0])
+
+
+def _residuals(
+    K: np.ndarray, A: np.ndarray, pair1: FramePair, pair2: FramePair
+) -> np.ndarray:
+    """:func:`correspondence_residual` of each trial of a checked ``(T,
+    n1, n2)`` coefficient stack ``K``, given its synthesized ``(T, d2,
+    d1)`` stack ``A``.  A trial whose synthesized kernel is not finite
+    raises as its one-trial call does.  The row blocks hold ``T`` trials
+    each; every trial's products have the shapes of a one-trial call,
+    and maxima do not round, so each residual has its one-trial bits."""
+    if not np.isfinite(A).all():
+        for a in A:
+            _check_operator(a, pair1, pair2)
     D1 = pair1.dual.vectors
-    right = A.T @ pair2.dual.vectors.conj().T
-    k_max = res = np.float64(0.0)
-    for r0, r1 in _row_blocks(*K.shape):
-        k_rows = K[r0:r1]
+    right = A.swapaxes(-1, -2) @ pair2.dual.vectors.conj().T
+    k_max = res = np.zeros(len(K))
+    for r0, r1 in _row_blocks(*K.shape[1:]):
+        k_rows = K[:, r0:r1]
         diff = D1[r0:r1] @ right
         diff -= k_rows
-        k_max = np.maximum(k_max, np.max(np.abs(k_rows), initial=0.0))
-        res = np.maximum(res, np.max(np.abs(diff), initial=0.0))
-    return float(res) / max(float(k_max), 1.0)
+        k_max = np.maximum(k_max, np.max(np.abs(k_rows), axis=(-2, -1), initial=0.0))
+        res = np.maximum(res, np.max(np.abs(diff), axis=(-2, -1), initial=0.0))
+    return res / np.maximum(k_max, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -323,8 +323,10 @@ class TestBlockedReport:
             pair = canonical_dual(finite_gabor(20, 2, 2, gaussian_window(20)))
             index_set = product_cyclic_index_set(10, 10, family.split("-")[1])
         n = pair.frame.cardinality
-        # 7-row blocks: 100 and 37 rows leave a 2-row block at the end
-        monkeypatch.setattr("framelab.numeric._BLOCK_ENTRIES", 7 * n)
+        # 6-row blocks, the least a block holds: 100 rows leave a 4-row
+        # block at the end, and 37 rows a 7-row one (the single last row
+        # joins the block before it)
+        monkeypatch.setattr("framelab.numeric._BLOCK_ENTRIES", 6 * n)
         params = JaffardParams(s, index_set)
         rep = localisation_report(pair, params)
         assert report_fields(rep) == full_gram_norms(pair, params)
@@ -337,7 +339,7 @@ class TestBlockedReport:
         rng = substream(3, "test", "asymmetric-gram")
         V = rng.standard_normal((37, 11)) + 1j * rng.standard_normal((37, 11))
         pair = canonical_dual(Frame.from_vectors(V))
-        monkeypatch.setattr("framelab.numeric._BLOCK_ENTRIES", 7 * 37)
+        monkeypatch.setattr("framelab.numeric._BLOCK_ENTRIES", 6 * 37)
         params = JaffardParams(2.5, pair.frame.index_set)
         rep = localisation_report(pair, params)
         grid = _decay_grid(params)
@@ -448,4 +450,6 @@ class TestValidatedOnce:
         k = galerkin(random_operator(3, 3, seed=1), pair, pair)
         as_matrix_calls.clear()
         assert correspondence_residual(k, pair, pair) < 1e-12
-        assert len(as_matrix_calls) == 2  # synthesize_kernel, then galerkin
+        # synthesize_kernel's input check; the residual core checks the
+        # synthesized kernel with one isfinite pass and no as_matrix call
+        assert len(as_matrix_calls) == 1

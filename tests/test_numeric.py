@@ -12,6 +12,7 @@ import framelab
 from framelab.numeric import (
     ConditioningError,
     PreconditionError,
+    _row_blocks,
     as_matrix,
     as_vector,
     matrix_from_json,
@@ -125,6 +126,22 @@ class TestNonFiniteRejected:
         message = "^right-hand side contains NaN or Inf$"
         with pytest.raises(PreconditionError, match=message):
             solve_posdef(np.eye(2), rhs)
+
+
+@pytest.mark.parametrize("entries", [1, 7, 6 * 37, 13 * 37, 2**16])
+def test_row_blocks_are_six_aligned_and_cover_every_row(monkeypatch, entries):
+    """Every block starts on a multiple of 6, the blocks cover
+    ``0..n_rows`` in order, and no block has a single row unless
+    ``n_rows == 1``."""
+    monkeypatch.setattr("framelab.numeric._BLOCK_ENTRIES", entries)
+    for n_cols in (1, 3, 37, 100):
+        for n_rows in range(1, 120):
+            blocks = _row_blocks(n_rows, n_cols)
+            starts = [r0 for r0, _ in blocks]
+            assert all(r0 % 6 == 0 for r0 in starts)
+            assert starts[0] == 0 and blocks[-1][1] == n_rows
+            assert all(r1 == r0 for (_, r1), (r0, _) in zip(blocks, blocks[1:]))
+            assert all(r1 - r0 >= (1 if n_rows == 1 else 2) for r0, r1 in blocks)
 
 
 @pytest.mark.parametrize("module", ["framelab", "framelab.cli"])

@@ -1,15 +1,18 @@
-"""What the verification suite detects, and its per-run operator draws.
+"""What the verification suite detects, its per-run operator draws and
+frame families, and the memory of its stacked checks.
 
 The kill table scales the one Galerkin core, ``theorems._galerkin``, and
 pins which checks fail and the details they report at seed 0, so a change
 to how the suite scores its trials cannot change what it detects.
 """
 
+import gc
 import threading
+import tracemalloc
 
 import pytest
 
-from framelab import suite, theorems
+from framelab import coorbit, suite, theorems
 from framelab.suite import run_suite, strip_timings
 
 MISSED_AT_HALF = {
@@ -90,3 +93,42 @@ class TestDraws:
         assert len(draws) == 2 * len(set(draws))
         assert results[0]["pass"]
         assert strip_timings(results[0]) == strip_timings(results[1])
+
+
+class TestStackedChecks:
+    @pytest.mark.parametrize(
+        "check", [suite.check_kernel_roundtrip, suite.check_correspondence]
+    )
+    def test_chunked_stack_memory_is_bounded(self, check):
+        """The full suite's round-trip and correspondence checks score
+        each family's trials in chunks of at most ``_SCORE_ELEMENTS``
+        entries: the peak above what the checks keep stays within eight
+        such complex temporaries (it reads about 6 and 5.5 of them, 1.6
+        and 1.5 MB), where one stack of all trials takes about 16 and 48."""
+        draws = {}
+        check(0, False, draws)  # fills the run's families and operators
+        gc.collect()
+        tracemalloc.start()
+        try:
+            check(0, False, draws)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - kept <= 8 * coorbit._SCORE_ELEMENTS * 16
+
+    def test_each_family_is_built_once_per_run(self, monkeypatch):
+        """One ``run_suite("full")`` builds each frame pair of its three
+        families once, for all the checks that use them."""
+        families = suite._families(False, {})
+        assert len(families) == 3
+        built = []
+        real = suite.canonical_dual
+
+        def counting(frame):
+            built.append(frame.vectors.tobytes())
+            return real(frame)
+
+        monkeypatch.setattr(suite, "canonical_dual", counting)
+        run_suite("full", 0)
+        for pair in families.values():
+            assert built.count(pair.frame.vectors.tobytes()) == 1

@@ -18,8 +18,11 @@ from framelab.generators import (
     random_operator,
     substream,
 )
+from framelab import suite
 from framelab.numeric import PreconditionError
 from framelab.tensor_kernels import (
+    _residuals,
+    _synthesize,
     correspondence_residual,
     galerkin,
     galerkin_from_json,
@@ -301,16 +304,25 @@ def off_range_array(n1, n2, seed):
     return rng.standard_normal((n1, n2)) + 1j * rng.standard_normal((n1, n2))
 
 
-def overflowing_pairs():
-    """A Mercedes frame scaled by 1e-10, alone and with a fourth vector
-    in a third dimension: the duals carry 1e10, so the projection of an
-    array of entries near 1.7e308 overflows in its last product while
-    the synthesized kernel stays finite."""
+def overflowing_pairs(extra=1):
+    """A Mercedes frame scaled by 1e-10, alone and with ``extra`` more
+    vectors ``1e-10 e_k`` in ``extra`` more dimensions: the duals carry
+    1e10, so the projection of an array whose first three rows have
+    entries near 1.7e308 overflows in those rows of its last product
+    while the synthesized kernel and the other rows stay finite."""
     m = mercedes().vectors * 1e-10
-    V = np.zeros((4, 3), dtype=complex)
+    V = np.zeros((3 + extra, 2 + extra), dtype=complex)
     V[:3, :2] = m
-    V[3, 2] = 1e-10
+    V[3:, 2:] = 1e-10 * np.eye(extra)
     return canonical_dual(Frame.from_vectors(V)), canonical_dual(Frame.from_vectors(m))
+
+
+def overflowing_array(n1):
+    """An ``n1 x 3`` array for :func:`overflowing_pairs` whose
+    projection overflows in its first three rows."""
+    k = np.zeros((n1, 3), dtype=complex)
+    k[:3] = 1.7e308 * np.outer([1, -1, -1], [1, -1, -1])
+    return k * np.exp(0.25j * np.pi)
 
 
 class TestBlockedResidual:
@@ -328,7 +340,11 @@ class TestBlockedResidual:
             res = correspondence_residual(arr, gabor64, gabor64)
             assert res == unblocked_residual(arr, gabor64, gabor64)
 
-    @pytest.mark.parametrize("rows", [2, 5, 64])
+    # Block heights are multiples of 6, at least 6: asking for 2 or 5
+    # rows gives 6-row blocks, which leave 64 rows a 4-row last block and
+    # 16 rows a 4-row one; 18 rows leaves 64 rows a 10-row last block,
+    # and asking for 64 gives 60-row blocks and a 4-row one
+    @pytest.mark.parametrize("rows", [2, 5, 18, 64])
     @pytest.mark.parametrize("name", sorted(GALERKIN_PAIRS))
     def test_many_blocks(self, monkeypatch, name, rows):
         frame1, frame2 = GALERKIN_PAIRS[name]()
@@ -348,18 +364,21 @@ class TestBlockedResidual:
         k = off_range_array(n1, n2, 3)
         expected = unblocked_residual(k, pair1, pair2)
         assert correspondence_residual(k, pair1, pair2) == expected
-        monkeypatch.setattr("framelab.numeric._BLOCK_ENTRIES", 5 * n2)
-        assert correspondence_residual(k, pair1, pair2) == expected
+        # ten 6-row blocks and a 4-row one, then three 18-row blocks and a
+        # 10-row one
+        for rows in (6, 18):
+            monkeypatch.setattr("framelab.numeric._BLOCK_ENTRIES", rows * n2)
+            assert correspondence_residual(k, pair1, pair2) == expected
 
     @pytest.mark.parametrize("rows", [None, 2])
     def test_overflowed_block_stays_non_finite(self, monkeypatch, rows):
-        # The overflow lands in the first rows (the first block when
-        # blocks hold two rows); later blocks are finite, so a reduction
-        # that dropped a NaN block would report a small residual.
-        pair1, pair2 = overflowing_pairs()
-        k = np.zeros((4, 3), dtype=complex)
-        k[:3] = 1.7e308 * np.outer([1, -1, -1], [1, -1, -1])
-        k *= np.exp(0.25j * np.pi)
+        # The overflow lands in the first three of ten rows (the first
+        # block when blocks hold six rows, the least a block holds: asking
+        # for two gives six); the last block is finite, so
+        # a reduction that dropped a NaN block would report a small
+        # residual.
+        pair1, pair2 = overflowing_pairs(extra=7)
+        k = overflowing_array(10)
         if rows is not None:
             monkeypatch.setattr("framelab.numeric._BLOCK_ENTRIES", rows * 3)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -377,6 +396,87 @@ class TestBlockedResidual:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 16
+
+
+def stack_pairs():
+    """The full suite's three families, each paired with itself, and the
+    rectangular pair Gabor 16 (64 elements) -> decaying 33."""
+    pairs = {name: (pair, pair) for name, pair in suite._families(False, {}).items()}
+    pairs["gabor-to-decaying"] = (
+        canonical_dual(finite_gabor(16, 2, 2, gaussian_window(16))),
+        canonical_dual(decaying_perturbation(33, 3.0, 0.1, seed=2)),
+    )
+    return pairs
+
+
+STACK_PAIRS = stack_pairs()
+
+
+def coefficient_stack(pair1, pair2, T):
+    """``T`` coefficient arrays: Galerkin matrices of seeded operators
+    (in range) alternating with seeded off-range arrays."""
+    (n1, d1), (n2, d2) = pair1.frame.vectors.shape, pair2.frame.vectors.shape
+    return np.stack(
+        [
+            off_range_array(n1, n2, 100 + t)
+            if t % 2
+            else galerkin(random_operator(d2, d1, seed=100 + t), pair1, pair2)
+            for t in range(T)
+        ]
+    )
+
+
+class TestStackedKernels:
+    """The stacked synthesis and residual cores give, for every trial of
+    a stack, the bits of the public one-trial call."""
+
+    @pytest.mark.parametrize("blocked", [False, True])
+    @pytest.mark.parametrize("name", sorted(STACK_PAIRS))
+    def test_stack_equals_public_calls(self, monkeypatch, name, blocked):
+        pair1, pair2 = STACK_PAIRS[name]
+        K = coefficient_stack(pair1, pair2, 50)
+        if blocked:
+            # 6-row blocks: several blocks over every family's rows
+            monkeypatch.setattr("framelab.numeric._BLOCK_ENTRIES", 6 * K.shape[-1])
+        synthesized = [synthesize_kernel(k, pair1, pair2).tobytes() for k in K]
+        residuals = [correspondence_residual(k, pair1, pair2) for k in K]
+        for T in (1, 2, 7, 50):
+            A = _synthesize(K[:T], pair1, pair2)
+            assert [a.tobytes() for a in A] == synthesized[:T], T
+            assert _residuals(K[:T], A, pair1, pair2).tolist() == residuals[:T], T
+
+    def test_overflowed_trial_leaves_the_others_alone(self):
+        """A trial whose projection overflows reads a non-finite residual,
+        as its own call does, and the other trials keep theirs."""
+        pair1, pair2 = overflowing_pairs(extra=7)
+        K = np.stack(
+            [off_range_array(10, 3, 4), overflowing_array(10), off_range_array(10, 3, 5)]
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = [correspondence_residual(k, pair1, pair2) for k in K]
+            got = _residuals(K, _synthesize(K, pair1, pair2), pair1, pair2)
+        assert not np.isfinite(expected[1]) and not np.isfinite(got[1])
+        assert [got[0], got[2]] == [expected[0], expected[2]]
+
+    def test_stack_raises_as_its_raising_trial(self):
+        """A trial whose synthesized kernel overflows comes back inf from
+        the stacked synthesis, as from its own call, and makes the
+        residual raise with the message of its own call."""
+        pair = canonical_dual(Frame.from_vectors(10 * np.eye(2, dtype=complex)))
+        bad = np.full((2, 2), 1e308, dtype=complex)
+        good = off_range_array(2, 2, 6)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(synthesize_kernel(bad, pair, pair)).all()
+            with pytest.raises(PreconditionError) as alone:
+                correspondence_residual(bad, pair, pair)
+            for stack in ([good, bad], [bad, good], [good, good, bad]):
+                K = np.stack(stack)
+                A = _synthesize(K, pair, pair)
+                expected = [synthesize_kernel(k, pair, pair).tobytes() for k in K]
+                assert [a.tobytes() for a in A] == expected
+                with pytest.raises(PreconditionError) as stacked:
+                    _residuals(K, A, pair, pair)
+                assert str(stacked.value) == str(alone.value)
 
 
 class TestKernelNorm:
