@@ -1,14 +1,24 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 failed verification, 2 usage error, 3 input
-validation error.  Reports go to stdout (or ``-o``), diagnostics to
-stderr.  The JSON reports of ``localize``, ``verify``, ``compress`` and
-``suite`` embed the resolved configuration and the tool version; CSV
-rows, ``bounds``, ``coorbit-norm`` and the data files of ``gen``,
-``dual``, ``galerkin`` and ``kernel-synth`` do not.  An ``-o`` path
-that cannot be written fails before any work, and one that this call
-created is removed again on an input error.  The default seed can be
-overridden with the ``FRAMELAB_SEED`` environment variable.
+Each verb takes only the options its work reads.  Every ``verify``
+check is a sub-command with its own option set, the shared options
+coming from parent parsers, so an option of another check is a usage
+error.  ``gen`` passes each parameter flag it was given to
+``GeneratorSpec``, whose ``_PARAMETERS`` table alone holds the
+defaults: a flag the kind does not take is refused as a spec file's
+parameter is (exit 3), and a spec file takes no parameter flags.
+
+Exit codes: 0 success, 1 failed verification, 2 usage error (among them
+a missing, unknown or foreign option), 3 input validation error.
+Reports go to stdout (or ``-o``), diagnostics to stderr.  The JSON
+reports of ``localize``, ``verify``, ``compress`` and ``suite`` embed
+the resolved configuration (the options the verb or check read) and
+the tool version; CSV rows, ``bounds``, ``coorbit-norm`` and the data
+files of ``gen``, ``dual``, ``galerkin`` and ``kernel-synth`` do not.
+An ``-o`` path that cannot be written fails before any work, and one
+that this call created is removed again on an input error.  The
+default seed can be overridden with the ``FRAMELAB_SEED`` environment
+variable.
 """
 
 from __future__ import annotations
@@ -178,11 +188,18 @@ def _parse_exponent(text: str) -> float:
 def _cmd_gen(args) -> int:
     source = args.source
     kind = _ALIASES.get(source, source)
+    # every parameter flag given, in the parser's order; the defaults
+    # live in _PARAMETERS alone, and build() refuses a name the kind
+    # does not take, as it refuses one in a spec file
+    names = {name for table in _PARAMETERS.values() for name in table}
+    params = {k: v for k, v in vars(args).items() if k in names and v is not None}
     if source.endswith(".json") or os.path.exists(source):
+        if params:
+            raise PreconditionError(
+                f"a generator spec file takes no parameter flags, not {list(params)}"
+            )
         spec = GeneratorSpec.from_json(_load_json(source))
     elif kind in _PARAMETERS:
-        flags = {name: getattr(args, name) for name in _PARAMETERS[kind]}
-        params = {name: v for name, v in flags.items() if v is not None}
         spec = GeneratorSpec(kind, params, args.seed)
     else:
         raise PreconditionError(f"unknown generator {source!r} and no such spec file")
@@ -263,18 +280,12 @@ def _cmd_verify(args) -> int:
     loaded = {}
     pair1 = _load_pair(args.frame1, loaded)
     pair2 = _load_pair(args.frame2, loaded)
-    w1, w2 = _weights_for(args, pair1.frame, pair2.frame)
-
     which = args.which
+    if which != "schatten":
+        w1, w2 = _weights_for(args, pair1.frame, pair2.frame)
     if which == "independence":
-        if not (args.frame1b and args.frame2b):
-            raise PreconditionError(
-                "independence needs --frame1b and --frame2b for the second family"
-            )
-        pair1b = _load_pair(args.frame1b, loaded)
-        pair2b = _load_pair(args.frame2b, loaded)
-        p = _parse_exponent(args.p)
-        q = _parse_exponent(args.q)
+        pairs_b = _load_pair(args.frame1b, loaded), _load_pair(args.frame2b, loaded)
+        p, q = _parse_exponent(args.p), _parse_exponent(args.q)
         spec = MixedSpaceSpec(p, q, args.inner_axis, tensor_weights(w1, w2))
     O = _load_matrix(args.op)
     if which == "outer":
@@ -289,13 +300,9 @@ def _cmd_verify(args) -> int:
             O, pair1, pair2, w1, w2, p, args.variant, seed=args.seed
         )
     elif which == "independence":
-        report = verify_frame_independence(
-            O, (pair1, pair2), (pair1b, pair2b), spec
-        )
-    elif which == "schatten":
+        report = verify_frame_independence(O, (pair1, pair2), pairs_b, spec)
+    else:
         report = schatten_check(O, pair1, pair2, _parse_exponent(args.p))
-    else:  # pragma: no cover - blocked by argparse choices
-        raise PreconditionError(f"unknown verification {which!r}")
 
     if args.format == "csv":
         _emit_csv([report], "name,lhs,rhs,ratio,budget,pass,seed", args.output)
@@ -365,15 +372,14 @@ def build_parser() -> argparse.ArgumentParser:
                    "(onb|mercedes|gabor|decaying|operator)")
     p.add_argument("--dim", type=int)
     p.add_argument("--length", type=int)
-    p.add_argument("--time-step", type=int, default=1)
-    p.add_argument("--freq-step", type=int, default=1)
-    p.add_argument("--window", default="gaussian")
+    p.add_argument("--time-step", type=int)
+    p.add_argument("--freq-step", type=int)
+    p.add_argument("--window")
     p.add_argument("--decay", type=float)
     p.add_argument("--eps", type=float)
     p.add_argument("--rows", type=int)
     p.add_argument("--cols", type=int)
-    p.add_argument("--kind", dest="structure", default="dense",
-                   choices=["dense", "banded", "lowrank"])
+    p.add_argument("--kind", dest="structure", choices=["dense", "banded", "lowrank"])
     p.add_argument("--width", type=int)
     p.add_argument("--rank", type=int)
     p.add_argument("--seed", type=int, default=_default_seed())
@@ -404,24 +410,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("frame1")
     p.add_argument("frame2")
 
-    p = verb("verify", _cmd_verify, "run one verification check")
-    p.add_argument(
-        "which",
-        choices=["outer", "inner", "projective", "schur", "independence", "schatten"],
+    verify = verb("verify", _cmd_verify, "run one verification check")
+    checks = verify.add_subparsers(dest="which", required=True)
+    # the option groups that several checks share
+    common, weights, seed, exponent = (
+        argparse.ArgumentParser(add_help=False) for _ in range(4)
     )
-    p.add_argument("--frame1", required=True)
-    p.add_argument("--frame2", required=True)
-    p.add_argument("--frame1b")
-    p.add_argument("--frame2b")
-    p.add_argument("--op", required=True, help="operator/kernel matrix file")
-    p.add_argument("--weight1")
-    p.add_argument("--weight2")
-    p.add_argument("--p", default="2")
+    common.add_argument("--frame1", required=True)
+    common.add_argument("--frame2", required=True)
+    common.add_argument("--op", required=True, help="operator/kernel matrix file")
+    common.add_argument("--format", default="json", choices=["json", "csv"])
+    weights.add_argument("--weight1")
+    weights.add_argument("--weight2")
+    seed.add_argument("--seed", type=int, default=_default_seed())
+    exponent.add_argument("--p", default="2")
+    groups = {
+        "outer": [weights, seed],
+        "inner": [weights],
+        "projective": [weights],
+        "schur": [weights, seed, exponent],
+        "independence": [weights, exponent],
+        "schatten": [exponent],
+    }
+    for name, parents in groups.items():
+        checks.add_parser(name, parents=[common, *parents])
+    checks.choices["schur"].add_argument("--variant", default="i", choices=["i", "ii"])
+    p = checks.choices["independence"]
+    p.add_argument("--frame1b", required=True)
+    p.add_argument("--frame2b", required=True)
     p.add_argument("--q", default="inf")
     p.add_argument("--inner-axis", type=int, default=0, choices=[0, 1])
-    p.add_argument("--variant", default="i", choices=["i", "ii"])
-    p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--format", default="json", choices=["json", "csv"])
 
     p = verb("compress", _cmd_compress, "threshold Galerkin coefficients")
     p.add_argument("operator")
@@ -437,8 +455,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=["fast", "full"])
     p.add_argument("--seed", type=int, default=_default_seed())
 
-    for p in sub.choices.values():  # last, as each verb's help lists it
-        p.add_argument("-o", "--output")
+    # last, as each verb's help lists it; verify's checks each take their own
+    for p in [*sub.choices.values(), *checks.choices.values()]:
+        if p is not verify:
+            p.add_argument("-o", "--output")
     return parser
 
 

@@ -13,7 +13,6 @@ closed form ``"exact-l2"`` from ``l^2`` into ``l^inf``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ import numpy as np
 from .frames import FramePair, _check_operator, analysis
 from .generators import substream
 from .localisation import _positive_finite, _remembered, as_weight
-from .numeric import PreconditionError, _check_exponent, _check_seed, as_matrix, as_vector
+from .numeric import PreconditionError, _check_exponent, _check_int, as_matrix, as_vector
 
 
 def _holder_conjugate(p: float) -> float:
@@ -126,20 +125,6 @@ class MixedSpaceSpec:
         W = _check_grid(np.array(self.weights, dtype=float))
         W.flags.writeable = False
         object.__setattr__(self, "weights", W)
-
-    @functools.cached_property
-    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(u, v)`` with ``weights == outer(u, v)`` to ``rtol=1e-9``,
-        found once per spec; a grid that is not rank one raises on every
-        access."""
-        W = self.weights
-        u = W[:, 0].copy()
-        v = W[0, :] / W[0, 0]
-        if not np.allclose(W, _weight_grid(u, v), rtol=1e-9, atol=0.0):
-            raise PreconditionError(
-                "frame-independence budgets need a rank-one weight grid"
-            )
-        return u, v
 
 
 def _check_grid(W: np.ndarray) -> np.ndarray:
@@ -472,7 +457,7 @@ def coorbit_opnorm(
     p, q = src.seq.p, dst.seq.p
     if p > 1.0 and q < np.inf:
         raise PreconditionError(f"op-norm needs p = 1 or q = inf, got p={p:g}, q={q:g}")
-    seed = _check_seed(seed)
+    seed = _check_int(seed, "seed")
     A = _check_operator(O, src.pair, dst.pair)
     w1, w2 = src.seq.weight, dst.seq.weight
     return _opnorm_interval(A[None], src.pair, dst.pair, p, q, w1, w2, seed)[0]

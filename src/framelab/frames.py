@@ -21,6 +21,7 @@ import numpy as np
 from .numeric import (
     PreconditionError,
     ConditioningError,
+    _check_int,
     _complex_from_json,
     _complex_to_json,
     _json_int,
@@ -81,7 +82,7 @@ class IndexSet:
 
     def __post_init__(self):
         if self.kind in ("linear", "cyclic"):
-            n = int(self.size)
+            n = _check_int(self.size, "size")
             if n < 1:
                 raise PreconditionError("index set must be non-empty")
             object.__setattr__(self, "size", n)
@@ -90,7 +91,7 @@ class IndexSet:
             if self.metric != default:
                 raise PreconditionError(f"bad metric {self.metric!r} for {self.kind}")
         elif self.kind == "product_cyclic":
-            n1, n2 = (int(s) for s in self.size)
+            n1, n2 = (_check_int(s, "size") for s in self.size)
             if n1 < 1 or n2 < 1:
                 raise PreconditionError("index set must be non-empty")
             object.__setattr__(self, "size", (n1, n2))
@@ -180,6 +181,7 @@ class Frame:
     bounds: tuple[float, float] = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "space_dim", _check_int(self.space_dim, "space_dim"))
         # a private copy: freezing it leaves the caller's array writable,
         # and later writes there cannot invalidate ``bounds``
         V = as_matrix(np.array(self.vectors, dtype=complex))

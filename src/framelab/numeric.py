@@ -59,11 +59,11 @@ def _check_exponent(p, prefix: str = "") -> float:
     return p
 
 
-def _check_seed(seed) -> int:
-    """``seed`` as an ``int``: a Python or NumPy integer, not a bool."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise PreconditionError(f"seed must be an integer, got {seed!r}")
-    return int(seed)
+def _check_int(value, name: str) -> int:
+    """``value`` as an ``int``: a Python or NumPy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise PreconditionError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def svd_values(M) -> np.ndarray:

@@ -40,7 +40,7 @@ from .generators import (
     substream,
 )
 from .localisation import JaffardParams, jaffard_norm, poly_weight, schur_weighted_bound
-from .numeric import _check_seed
+from .numeric import _check_int
 from .tensor_kernels import _galerkin, _residuals, _synthesize, galerkin
 from .theorems import (
     _independence_reports,
@@ -378,7 +378,7 @@ def run_suite(name: str = "fast", seed: int = 0) -> dict:
     """Run every check; returns a summary dict (JSON-serializable)."""
     if name not in ("fast", "full"):
         raise ValueError(f"unknown suite {name!r}; expected 'fast' or 'full'")
-    seed, fast = _check_seed(seed), name == "fast"
+    seed, fast = _check_int(seed, "seed"), name == "fast"
     t_start = time.perf_counter()
     results = []
     # this run's frame families and seeded trial operators, dropped when

@@ -54,7 +54,7 @@ from .localisation import (
     _weighted_schur_bound,
     as_weight,
 )
-from .numeric import PreconditionError, _check_exponent, _check_seed, as_matrix
+from .numeric import PreconditionError, _check_exponent, _check_int, as_matrix
 from .tensor_kernels import _galerkin, synthesize_kernel
 
 REPORT_TOL = 1e-9
@@ -282,7 +282,7 @@ def verify_outer(
     general the ratio is controlled by the Schur bounds of the source
     Gram and dual Gram.
     """
-    seed = _check_seed(seed)
+    seed = _check_int(seed, "seed")
     w1, w2 = _check_weights(pair1, pair2, w1, w2)
     A = _check_operator(O, pair1, pair2)
     return _opnorm_report(A[None], pair1, pair2, w1, w2, 1.0, "ii", seed, outer=True)[0]
@@ -313,7 +313,7 @@ def schur_characterization(
     """
     if variant not in ("i", "ii"):
         raise PreconditionError(f"variant must be 'i' or 'ii', got {variant!r}")
-    p, seed = _check_exponent(p, "p="), _check_seed(seed)
+    p, seed = _check_exponent(p, "p="), _check_int(seed, "seed")
     w1, w2 = _check_weights(pair1, pair2, w1, w2)
     A = _check_operator(O, pair1, pair2)
     return _opnorm_report(A[None], pair1, pair2, w1, w2, p, variant, seed)[0]
@@ -540,11 +540,26 @@ def verify_frame_independence(
     return _independence_reports(A[None], pairs_a, pairs_b, spec)[0]
 
 
+def _rank_one_factors(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(u, v)`` with ``W == outer(u, v)`` to ``rtol=1e-9``: the first
+    column of ``W`` and its first row over its corner; a grid that is not
+    rank one is refused."""
+    u = W[:, 0].copy()
+    v = W[0, :] / W[0, 0]
+    if not np.allclose(W, _weight_grid(u, v), rtol=1e-9, atol=0.0):
+        raise PreconditionError(
+            "frame-independence budgets need a rank-one weight grid"
+        )
+    return u, v
+
+
 def _independence_reports(A, pairs_a, pairs_b, spec: MixedSpaceSpec) -> list:
     """:func:`verify_frame_independence` of each trial of a checked
     ``(T, d2, d1)`` stack ``A``, in chunks of at most ``_SCORE_ELEMENTS``
-    Galerkin entries (or one trial's); the second family's grid and the
-    budgets are found once for all trials."""
+    Galerkin entries (or one trial's).  The second family's grid, each
+    grid's factors and the budgets are found once for all trials, and
+    before the first Galerkin matrix, so a grid or an exponent pair that
+    has no budget is refused before any kernel is computed."""
     a1, a2 = pairs_a
     b1, b2 = pairs_b
     shape_a = (a1.frame.cardinality, a2.frame.cardinality)
@@ -555,7 +570,7 @@ def _independence_reports(A, pairs_a, pairs_b, spec: MixedSpaceSpec) -> list:
             f"weight grid of shape {grid_a.shape} does not fit the first "
             f"family's index grid {shape_a}"
         )
-    grid_b, factors_b = grid_a, None
+    grid_b = grid_a
     if shape_b != shape_a:
         c = grid_a[0, 0]
         if (grid_a != c).any():
@@ -563,19 +578,17 @@ def _independence_reports(A, pairs_a, pairs_b, spec: MixedSpaceSpec) -> list:
                 "families have different index grids; the weight grid must be "
                 "constant"
             )
-        # the constant grid of the second family, and the factors that
-        # MixedSpaceSpec._factors finds for it: its first column and ones
         grid_b = np.full(shape_b, c)
-        factors_b = grid_b[:, 0], np.ones(shape_b[1])
+    factors_a = _rank_one_factors(grid_a)
+    factors_b = factors_a if grid_b is grid_a else _rank_one_factors(grid_b)
+    budget_ab, budget_ba = _independence_budget(
+        pairs_a, pairs_b, p, q, axis, factors_a, factors_b
+    )
     norm_a, norm_b = [], []
     for part in _trial_slices(len(A), max(grid_a.size, grid_b.size)):
         k_a, k_b = _galerkin(A[part], a1, a2), _galerkin(A[part], b1, b2)
         norm_a += _grid_norm(k_a, grid_a, p, axis, q).tolist()
         norm_b += _grid_norm(k_b, grid_b, p, axis, q).tolist()
-    factors_a = spec._factors
-    budget_ab, budget_ba = _independence_budget(
-        pairs_a, pairs_b, p, q, axis, factors_a, factors_b or factors_a
-    )
     return [
         _report(
             "independence",

@@ -1,15 +1,26 @@
 """Command-line behavior: exit codes, file round trips, provenance."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 import framelab.cli as cli
+from framelab import __version__
 from framelab.cli import dispatch
-from framelab.frames import frame_from_json
+from framelab.coorbit import MixedSpaceSpec, tensor_weights
+from framelab.frames import canonical_dual, frame_from_json
 from framelab.numeric import matrix_from_json
-from framelab.theorems import VerificationReport
+from framelab.theorems import (
+    VerificationReport,
+    schatten_check,
+    schur_characterization,
+    verify_frame_independence,
+    verify_inner,
+    verify_outer,
+    verify_projective,
+)
 
 
 def write_json(path, obj):
@@ -131,6 +142,23 @@ FLAGS_AND_SPECS = [
             "parameters": {"rows": 4, "cols": 6, "structure": "lowrank", "rank": 2},
         },
     ),
+    # the flags' defaults are those of _PARAMETERS, spelled out here
+    (
+        ["gabor", "--length", "8"],
+        {
+            "kind": "gabor",
+            "parameters": {
+                "length": 8, "time_step": 1, "freq_step": 1, "window": "gaussian"
+            },
+        },
+    ),
+    (
+        ["operator", "--rows", "3", "--cols", "5"],
+        {
+            "kind": "random_operator",
+            "parameters": {"rows": 3, "cols": 5, "structure": "dense"},
+        },
+    ),
 ]
 
 
@@ -145,6 +173,7 @@ class TestGenSpecFiles:
         ids=[
             "onb", "mercedes", "gabor-gaussian", "gabor-delta", "gabor-ones",
             "decaying", "operator-dense", "operator-banded", "operator-lowrank",
+            "gabor-defaults", "operator-defaults",
         ],
     )
     def test_flags_and_spec_file_agree(self, flags, spec, tmp_path, capsys):
@@ -201,6 +230,60 @@ class TestGenSpecFiles:
         write_json(path, spec)
         assert dispatch(["gen", str(path)]) == 3
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+class TestGenFlags:
+    """Every parameter flag given to ``gen`` goes to ``GeneratorSpec``: a
+    flag its kind does not take is refused as a spec file's parameter
+    is, and a spec file takes no parameter flags."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["onb", "--dim", "4", "--length", "8"], "generator onb takes ['dim'], not ['length']"),
+            (["mercedes", "--kind", "banded"], "generator mercedes takes [], not ['structure']"),
+            (
+                ["gabor", "--length", "8", "--rows", "2", "--dim", "3"],
+                "generator gabor takes ['length', 'time_step', 'freq_step', "
+                "'window'], not ['dim', 'rows']",
+            ),
+            (
+                ["decaying", "--dim", "4", "--decay", "2", "--eps", "0.1", "--window", "ones"],
+                "generator decaying_perturbation takes ['dim', 'decay', 'eps'], "
+                "not ['window']",
+            ),
+            (
+                ["operator", "--rows", "4", "--cols", "4", "--time-step", "1"],
+                "generator random_operator takes ['rows', 'cols', 'structure', "
+                "'width', 'rank'], not ['time_step']",
+            ),
+        ],
+        ids=["onb-length", "mercedes-kind", "gabor-dim-rows", "decaying-window",
+             "operator-time-step"],
+    )
+    def test_flag_the_kind_does_not_take(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert dispatch(["gen", *argv, "-o", str(out)]) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_spec_file_takes_no_parameter_flags(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        write_json(path, {"kind": "onb", "parameters": {"dim": 4}})
+        assert dispatch(["gen", str(path), "--dim", "5", "--kind", "dense"]) == 3
+        message = "a generator spec file takes no parameter flags, not ['dim', 'structure']"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_spec_file_keeps_its_seed(self, tmp_path, capsys):
+        """``--seed`` is no parameter flag: a spec file accepts it and
+        uses its own seed."""
+        path = tmp_path / "spec.json"
+        parameters = {"dim": 6, "decay": 2, "eps": 0.1}
+        write_json(path, {"kind": "decaying_perturbation", "parameters": parameters, "seed": 3})
+        assert dispatch(["gen", str(path)]) == 0
+        own = capsys.readouterr()
+        assert dispatch(["gen", str(path), "--seed", "9"]) == 0
+        assert capsys.readouterr() == own
 
 
 class TestSimpleVerbs:
@@ -534,7 +617,7 @@ class TestVerify:
         assert dispatch(argv + ["--op", str(tmp_path / "missing.json")]) == 3
         assert "exponent 0.5 outside [1, inf]" in capsys.readouterr().err
 
-    def test_independence_needs_second_family(self, onb4, op44):
+    def test_independence_needs_second_family(self, onb4, op44, capsys):
         assert (
             dispatch(
                 [
@@ -544,8 +627,117 @@ class TestVerify:
                     "--op", str(op44),
                 ]
             )
-            == 3
+            == 2
         )
+        err = capsys.readouterr().err
+        assert "the following arguments are required: --frame1b, --frame2b" in err
+
+
+# each verify check's options besides -h/--help, and the keys of its
+# report's config at its required options alone
+_COMMON = {"--frame1", "--frame2", "--op", "--format", "-o", "--output"}
+_WEIGHTS = {"--weight1", "--weight2"}
+CHECK_OPTIONS = {
+    "outer": _COMMON | _WEIGHTS | {"--seed"},
+    "inner": _COMMON | _WEIGHTS,
+    "projective": _COMMON | _WEIGHTS,
+    "schur": _COMMON | _WEIGHTS | {"--seed", "--p", "--variant"},
+    "independence": _COMMON | _WEIGHTS
+    | {"--p", "--frame1b", "--frame2b", "--q", "--inner-axis"},
+    "schatten": _COMMON | {"--p"},
+}
+_CONFIG = {"command", "which", "frame1", "frame2", "op", "format"}
+CHECK_CONFIG = {
+    "outer": _CONFIG | {"seed"},
+    "inner": _CONFIG,
+    "projective": _CONFIG,
+    "schur": _CONFIG | {"seed", "p", "variant"},
+    "independence": _CONFIG | {"p", "frame1b", "frame2b", "q", "inner_axis"},
+    "schatten": _CONFIG | {"p"},
+}
+FOREIGN = [
+    (which, option)
+    for which, own in CHECK_OPTIONS.items()
+    for option in sorted(set().union(*CHECK_OPTIONS.values()) - own)
+]
+
+
+class TestVerifyOptionSets:
+    """Each verify check takes only the options it reads, and its report's
+    ``config`` records only those."""
+
+    @staticmethod
+    def argv(which, frame, op):
+        argv = ["verify", which, "--frame1", str(frame), "--frame2", str(frame)]
+        argv += ["--op", str(op)]
+        if which == "independence":
+            argv += ["--frame1b", str(frame), "--frame2b", str(frame)]
+        return argv
+
+    @pytest.mark.parametrize("which", sorted(CHECK_OPTIONS))
+    def test_help_lists_its_options(self, which, capsys):
+        assert dispatch(["verify", which, "--help"]) == 0
+        tokens = re.split(r"[\s,\[\]]+", capsys.readouterr().out)
+        options = {t for t in tokens if re.fullmatch(r"--?[a-z][a-z0-9-]*", t)}
+        assert options == CHECK_OPTIONS[which] | {"-h", "--help"}
+
+    @pytest.mark.parametrize("which, option", FOREIGN, ids=[f"{w}{o}" for w, o in FOREIGN])
+    def test_foreign_option_is_a_usage_error(self, which, option, onb4, op44, capsys):
+        assert dispatch([*self.argv(which, onb4, op44), option, "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {option} 1" in captured.err
+
+    @pytest.mark.parametrize("which", sorted(CHECK_CONFIG))
+    def test_config_records_what_the_check_read(self, which, onb4, op44, capsys):
+        assert dispatch(self.argv(which, onb4, op44)) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert set(config) == CHECK_CONFIG[which]
+        assert config["command"] == "verify" and config["which"] == which
+
+    @pytest.mark.parametrize("which", sorted(CHECK_OPTIONS))
+    def test_report_is_the_verifiers_apart_from_config(
+        self, which, tmp_path, monkeypatch, capsys
+    ):
+        """Apart from ``config``, a report is its verifier's ``to_json()``
+        and the version, byte for byte, on Gabor 8 frames with weights."""
+        monkeypatch.delenv("FRAMELAB_SEED", raising=False)
+        frame, op, weight = (tmp_path / name for name in ("g.json", "O.json", "w.json"))
+        gen = [["gabor", "--length", "8", "--time-step", "2", "--freq-step", "2"],
+               ["operator", "--rows", "8", "--cols", "8", "--seed", "5"]]
+        for path, argv in zip((frame, op), gen):
+            assert dispatch(["gen", *argv, "-o", str(path)]) == 0
+        w = [1.0 + i / 4 for i in range(16)]
+        write_json(weight, w)
+        options = {
+            "outer": ["--seed", "1"],
+            "inner": [],
+            "projective": [],
+            "schur": ["--p", "1.5", "--variant", "ii", "--seed", "2"],
+            "independence": ["--p", "2", "--q", "inf", "--inner-axis", "1"],
+            "schatten": ["--p", "1.5"],
+        }[which]
+        if which != "schatten":
+            options += ["--weight1", str(weight), "--weight2", str(weight)]
+        assert dispatch([*self.argv(which, frame, op), *options]) == 0
+        report = json.loads(capsys.readouterr().out)
+        del report["config"]
+
+        pair = canonical_dual(frame_from_json(read_json(frame)))
+        O, w = matrix_from_json(read_json(op)), np.array(w)
+        expected = {
+            "outer": lambda: verify_outer(O, pair, pair, w, w, seed=1),
+            "inner": lambda: verify_inner(O, pair, pair, w, w),
+            "projective": lambda: verify_projective(O, pair, pair, w, w),
+            "schur": lambda: schur_characterization(O, pair, pair, w, w, 1.5, "ii", seed=2),
+            "independence": lambda: verify_frame_independence(
+                O, (pair, pair), (pair, pair),
+                MixedSpaceSpec(2.0, np.inf, 1, tensor_weights(w, w)),
+            ),
+            "schatten": lambda: schatten_check(O, pair, pair, 1.5),
+        }[which]()
+        expected = {**expected.to_json(), "version": __version__}
+        assert json.dumps(report, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 class TestMalformedComplexEntries:
@@ -687,7 +879,9 @@ class TestCsv:
     )
     def test_verify_row_is_the_report(self, which, onb4, op44, capsys):
         argv = ["verify", which, "--frame1", str(onb4), "--frame2", str(onb4)]
-        argv += ["--op", str(op44), "--frame1b", str(onb4), "--frame2b", str(onb4)]
+        argv += ["--op", str(op44)]
+        if which == "independence":
+            argv += ["--frame1b", str(onb4), "--frame2b", str(onb4)]
         fields, rows, report = self.rows(argv, capsys)
         assert fields == ["name", "lhs", "rhs", "ratio", "budget", "pass", "seed"]
         assert rows == [[str(report[f]) for f in fields]]

@@ -3,6 +3,7 @@ duals and reconstruction."""
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -140,6 +141,25 @@ class TestIndexSet:
             IndexSet(kind, 5, metric)
         with pytest.raises(PreconditionError):
             IndexSet.from_json({"kind": kind, "size": 5, "metric": metric})
+
+    @pytest.mark.parametrize(
+        "build, bad",
+        [
+            (lambda n: IndexSet("linear", n), 3.7),
+            (lambda n: IndexSet("cyclic", n), True),
+            (lambda n: IndexSet("linear", n), "3"),
+            (lambda n: product_cyclic_index_set(n, 3), 2.9),
+            (lambda n: product_cyclic_index_set(2, n), 3.2),
+            (lambda n: product_cyclic_index_set(2, n), np.float64(3.0)),
+        ],
+        ids=["float", "bool", "string", "product-first", "product-second", "numpy-float"],
+    )
+    def test_non_integer_size_rejected(self, build, bad):
+        """Sizes are Python or NumPy integers: a float is not truncated
+        (3.7 gave 3 labels) and a bool is not a size (True gave 1)."""
+        message = re.escape(f"size must be an integer, got {bad!r}")
+        with pytest.raises(PreconditionError, match=message):
+            build(bad)
 
 
 class TestAnalysisSynthesis:
@@ -374,6 +394,19 @@ class TestValidation:
     def test_largest_representable_frame_operator_accepted(self):
         frame = Frame.from_vectors([[1e154, 0], [0, 1e154]])
         assert frame.bounds == (1e308, 1e308)
+
+    @pytest.mark.parametrize("space_dim", [3.0, True, "3", np.float64(3.0)])
+    def test_non_integer_space_dim_rejected(self, space_dim):
+        with pytest.raises(PreconditionError, match="space_dim must be an integer"):
+            Frame(space_dim, linear_index_set(3), np.eye(3))
+
+    def test_numpy_integer_space_dim_round_trips(self):
+        """A NumPy integer dimension is stored as an ``int``, so
+        ``frame_from_json`` accepts what ``frame_to_json`` writes."""
+        frame = Frame(np.int64(3), linear_index_set(np.int32(3)), np.eye(3))
+        assert type(frame.space_dim) is int
+        again = frame_from_json(json.loads(json.dumps(frame_to_json(frame))))
+        assert again.space_dim == 3 and again.index_set == frame.index_set
 
 
 class TestCallerArraysStayWritable:

@@ -336,7 +336,8 @@ class TestFrameIndependence:
     def test_unsupported_mixed_exponents(self):
         pair = canonical_dual(onb(2))
         spec = MixedSpaceSpec(1.0, 2.0, 0, np.ones((2, 2)))
-        with pytest.raises(PreconditionError):
+        message = "certified only for p = q or outer-sup mixed norms"
+        with pytest.raises(PreconditionError, match=message):
             verify_frame_independence(
                 random_operator(2, 2, seed=9), (pair, pair), (pair, pair), spec
             )

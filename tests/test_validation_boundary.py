@@ -2,14 +2,13 @@
 trust the arrays they build.  Every input a verifier rejected before the
 cores stopped re-checking is still rejected, with the same message."""
 
-import functools
 import sys
 from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from framelab import coorbit, localisation, numeric
+from framelab import coorbit, localisation, numeric, tensor_kernels, theorems
 from framelab.coorbit import MixedSpaceSpec
 from framelab.frames import Frame, canonical_dual, linear_index_set
 from framelab.generators import (
@@ -84,35 +83,21 @@ class TestCheckedOnce:
             )
         assert calls == []
 
-    def test_one_spec_is_factored_once(self, monkeypatch):
-        real = MixedSpaceSpec._factors.func
-        calls = []
-
-        def counting(spec):
-            calls.append(spec)
-            return real(spec)
-
-        factors = functools.cached_property(counting)
-        factors.__set_name__(MixedSpaceSpec, "_factors")
-        monkeypatch.setattr(MixedSpaceSpec, "_factors", factors)
+    def test_each_call_factors_each_grid_once(self, count_calls):
+        """A call factors the first family's grid once, and a second
+        family on another index grid gets its constant grid factored
+        once more; nothing is remembered between calls."""
+        calls = count_calls(theorems, "_rank_one_factors")
         pair, rot = canonical_dual(onb(4)), rotated_onb(4, 0)
         O = random_operator(4, 4, seed=3)
         spec = MixedSpaceSpec(np.inf, np.inf, 0, np.ones((4, 4)))
         verify_frame_independence(O, (pair, pair), (rot, rot), spec)
-        assert len(calls) == 1
-        # a family with another index grid gets the constant grid of the
-        # same value and its known factors: no second factoring
+        assert len(calls) == 1 and calls[0] is spec.weights
         mixed = canonical_dual(Frame.from_vectors(np.vstack([np.eye(4), np.eye(4)])))
         for _ in range(2):
             verify_frame_independence(O, (pair, pair), (mixed, mixed), spec)
-        assert len(calls) == 1
-        # ONB 8 against Gabor 8 (16 elements): one factoring per spec
-        onb8, O8 = canonical_dual(onb(8)), random_operator(8, 8, seed=4)
-        spec8 = MixedSpaceSpec(2.0, 2.0, 0, np.ones((8, 8)))
-        for _ in range(3):
-            verify_frame_independence(O8, (onb8, onb8), (GABOR, GABOR), spec8)
-        assert len(calls) == 2
-        assert calls[0] is spec and calls[1] is spec8
+        assert len(calls) == 5
+        np.testing.assert_array_equal(calls[-1], np.ones((8, 8)))
 
     def test_inner_and_projective_build_no_spec(self, monkeypatch):
         built = []
@@ -219,6 +204,8 @@ OPERATOR_RUNS = {
 }
 
 RANK_ONE = "frame-independence budgets need a rank-one weight grid"
+UNSUPPORTED = "frame independence is certified only for p = q or outer-sup mixed norms"
+SUBNORMAL_FIRST = np.r_[1e-310, np.ones(3)]
 SHAPE = (
     r"weight grid of shape \(1, 1\) does not fit the first family's index "
     r"grid \(16, 16\)"
@@ -311,6 +298,28 @@ class TestRejectionsUnchanged:
         )
         with np.errstate(over="ignore"), expected:
             verify_frame_independence(OP, (GABOR, GABOR), (GABOR, GABOR), spec)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (MixedSpaceSpec(1.0, 2.0, 0, np.ones((4, 4))), UNSUPPORTED),
+            (MixedSpaceSpec(2.0, 2.0, 0, np.ones((4, 4)) + np.eye(4)), RANK_ONE),
+            (MixedSpaceSpec(2.0, 2.0, 0, np.ones((3, 3))), "does not fit"),
+            # the outer-sup route inverts the subnormal column factor
+            (MixedSpaceSpec(2.0, np.inf, 0, np.outer(SUBNORMAL_FIRST, np.ones(4))), POSITIVE),
+        ],
+        ids=["exponents", "not-rank-one", "shape", "reciprocal-overflows"],
+    )
+    def test_refusal_computes_no_galerkin_matrix(self, count_calls, spec, message):
+        """A grid or an exponent pair without a budget is refused before
+        either family's Galerkin matrix is built."""
+        calls = count_calls(tensor_kernels, "_galerkin")
+        pair, rot = canonical_dual(onb(4)), rotated_onb(4, 0)
+        with np.errstate(over="ignore"), pytest.raises(PreconditionError, match=message):
+            verify_frame_independence(
+                random_operator(4, 4, seed=3), (pair, pair), (rot, rot), spec
+            )
+        assert calls == []
 
 
 class TestWeightGridsBeyondTheFloatRange:
