@@ -170,7 +170,9 @@ def _emit_csv(reports, header: str, out_path: str | None) -> None:
 
 def _with_provenance(report: dict, args) -> dict:
     config = {
-        k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None
+        k: v
+        for k, v in sorted(vars(args).items())
+        if k not in ("func", "parser") and v is not None
     }
     return {**report, "config": config, "version": __version__}
 
@@ -455,10 +457,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=["fast", "full"])
     p.add_argument("--seed", type=int, default=_default_seed())
 
-    # last, as each verb's help lists it; verify's checks each take their own
+    # last, as each verb's help lists it; verify's checks each take their
+    # own.  Each leaf parser reports the arguments it does not take.
     for p in [*sub.choices.values(), *checks.choices.values()]:
         if p is not verify:
             p.add_argument("-o", "--output")
+            p.set_defaults(parser=p)
     return parser
 
 
@@ -469,7 +473,11 @@ def dispatch(argv) -> int:
         print(f"error: FRAMELAB_SEED: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
-        args = parser.parse_args(argv)
+        # argparse hands a sub-command's unknown arguments back to the
+        # root, whose usage names no check; its own parser reports them
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     out, created = args.output, False

@@ -222,9 +222,11 @@ class OpNormInterval(tuple):
     ``lower_source`` names the probe class that attained ``lower``:
     ``"frame"``, ``"basis"``, ``"random"``, ``"extremizer"`` or
     ``"witness"``, the first of them on a tie, and ``"none"`` when no
-    probe gave a positive ratio.  Both are ``None`` on an interval built
-    by hand, and neither takes part in comparisons: the interval is the
-    tuple ``(lower, upper)``."""
+    probe gave a positive ratio.  A random probe is scored only where a
+    bound shows that it might attain ``lower``, so one that is skipped
+    could not have been its source.  Both are ``None`` on an interval
+    built by hand, and neither takes part in comparisons: the interval
+    is the tuple ``(lower, upper)``."""
 
     def __new__(
         cls,
@@ -424,9 +426,13 @@ def coorbit_opnorm(
     extremizers of the rows ``b`` of ``B``, with entries ``conj(b_j) /
     |b_j|`` times ``(|b_j| / max|b|)^(p' - 1)`` and phase 1 where ``b_j =
     0``, formed without transcendental functions; a probe whose norm
-    overflowed, or whose norm is zero, is skipped.  On an orthonormal
-    basis at ``p=1`` the frame vectors attain the column bound, so the
-    interval is exact up to rounding.
+    overflowed, or whose norm is zero, is skipped.  A random probe is
+    scored only when a bound from the basis images shows that it might
+    reach the best ratio of the other probes; one left out lies strictly
+    below that ratio, so the interval and its sources are those of the
+    full sweep (see :func:`_sweep`).  On an orthonormal basis at ``p=1``
+    the frame vectors attain the column bound, so the interval is exact
+    up to rounding.
 
     Each call multiplies only what depends on ``O``: the images of the
     frame and basis vectors are the columns of ``C_dual2 O V1^T`` and of
@@ -513,7 +519,20 @@ def _opnorm_interval(
 
 def _sweep(A, pair1, pair2, p, q, w1, w2, seed) -> list:
     """The probe-sweep intervals of the ``(T, d2, d1)`` stack ``A``
-    (see :func:`coorbit_opnorm`)."""
+    (see :func:`coorbit_opnorm`).
+
+    The probes are scored in the order frame, basis, random, extremizer;
+    the random block and the extremizers are multiplied in the column
+    chunks of one ``_column_norms(analysis2, Q, w2, q)`` call.  The
+    chunks that hold an extremizer are scored first.  Then each chunk of
+    random columns alone is scored only for the trials where some bound
+    of :func:`_random_bounds` on it reaches the trial's best ratio so
+    far; elsewhere its ratios are set to 0.  A probe left out has a computed ratio strictly below the best one,
+    so the largest ratio and the first probe that attains it, hence the
+    interval and its sources, are those of the full sweep.  Every
+    product still formed keeps its shape and chunk boundaries, and a
+    trial that is scored is a slice of a stacked product, so its bits
+    are those of the full sweep too."""
     T = len(A)
     n1, d1 = pair1.frame.cardinality, pair1.frame.space_dim
     analysis2 = pair2.dual.vectors.conj() @ A
@@ -553,6 +572,7 @@ def _sweep(A, pair1, pair2, p, q, w1, w2, seed) -> list:
         (w1.tobytes(), p, seed),
         lambda: _probe_denominators(pair1, w1, p, random),
     )
+    den_random = den[n1 + d1 :]
     extremizers = _extremizers(B, pair1.frame.vectors, rw1, p)
     if extremizers:
         Q = _shared_then(random, extremizers)
@@ -560,14 +580,34 @@ def _sweep(A, pair1, pair2, p, q, w1, w2, seed) -> list:
         den = _shared_then(den, _column_norms(pair1.dual.vectors.conj(), ext, w1, p))
     else:
         Q = random
-    num = np.concatenate([num, *_column_norms(analysis2, Q, w2, q)], axis=-1)
-    live = (den > 0.0) & np.isfinite(den) & np.isfinite(num)
-    ratios = np.zeros_like(num)
-    np.divide(num, den, out=ratios, where=live)
+    # the chunks of _column_norms(analysis2, Q, w2, q) before ``split``
+    # hold random columns alone; the rest are scored first
+    R, step = random.shape[1], max(1, _SCORE_ELEMENTS // len(w2))
+    split = R if Q.shape[-1] == R else R - R % step
+    num = np.concatenate(
+        [num, np.zeros((T, split)), *_column_norms(analysis2, Q[..., split:], w2, q)],
+        axis=-1,
+    )
+    ratios = _ratios(num, den)
+    if split:
+        bounds = _random_bounds(num[:, n1 : n1 + d1], random, den_random, w2, q)
+        top = ratios.max(axis=-1, keepdims=True)
+        for c in range(0, split, step):
+            need = np.flatnonzero(~(bounds[:, c : c + step] < top).all(axis=-1))
+            if len(need) == T:
+                M, P = analysis2, Q[..., c : c + step]
+            elif len(need):
+                M = analysis2[need]
+                P = Q[..., c : c + step] if Q.ndim == 2 else Q[need, :, c : c + step]
+            else:
+                continue
+            cols = slice(n1 + d1 + c, n1 + d1 + min(c + step, split))
+            num[need, cols] = _column_norms(M, P, w2, q)[0]
+        ratios = _ratios(num, den)
     best = np.argmax(ratios, axis=-1).tolist()
     # probes are scored in the order frame, basis, random, extremizer, and
     # argmax takes the first of equal ratios
-    ends = (n1, n1 + d1, n1 + d1 + random.shape[1])
+    ends = (n1, n1 + d1, n1 + d1 + R)
     intervals = []
     for t, upper in enumerate(uppers):
         lower = float(ratios[t, best[t]])
@@ -585,6 +625,62 @@ def _sweep(A, pair1, pair2, p, q, w1, w2, seed) -> list:
 
 
 _PROBE_CLASSES = ("frame", "basis", "random", "extremizer")
+
+
+def _ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den``, with 0 where a norm is not finite or ``den`` is 0."""
+    live = (den > 0.0) & np.isfinite(den) & np.isfinite(num)
+    ratios = np.zeros_like(num)
+    np.divide(num, den, out=ratios, where=live)
+    return ratios
+
+
+def _random_bounds(basis, random, den, w2, q) -> np.ndarray:
+    """A bound on the computed ratio of each probe (column) of ``random``
+    for each trial, ``(T, k)``, from the numerators ``basis`` of the
+    basis probes, ``(T, d1)``, and the denominators ``den`` of the ``k``
+    probes: inf for a trial whose basis numerators are not all finite
+    and positive, and for every trial when ``den`` is not.
+
+    With ``H = diag(w2) C_dual2 A``, a probe ``f = sum_k f_k e_k`` has
+    ``||H f||_q <= sum_k |f_k| ||H e_k||_q``, and ``||H e_k||_q`` is the
+    basis numerator.  The bound is ``(S (1 + m) + s) / den`` with ``S =
+    basis @ |random|``.  Write ``u = 2**-53``, ``mu = 2**-1074`` and
+    ``gamma(k) = k u / (1 - k u)`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, sec. 3.1).  In exact arithmetic ``S``
+    would bound the numerator; the computed numerator and ``S`` each err
+    by relative terms and by underflow:
+
+    * relative: the complex product ``A_2 f`` (``A_2 = C_dual2 A``, inner
+      length ``d1``) by ``sqrt(2) gamma(2 d1)``, the scaling by ``w2`` by
+      ``u``, each ``q``-norm of ``n2`` entries by ``gamma(n2 + 4)`` (an
+      entry's error ``u`` becomes ``q u`` in its power, and the root
+      divides it by ``q`` again), and ``S`` by ``gamma(d1 + 1)``: in all
+      at most ``gamma(4 (n2 + d1) + 16)``, below ``m = max(2**-30, (n2 +
+      d1) 2**-50)`` at any size that fits in memory;
+    * absolute, by underflow: the product's entries by ``2 d1 mu``,
+      hence its weighted norm by ``2 d1 mu ||w2||_q``; the scaled
+      entries and the norm by ``2 n2 mu``, in the numerator and in each
+      basis numerator, which ``S`` multiplies by ``||f||_1``; and ``S``
+      itself by ``d1 mu``.  All of it is below ``s = 16 mu (n2 + d1 + 2)
+      (||w2||_q + max_f ||f||_1 + 1)``.
+
+    So the computed numerator is at most ``S (1 + m) + s`` whatever the
+    summation order, and a correctly rounded division keeps that order:
+    the computed ratio is at most the bound.  A numerator that overflows
+    makes no ratio, and a bound that overflows is inf."""
+    bounds = np.full((len(basis), random.shape[1]), np.inf)
+    known = (np.isfinite(basis) & (basis > 0.0)).all(axis=-1)
+    if not known.any() or not (np.isfinite(den) & (den > 0.0)).all():
+        return bounds
+    n2, d1 = len(w2), len(random)
+    a = np.abs(random)
+    margin = max(2.0**-30, (n2 + d1) * 2.0**-50)
+    with np.errstate(over="ignore"):
+        slack = (n2 + d1 + 2) * (_pnorm(w2, q) + float(a.sum(axis=0).max()) + 1.0)
+        S = basis[known] @ a
+        bounds[known] = (S * (1.0 + margin) + slack * 2.0**-1070) / den
+    return bounds
 
 
 def _shared_then(shared: np.ndarray, blocks: list) -> np.ndarray:

@@ -91,6 +91,8 @@ class IndexSet:
             if self.metric != default:
                 raise PreconditionError(f"bad metric {self.metric!r} for {self.kind}")
         elif self.kind == "product_cyclic":
+            if not isinstance(self.size, (tuple, list)) or len(self.size) != 2:
+                raise PreconditionError(f"size must be N or [N1, N2], got {self.size!r}")
             n1, n2 = (_check_int(s, "size") for s in self.size)
             if n1 < 1 or n2 < 1:
                 raise PreconditionError("index set must be non-empty")
@@ -145,8 +147,6 @@ class IndexSet:
     def from_json(obj: dict) -> "IndexSet":
         size = obj["size"]
         if isinstance(size, list):
-            if len(size) != 2:
-                raise PreconditionError(f"size must be N or [N1, N2], got {size!r}")
             size = tuple(_json_int(s, "size") for s in size)
         else:
             size = _json_int(size, "size")

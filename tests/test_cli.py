@@ -390,6 +390,21 @@ class TestSimpleVerbs:
         assert captured.out == ""
         assert captured.err == "error: frame vectors must form a rectangular table\n"
 
+    def test_product_index_set_with_a_scalar_size(self, tmp_path, capsys):
+        bad = tmp_path / "product.json"
+        write_json(
+            bad,
+            {
+                "space_dim": 2,
+                "index_set": {"kind": "product_cyclic", "size": 2, "metric": "max"},
+                "vectors": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+            },
+        )
+        assert dispatch(["bounds", str(bad)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: size must be N or [N1, N2], got 2\n"
+
     @pytest.mark.parametrize(
         "space_dim, size", [(2.9, 2), ("2", 2), (True, 2), (2, 2.5)]
     )
@@ -686,7 +701,11 @@ class TestVerifyOptionSets:
         assert dispatch([*self.argv(which, onb4, op44), option, "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"unrecognized arguments: {option} 1" in captured.err
+        # the check's own parser reports it, with its usage
+        assert captured.err.startswith(f"usage: framelab verify {which} [-h]")
+        assert captured.err.endswith(
+            f"framelab verify {which}: error: unrecognized arguments: {option} 1\n"
+        )
 
     @pytest.mark.parametrize("which", sorted(CHECK_CONFIG))
     def test_config_records_what_the_check_read(self, which, onb4, op44, capsys):
@@ -919,6 +938,14 @@ class TestExtremeWeights:
 
 
 class TestUsageErrors:
+    def test_leftover_argument_names_its_verb(self, onb4, capsys):
+        assert dispatch(["bounds", str(onb4), "extra"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: framelab bounds [-h]")
+        assert captured.err.endswith(
+            "framelab bounds: error: unrecognized arguments: extra\n"
+        )
+
     def test_unknown_verb(self, capsys):
         assert dispatch(["frobnicate"]) == 2
         assert "usage" in capsys.readouterr().err

@@ -849,6 +849,180 @@ class TestOneMatrixProbeSweep:
         assert np.array_equal(z, ten)
 
 
+def _interval_bits(interval):
+    """An interval's two ends, as hex strings, and its two sources."""
+    return (
+        interval.lower.hex(),
+        interval.upper.hex(),
+        interval.upper_source,
+        interval.lower_source,
+    )
+
+
+def _unbounded(basis, random, den, w2, q):
+    """A ``_random_bounds`` that bounds nothing: every random chunk is
+    scored for every trial, as before the random block was pruned."""
+    return np.full((len(basis), random.shape[1]), np.inf)
+
+
+PRUNE_FAMILIES = {
+    # random probes attain some lower bounds here
+    "mercedes": mercedes,
+    # here the bound skips the random block of most dense trials
+    "gabor32": ORACLE_FAMILIES["gabor32"],
+    "decaying32": ORACLE_FAMILIES["decaying32"],
+}
+
+
+class TestRandomProbePruning:
+    """A chunk of random probes is scored only for the trials where its
+    basis-image bound reaches the best ratio of the other probes.  A
+    skipped probe lies strictly below that ratio, so each interval,
+    with its sources, is the unpruned sweep's bit for bit."""
+
+    @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_intervals_equal_unpruned_sweep(self, family, t, monkeypatch):
+        pair = canonical_dual(ORACLE_FAMILIES[family]())
+        w = poly_weight(pair.frame.index_set, t)
+        d = pair.frame.space_dim
+        O = random_operator(d, d, seed=11)
+
+        def sweep():
+            return [
+                _interval_bits(
+                    coorbit_opnorm(
+                        O,
+                        CoorbitSpec(pair, SeqSpaceSpec(p, w)),
+                        CoorbitSpec(pair, SeqSpaceSpec(q, w)),
+                        seed=3,
+                    )
+                )
+                for p, q in ROUTES
+            ]
+
+        pruned = sweep()
+        monkeypatch.setattr(coorbit, "_random_bounds", _unbounded)
+        assert pruned == sweep()
+
+    @staticmethod
+    def stack(d):
+        """Seven dense operators; trials 1 and 4 have a zero column, so a
+        basis numerator is 0 and their random chunks are always scored."""
+        ops = np.stack([random_operator(d, d, seed=40 + t) for t in range(7)])
+        ops[[1, 4], :, 0] = 0.0
+        return ops
+
+    @pytest.mark.parametrize("family", sorted(PRUNE_FAMILIES))
+    def test_stacks_equal_unpruned_one_trial_calls(self, family, monkeypatch):
+        pair = canonical_dual(PRUNE_FAMILIES[family]())
+        w = poly_weight(pair.frame.index_set, 1.0)
+        n, d = pair.frame.cardinality, pair.frame.space_dim
+        ops = self.stack(d)
+        chunks = len(range(0, 10 * d, max(1, coorbit._SCORE_ELEMENTS // n)))
+        scored = []
+        real = coorbit._column_norms
+
+        def recording(M, P, w_, p_):
+            # at p = 1 only the random chunks multiply the stack by a
+            # shared block
+            if M.ndim == 3 and P.ndim == 2 and P.shape[-1]:
+                scored.append(len(M))
+            return real(M, P, w_, p_)
+
+        monkeypatch.setattr(coorbit, "_column_norms", recording)
+        got = {}
+        for p, q in ROUTES:
+            for T in (1, 2, 7):
+                del scored[:]
+                intervals = coorbit._opnorm_interval(ops[:T], pair, pair, p, q, w, w, 5)
+                got[p, q, T] = [_interval_bits(i) for i in intervals]
+                if p == 1.0 and family != "mercedes":
+                    # the trials with a zero column score every chunk of
+                    # the block, and some dense trial skips it
+                    zero_column = len({1, 4} & set(range(T)))
+                    assert zero_column * chunks <= sum(scored), (q, T)
+                    assert T < 7 or sum(scored) < T * chunks, q
+        monkeypatch.setattr(coorbit, "_random_bounds", _unbounded)
+        monkeypatch.setattr(coorbit, "_column_norms", real)
+        sources = set()
+        for p, q in ROUTES:
+            expected = [
+                _interval_bits(coorbit._opnorm_interval(O[None], pair, pair, p, q, w, w, 5)[0])
+                for O in ops
+            ]
+            sources.update(bits[3] for bits in expected)
+            for T in (1, 2, 7):
+                assert got[p, q, T] == expected[:T], (p, q, T)
+        assert ("random" in sources) == (family == "mercedes")
+
+
+# a probe block whose ratios meet the triangle inequality up to rounding:
+# scaled basis vectors, and for a rank-one operator u v^H probes whose
+# phases align every term of sum_k conj(v_k) f_k
+def _tight_probes(v, rng):
+    d = len(v)
+    phase = v / np.abs(v)
+    aligned = phase[:, None] * rng.uniform(0.1, 2.0, (d, 3 * d))
+    return np.concatenate([(0.6 + 0.8j) * np.eye(d), aligned], axis=1)
+
+
+class TestRandomBound:
+    """Every random probe's computed ratio is at most its computed bound,
+    margin and underflow slack included.  The bound is inf unless every
+    basis numerator and random denominator is finite and positive."""
+
+    @staticmethod
+    def scored(pair, A, w1, w2, p, q, P):
+        """The computed ratios of the probes ``P``, as the sweep forms
+        them, whether a numerator overflowed, and their bounds."""
+        analysis2 = pair.dual.vectors.conj() @ A[None]
+        basis = _pnorm_along(coorbit._scale(analysis2.copy(), w2[:, None]), q, axis=-2)
+        num = np.concatenate(coorbit._column_norms(analysis2, P, w2, q), axis=-1)
+        den = np.concatenate(coorbit._column_norms(pair.dual.vectors.conj(), P, w1, p))
+        bounds = coorbit._random_bounds(basis, P, den, w2, q)[0]
+        return coorbit._ratios(num, den)[0], not np.isfinite(num).all(), bounds
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, np.inf])
+    @pytest.mark.parametrize("q", [1.0, 2.0, np.inf])
+    @pytest.mark.parametrize("family", ["mercedes", "gabor8"])
+    def test_ratio_at_most_bound(self, family, p, q):
+        pair = canonical_dual(ORACLE_FAMILIES[family]())
+        n, d = pair.frame.cardinality, pair.frame.space_dim
+        rng = substream(1, "test-coorbit", "random-bound", family)
+        random = _random_probes(2, d)
+        checked = tight = overflowed = 0
+        with np.errstate(over="ignore", under="ignore"):
+            for trial in range(12):
+                v = random_operator(d, 1, seed=trial)[:, 0]
+                rank_one = random_operator(d, 1, seed=50 + trial) @ v.conj()[None]
+                dense = random_operator(d, d, seed=trial)
+                w1 = 10.0 ** rng.uniform(-150, 150, n)
+                w2 = 10.0 ** rng.uniform(-150, 150, n)
+                for scale in (1.0, 1e-150, 1e-300, None):
+                    for A, P in ((dense, random), (rank_one, _tight_probes(v, rng))):
+                        weights = w2
+                        if scale is None:
+                            # rows whose weighted images reach 2**1023, so
+                            # that some probe images overflow
+                            rows = np.abs(pair.dual.vectors.conj() @ A).max(axis=1)
+                            weights = w2.copy()
+                            weights[: n // 2 + 1] = 2.0**1023 / rows[: n // 2 + 1]
+                        else:
+                            A = scale * A
+                        ratios, overflow, bounds = self.scored(pair, A, w1, weights, p, q, P)
+                        assert (ratios <= bounds).all(), (trial, scale)
+                        overflowed += overflow
+                        if np.isinf(bounds).all():
+                            continue
+                        checked += 1
+                        live = (ratios > 0.0) & (bounds < np.inf)
+                        tight += (ratios[live] / bounds[live] > 1.0 - 1e-6).any()
+        assert checked >= 48 and tight >= 12 and overflowed >= 4, (
+            checked, tight, overflowed
+        )
+
+
 class TestProbeMemo:
     """The seeded random probe block is drawn once per source pair and
     seed, and remembered in the pair's entries of the store."""

@@ -501,6 +501,15 @@ class TestSerialization:
         with pytest.raises(PreconditionError, match=f"^{message}, got "):
             IndexSet.from_json(obj)
 
+    @pytest.mark.parametrize("size", [4, (2, 3, 4), (4,), "ab"])
+    def test_product_size_must_be_a_pair(self, size):
+        """A product size that is not a pair is refused with the message
+        that ``from_json`` gives, not a bare ``TypeError`` or an unpacking
+        ``ValueError``."""
+        message = re.escape(f"size must be N or [N1, N2], got {size!r}")
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            IndexSet("product_cyclic", size)
+
 
 class TestIdentitySemantics:
     """Array-holding frozen dataclasses compare by identity and hash."""
