@@ -527,12 +527,12 @@ def _sweep(A, pair1, pair2, p, q, w1, w2, seed) -> list:
     chunks that hold an extremizer are scored first.  Then each chunk of
     random columns alone is scored only for the trials where some bound
     of :func:`_random_bounds` on it reaches the trial's best ratio so
-    far; elsewhere its ratios are set to 0.  A probe left out has a computed ratio strictly below the best one,
-    so the largest ratio and the first probe that attains it, hence the
-    interval and its sources, are those of the full sweep.  Every
-    product still formed keeps its shape and chunk boundaries, and a
-    trial that is scored is a slice of a stacked product, so its bits
-    are those of the full sweep too."""
+    far; elsewhere its ratios are set to 0.  A probe left out has a
+    computed ratio strictly below the best one, so the largest ratio and
+    the first probe that attains it, hence the interval and its sources,
+    are those of the full sweep.  Every product still formed keeps its
+    shape and chunk boundaries, and a trial that is scored is a slice of
+    a stacked product, so its bits are those of the full sweep too."""
     T = len(A)
     n1, d1 = pair1.frame.cardinality, pair1.frame.space_dim
     analysis2 = pair2.dual.vectors.conj() @ A

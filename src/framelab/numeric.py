@@ -50,10 +50,23 @@ def as_vector(f) -> np.ndarray:
     return A
 
 
+def _as_real(value, label: str) -> float:
+    """``value`` as a ``float``: a Python or NumPy integer or float, not a
+    bool, and within the float range; ``label`` goes before it in the
+    error message."""
+    real = (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, real):
+        raise PreconditionError(f"{label}{value!r} is not a real number")
+    try:
+        return float(value)
+    except OverflowError:  # an int of more than 1024 bits
+        raise PreconditionError(f"{label}{value!r} is beyond the float range") from None
+
+
 def _check_exponent(p, prefix: str = "") -> float:
-    """``p`` as a float, rejected unless ``1 <= p <= inf``; ``prefix``
-    goes before ``p`` in the error message."""
-    p = float(p)
+    """``p`` as a float (see :func:`_as_real`), rejected unless ``1 <= p
+    <= inf``; ``prefix`` goes before ``p`` in the error message."""
+    p = _as_real(p, f"exponent {prefix}")
     if not (1.0 <= p):
         raise PreconditionError(f"exponent {prefix}{p} outside [1, inf]")
     return p

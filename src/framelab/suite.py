@@ -5,19 +5,22 @@ under a minute; ``run_suite("full", seed)`` runs the declared sizes.
 Given a root seed the summary is deterministic except for the elapsed
 timing fields.
 
-Each run keeps one table, dropped when it ends: its three frame
-families (``onb``, ``gabor`` and ``decaying``), built once for the
-round-trip, correspondence, element-norm and compression checks, and
-its seeded trial operators, each drawn once.  The checks that draw
-operators score their trials as stacks through stack-aware cores, in
-chunks that keep each stacked temporary within
-``coorbit._SCORE_ELEMENTS`` entries, and each trial keeps the bits of
-its one-trial call.
+Each run keeps one table, dropped when it ends: every frame pair the
+checks use, each built once (``_pair``), and its seeded trial
+operators, each drawn once.  The checks that draw operators score their
+trials as stacks through the stack-aware verifier cores, in chunks that
+keep each stacked temporary within ``coorbit._SCORE_ELEMENTS`` entries,
+and each trial keeps the bits of its one-trial call.  The op-norm and
+sandwich checks are rows of ``CHECKS`` over two functions,
+``_opnorm_check`` and ``_sandwich_check``: a row gives the family, the
+fast and full sizes and trial counts, the weights and the exponent
+cases.
 """
 
 from __future__ import annotations
 
 import time
+from functools import partial
 
 import numpy as np
 
@@ -52,18 +55,29 @@ from .theorems import (
 )
 
 
+_FRAMES = {
+    "onb": onb,
+    "gabor": lambda N: finite_gabor(N, 2, 2, gaussian_window(N)),
+    "decaying": lambda d: decaying_perturbation(d, 4.0, 0.05, seed=7),
+    "mercedes": lambda _: mercedes(),
+}
+
+
+def _pair(draws, kind: str, size: int):
+    """The frame pair of ``kind`` on ``C^size``, built once per run:
+    ``draws`` is the run's own table."""
+    key = (kind, size)
+    pair = draws.get(key)
+    if pair is None:
+        pair = draws[key] = canonical_dual(_FRAMES[kind](size))
+    return pair
+
+
 def _families(fast: bool, draws):
-    """The run's ``onb``, ``gabor`` and ``decaying`` frame pairs, built
-    once per run: ``draws`` is the run's own table."""
-    families = draws.get("families")
-    if families is None:
-        N, d = (8, 8) if fast else (16, 32)
-        families = draws["families"] = {
-            "onb": canonical_dual(onb(d)),
-            "gabor": canonical_dual(finite_gabor(N, 2, 2, gaussian_window(N))),
-            "decaying": canonical_dual(decaying_perturbation(d, 4.0, 0.05, seed=7)),
-        }
-    return families
+    """The run's ``onb``, ``gabor`` and ``decaying`` frame pairs."""
+    N, d = (8, 8) if fast else (16, 32)
+    sizes = (("onb", d), ("gabor", N), ("decaying", d))
+    return {kind: _pair(draws, kind, size) for kind, size in sizes}
 
 
 def _random_op(draws, d2, d1, seed, trial):
@@ -122,136 +136,70 @@ def check_correspondence(seed: int, fast: bool, draws):
     }
 
 
-# The checks below score all trials of one family and weight as one stack
-# through the verifier cores, once per (p, variant), then scan the reports
-# in (trial, weight, p, variant) order, so the first failure they name is
-# the one a trial-by-trial loop would meet first.
+def _opnorm_check(kind, sizes, exponents, cases, trials, seed, fast, draws):
+    """The op-norm cores on the run's ``kind`` pair of size ``sizes[0]``
+    in a fast run or ``sizes[1]`` in a full one, for ``trials[0]`` or
+    ``trials[1]`` trials, with the weights ``poly_weight(index_set, t)``
+    of each ``t`` in ``exponents`` and each ``(p, variant)`` of
+    ``cases``.
 
-
-def check_outer_onb(seed: int, fast: bool, draws):
-    d = 8 if fast else 16
-    trials = 10 if fast else 100
-    pair = canonical_dual(onb(d))
-    weights = [np.ones(d), poly_weight(pair.frame.index_set, 1.0)]
+    Each weight and case scores all trials as one stack, and the reports
+    are scanned in (trial, weight, case) order, so the first failure
+    named is the one a trial-by-trial loop would meet first.  On an ONB
+    the two sides must agree, and a pass reports the worst ratio gap; on
+    a redundant frame a failure reports its ratio.  The outer rows and
+    the redundant ones report their trial count."""
+    d, trials = (sizes[0], trials[0]) if fast else (sizes[1], trials[1])
+    pair = _pair(draws, kind, d)
     ops = _random_ops(draws, d, d, seed, range(trials))
-    reports = [
-        _opnorm_report(ops, pair, pair, w, w, 1.0, "ii", seed, outer=True)
-        for w in weights
-    ]
-    worst = 0.0
+    reports = []
+    for exponent in exponents:
+        w = poly_weight(pair.frame.index_set, exponent)
+        for p, variant in cases:
+            by_trial = _opnorm_report(ops, pair, pair, w, w, p, variant, seed)
+            reports.append((p, variant, by_trial))
+    outer = cases[0][1] == "outer"
     for t in range(trials):
-        for rep in (by_weight[t] for by_weight in reports):
+        for p, variant, by_trial in reports:
+            rep = by_trial[t]
             if not rep.passed:
-                return False, {"failed_trial": t}
-            worst = max(worst, abs(rep.ratio - 1.0))
-    return worst <= 1e-9, {"worst_ratio_gap": float(worst), "trials": trials}
+                failed = {"failed_trial": t} if outer else {"failed": [t, p, variant]}
+                if kind != "onb":
+                    failed["ratio"] = rep.ratio
+                return False, failed
+    passed, details = True, {}
+    if kind == "onb":
+        gaps = (abs(rep.ratio - 1.0) for *_, by_trial in reports for rep in by_trial)
+        worst = max(0.0, *gaps)
+        passed = worst <= 1e-9
+        details["worst_ratio_gap"] = float(worst)
+    if outer or kind != "onb":
+        details["trials"] = trials
+    return passed, details
 
 
-def check_outer_gabor(seed: int, fast: bool, draws):
-    N = 8
-    pair = canonical_dual(finite_gabor(N, 2, 2, gaussian_window(N)))
-    trials = 5 if fast else 20
-    w = np.ones(pair.frame.cardinality)
-    ops = _random_ops(draws, N, N, seed, range(trials))
-    reports = _opnorm_report(ops, pair, pair, w, w, 1.0, "ii", seed, outer=True)
-    for t, rep in enumerate(reports):
+def _sandwich_check(core, trials, seed, fast, draws):
+    """The sandwich ``core`` on the run's ONB 4 (fast) or 8 (full) and
+    Mercedes pairs with unit weights, for ``trials[0]`` (fast) or
+    ``trials[1]`` (full) trials on each: the first failure in (trial,
+    family) order, or the worst ONB ratio gap.  The projective row also
+    reports its trial count."""
+    d, trials = (4, trials[0]) if fast else (8, trials[1])
+    pair, pair2 = _pair(draws, "onb", d), _pair(draws, "mercedes", 2)
+    K = _random_ops(draws, d, d, seed, range(trials))
+    K2 = _random_ops(draws, 2, 2, seed, range(trials, 2 * trials))
+    reports = core(K, pair, pair, np.ones(d), np.ones(d))
+    reports2 = core(K2, pair2, pair2, np.ones(3), np.ones(3))
+    for t, (rep, rep2) in enumerate(zip(reports, reports2)):
         if not rep.passed:
-            return False, {"failed_trial": t, "ratio": rep.ratio}
-    return True, {"trials": trials}
-
-
-def _schur_scan(reports, trials, cases):
-    """The first failing ``(trial, p, variant)`` of ``reports[case]``
-    in trial-major order, with its report, or ``None``."""
-    for t in range(trials):
-        for case in cases:
-            rep = reports[case][t]
-            if not rep.passed:
-                return [t, *case], rep
-    return None
-
-
-def check_schur_onb(seed: int, fast: bool, draws):
-    d = 6 if fast else 12
-    pair = canonical_dual(onb(d))
-    w = np.ones(d)
-    trials = 3 if fast else 20
-    ops = _random_ops(draws, d, d, seed, range(trials))
-    cases = [(p, variant) for p in (1.0, 2.0, np.inf) for variant in ("i", "ii")]
-    reports = {
-        (p, variant): _opnorm_report(ops, pair, pair, w, w, p, variant, seed)
-        for p, variant in cases
-    }
-    failed = _schur_scan(reports, trials, cases)
-    if failed is not None:
-        return False, {"failed": failed[0]}
-    ratios = [rep.ratio for by_case in reports.values() for rep in by_case]
-    worst = max(0.0, *(abs(ratio - 1.0) for ratio in ratios))
-    return worst <= 1e-9, {"worst_ratio_gap": float(worst)}
-
-
-def check_schur_gabor(seed: int, fast: bool, draws):
-    N = 8
-    pair = canonical_dual(finite_gabor(N, 2, 2, gaussian_window(N)))
-    w = np.ones(pair.frame.cardinality)
-    trials = 5 if fast else 50
-    ops = _random_ops(draws, N, N, seed, range(trials))
-    cases = [(2.0, "i"), (2.0, "ii")]
-    reports = {
-        (p, variant): _opnorm_report(ops, pair, pair, w, w, p, variant, seed)
-        for p, variant in cases
-    }
-    failed = _schur_scan(reports, trials, cases)
-    if failed is not None:
-        return False, {"failed": failed[0], "ratio": failed[1].ratio}
-    return True, {"trials": trials}
-
-
-def _sandwich_scan(onb_reports, mercedes_reports):
-    """The first failure of the ONB and Mercedes reports of each trial,
-    in that order, as the details of a failed check, or ``None``."""
-    for t, (rep, rep2) in enumerate(zip(onb_reports, mercedes_reports)):
-        if not rep.passed:
-            return {"failed_trial": t}
+            return False, {"failed_trial": t}
         if not rep2.passed:
-            return {"failed_trial": t, "family": "mercedes"}
-    return None
-
-
-def check_projective(seed: int, fast: bool, draws):
-    d = 4 if fast else 8
-    pair_onb = canonical_dual(onb(d))
-    pair_mer = canonical_dual(mercedes())
-    w = np.ones(d)
-    w3 = np.ones(3)
-    trials = 10 if fast else 50
-    K = _random_ops(draws, d, d, seed, range(trials))
-    K2 = _random_ops(draws, 2, 2, seed, range(trials, 2 * trials))
-    reports = _projective_reports(K, pair_onb, pair_onb, w, w)
-    failed = _sandwich_scan(
-        reports, _projective_reports(K2, pair_mer, pair_mer, w3, w3)
-    )
-    if failed is not None:
-        return False, failed
+            return False, {"failed_trial": t, "family": "mercedes"}
     worst = max(0.0, *(abs(rep.ratio - 1.0) for rep in reports))
-    return worst <= 1e-10, {"worst_onb_ratio_gap": float(worst), "trials": trials}
-
-
-def check_inner(seed: int, fast: bool, draws):
-    d = 4 if fast else 8
-    pair_onb = canonical_dual(onb(d))
-    pair_mer = canonical_dual(mercedes())
-    trials = 5 if fast else 20
-    K = _random_ops(draws, d, d, seed, range(trials))
-    K2 = _random_ops(draws, 2, 2, seed, range(trials, 2 * trials))
-    reports = _inner_reports(K, pair_onb, pair_onb, np.ones(d), np.ones(d))
-    failed = _sandwich_scan(
-        reports, _inner_reports(K2, pair_mer, pair_mer, np.ones(3), np.ones(3))
-    )
-    if failed is not None:
-        return False, failed
-    worst = max(0.0, *(abs(rep.ratio - 1.0) for rep in reports))
-    return worst <= 1e-10, {"worst_onb_ratio_gap": float(worst)}
+    details = {"worst_onb_ratio_gap": float(worst)}
+    if core is _projective_reports:
+        details["trials"] = trials
+    return worst <= 1e-10, details
 
 
 def _rotated_onb(d: int, seed: int):
@@ -264,7 +212,7 @@ def _rotated_onb(d: int, seed: int):
 def check_independence(seed: int, fast: bool, draws):
     d = 4
     trials = 10 if fast else 100
-    pair = canonical_dual(onb(d))
+    pair = _pair(draws, "onb", d)
     rot = _rotated_onb(d, seed)
     spec = MixedSpaceSpec(np.inf, np.inf, 0, np.ones((d, d)))
     ops = _random_ops(draws, d, d, seed, range(trials))
@@ -280,7 +228,7 @@ def check_independence(seed: int, fast: bool, draws):
 
 def check_schatten(seed: int, fast: bool, draws):
     d = 8 if fast else 16
-    pair = canonical_dual(onb(d))
+    pair = _pair(draws, "onb", d)
     trials = 10 if fast else 50
     ops = _random_ops(draws, d, d, seed, range(trials))
     exponents = (1.0, 1.5, 2.0)
@@ -356,15 +304,29 @@ def check_compression(seed: int, fast: bool, draws):
     return True, {"taus": taus}
 
 
+_SCHUR_ONB_CASES = [(p, v) for p in (1.0, 2.0, np.inf) for v in ("i", "ii")]
+_SCHUR_GABOR_CASES = [(2.0, "i"), (2.0, "ii")]
 CHECKS = [
     ("kernel_roundtrip", check_kernel_roundtrip),
     ("correspondence", check_correspondence),
-    ("outer_onb_equality", check_outer_onb),
-    ("outer_gabor_budget", check_outer_gabor),
-    ("schur_onb_exact", check_schur_onb),
-    ("schur_gabor_budget", check_schur_gabor),
-    ("projective_sandwich", check_projective),
-    ("inner_decomposition", check_inner),
+    (
+        "outer_onb_equality",
+        partial(_opnorm_check, "onb", (8, 16), (0.0, 1.0), [(1.0, "outer")], (10, 100)),
+    ),
+    (
+        "outer_gabor_budget",
+        partial(_opnorm_check, "gabor", (8, 8), (0.0,), [(1.0, "outer")], (5, 20)),
+    ),
+    (
+        "schur_onb_exact",
+        partial(_opnorm_check, "onb", (6, 12), (0.0,), _SCHUR_ONB_CASES, (3, 20)),
+    ),
+    (
+        "schur_gabor_budget",
+        partial(_opnorm_check, "gabor", (8, 8), (0.0,), _SCHUR_GABOR_CASES, (5, 50)),
+    ),
+    ("projective_sandwich", partial(_sandwich_check, _projective_reports, (10, 50))),
+    ("inner_decomposition", partial(_sandwich_check, _inner_reports, (5, 20))),
     ("frame_independence", check_independence),
     ("schatten_sufficiency", check_schatten),
     ("gabor_tightness", check_gabor_tightness),

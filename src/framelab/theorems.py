@@ -17,8 +17,10 @@ at most one clause of its own: the unit-budget equality of the op-norm
 checks, or the reconstruction residual of the inner check.
 
 The outer correspondence is the ``l^1 -> l^inf`` case of the Schur-test
-statement, and the inner and projective checks bound one quantity from
-two sides, so each pair of verifiers shares one core.
+statement, so it is the internal variant ``"outer"`` of the Schur core;
+the inner and projective checks bound one quantity from two sides and
+share one sandwich.  Every stacked core but Schatten's reports through
+one chunk-and-report skeleton, ``_scored``.
 
 Inputs are checked once, at the public entry: the operator, the weights,
 the exponents and every weight the cores derive from them (reciprocals,
@@ -54,7 +56,7 @@ from .localisation import (
     _weighted_schur_bound,
     as_weight,
 )
-from .numeric import PreconditionError, _check_exponent, _check_int, as_matrix
+from .numeric import PreconditionError, _as_real, _check_exponent, _check_int, as_matrix
 from .tensor_kernels import _galerkin, synthesize_kernel
 
 REPORT_TOL = 1e-9
@@ -163,12 +165,25 @@ def _onb_equality(passed: bool, ratio: float, budget: float) -> bool:
 # Schur-test characterisations of intermediate operator classes
 
 
-def _opnorm_report(A, pair1, pair2, w1, w2, p, variant, seed, outer=False) -> list:
+def _scored(name, A, elements, sides, seed=0) -> list:
+    """The reports named ``name`` of a checked ``(T, d2, d1)`` stack
+    ``A``: ``sides`` maps each chunk of :func:`coorbit._trial_slices`,
+    for ``elements`` entries per trial, to one ``(lhs, rhs, budget,
+    passed, details)`` per trial."""
+    return [
+        _report(name, *trial, seed)
+        for part in _trial_slices(len(A), elements)
+        for trial in sides(A[part])
+    ]
+
+
+def _opnorm_report(A, pair1, pair2, w1, w2, p, variant, seed) -> list:
     """The Schur ``variant`` check at ``p`` of maps from a weighted
     coorbit space of ``pair1`` into a dual one of ``pair2``, for checked
     weights, on each trial of a checked ``(T, d2, d1)`` stack ``A``: one
-    report per trial; with ``outer``, the outer check, which is variant
-    ``"ii"`` at ``p = 1`` with the kernel on the left of the ratio.
+    report per trial.  The internal variant ``"outer"`` is the outer
+    check: variant ``"ii"`` at ``p = 1`` with the kernel on the left of
+    the ratio.
 
     Variant ``"i"`` maps ``l^1_w1`` into ``l^p`` and measures the kernel
     with inner exponent ``p`` along the second index; variant ``"ii"``
@@ -186,89 +201,79 @@ def _opnorm_report(A, pair1, pair2, w1, w2, p, variant, seed, outer=False) -> li
     the interval under ``"opnorm_upper_source"`` and
     ``"opnorm_lower_source"`` (see :class:`coorbit.OpNormInterval`).
 
-    The kernels are measured in the chunks of
-    :func:`coorbit._trial_slices`, and the intervals chunk their own
-    trials, so no stacked temporary holds more than ``_SCORE_ELEMENTS``
-    entries (or one trial's); each report has the bits of its trial's
-    one-trial call (see :func:`coorbit._opnorm_interval`).
+    Each chunk of :func:`_scored` measures its kernels, then takes its
+    intervals, which chunk their own trials; each report has the bits
+    of its trial's one-trial call (see :func:`coorbit._opnorm_interval`).
     """
     if variant == "i":
         p_src, p_dst, kernel_exp, inner_axis = 1.0, p, p, 1
     else:
         p_src, p_dst, kernel_exp, inner_axis = p, np.inf, _holder_conjugate(p), 0
-    n1, n2 = pair1.frame.cardinality, pair2.frame.cardinality
-    # only overflow and division by zero are silenced: an invalid
-    # operation still warns
+    # only overflow and division by zero are silenced, in the checks and
+    # in the scoring: an invalid operation still warns
     with np.errstate(over="ignore", divide="ignore"):
         grid = _check_grid(1.0 / np.outer(w1, w2))
         w2_dst = _check_positive(1.0 / w2)
-        kernels = []
-        for part in _trial_slices(len(A), n1 * n2):
-            k = _galerkin(A[part], pair1, pair2)
-            # _grid_norm's arithmetic, inline so that the last ``a`` is
-            # freed only after the intervals: freeing it before moved
-            # opnorm-grid's op_cal by about +20%, through the allocator's
-            # state
-            a = np.abs(k)
-            a *= grid
-            chunk = _pnorm_of_abs(a, kernel_exp, inner_axis - 2)
-            for t, kernel in enumerate(chunk.max(axis=-1, initial=0.0).tolist()):
-                if not math.isfinite(kernel):
-                    as_matrix(k[t])  # rejects a Galerkin matrix that overflowed
-                kernels.append(kernel)
-        intervals = _opnorm_interval(A, pair1, pair2, p_src, p_dst, w1, w2_dst, seed)
-
     c_a = _gram_schur_bound(pair1.frame, w1, p_src)
     c_b = _gram_schur_bound(pair1.dual, w1, p_src)
     budget = max(c_a, c_b)
     schur = {"gram_schur_bound": c_a, "dual_gram_schur_bound": c_b}
-    reports = []
-    for kernel, interval in zip(kernels, intervals):
-        passed = _within(kernel, c_b, interval.upper) and _within(
-            interval.lower, c_a, kernel
+    outer = variant == "outer"
+    head = {} if outer else {
+        "variant": variant,
+        "p": p,
+        "kernel_inner_exponent": kernel_exp,
+        "exponent_note": (
+            "variant ii measures the kernel with the Hoelder conjugate "
+            "of p along the first index; the orthonormal-frame oracle "
+            "fixes this choice"
+        ),
+    }
+
+    def sides(stack):
+        k = _galerkin(stack, pair1, pair2)
+        # _grid_norm's arithmetic, inline so that ``a`` is freed only
+        # after the chunk's intervals: freeing it before moved
+        # opnorm-grid's op_cal by about +20%, through the allocator's state
+        a = np.abs(k)
+        a *= grid
+        kernels = _pnorm_of_abs(a, kernel_exp, inner_axis - 2)
+        kernels = kernels.max(axis=-1, initial=0.0).tolist()
+        for t, kernel in enumerate(kernels):
+            if not math.isfinite(kernel):
+                as_matrix(k[t])  # rejects a Galerkin matrix that overflowed
+        intervals = _opnorm_interval(
+            stack, pair1, pair2, p_src, p_dst, w1, w2_dst, seed
         )
-        bounds = {"opnorm_lower": interval.lower, "opnorm_upper": interval.upper}
-        sources = {
-            "opnorm_upper_source": interval.upper_source,
-            "opnorm_lower_source": interval.lower_source,
-        }
-        if outer:
-            name, lhs, rhs = "outer", kernel, interval.midpoint
-            details = {**bounds, **sources, "opnorm_exact": interval.exact, **schur}
-        else:
-            name, lhs, rhs = f"schur-{variant}", interval.midpoint, kernel
+        out = []
+        for kernel, iv in zip(kernels, intervals):
+            passed = _within(kernel, c_b, iv.upper) and _within(iv.lower, c_a, kernel)
+            lhs, rhs = (kernel, iv.midpoint) if outer else (iv.midpoint, kernel)
+            bounds = {"opnorm_lower": iv.lower, "opnorm_upper": iv.upper}
             details = {
-                "variant": variant,
-                "p": p,
-                "kernel_inner_exponent": kernel_exp,
-                "exponent_note": (
-                    "variant ii measures the kernel with the Hoelder conjugate "
-                    "of p along the first index; the orthonormal-frame oracle "
-                    "fixes this choice"
-                ),
+                **head,
                 **bounds,
-                **sources,
-                **schur,
+                "opnorm_upper_source": iv.upper_source,
+                "opnorm_lower_source": iv.lower_source,
             }
-        overflowed = [
-            key
-            for key, x in (("kernel", kernel), *bounds.items())
-            if not math.isfinite(x)
-        ]
-        if overflowed:
-            details["overflowed"] = overflowed
-        reports.append(
-            _report(
-                name,
-                lhs,
-                rhs,
-                budget,
-                _onb_equality(passed, _safe_ratio(lhs, rhs), budget),
-                details,
-                seed,
-            )
-        )
-    return reports
+            if outer:
+                details["opnorm_exact"] = iv.exact
+            details.update(schur)
+            overflowed = [
+                key
+                for key, x in (("kernel", kernel), *bounds.items())
+                if not math.isfinite(x)
+            ]
+            if overflowed:
+                details["overflowed"] = overflowed
+            passed = _onb_equality(passed, _safe_ratio(lhs, rhs), budget)
+            out.append((lhs, rhs, budget, passed, details))
+        return out
+
+    name = "outer" if outer else f"schur-{variant}"
+    n1, n2 = pair1.frame.cardinality, pair2.frame.cardinality
+    with np.errstate(over="ignore", divide="ignore"):
+        return _scored(name, A, n1 * n2, sides, seed)
 
 
 def verify_outer(
@@ -285,7 +290,7 @@ def verify_outer(
     seed = _check_int(seed, "seed")
     w1, w2 = _check_weights(pair1, pair2, w1, w2)
     A = _check_operator(O, pair1, pair2)
-    return _opnorm_report(A[None], pair1, pair2, w1, w2, 1.0, "ii", seed, outer=True)[0]
+    return _opnorm_report(A[None], pair1, pair2, w1, w2, 1.0, "outer", seed)[0]
 
 
 def schur_characterization(
@@ -333,15 +338,15 @@ def _element_norms(pair: FramePair, w: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _projective_sides(K, pair1: FramePair, pair2: FramePair, w1, w2):
-    """``(c, lower, upper, budget, passed)`` of each trial of a checked
-    ``(T, d2, d1)`` stack ``K`` of kernels: their ``(T, n1, n2)`` Galerkin
-    coefficients, and per trial, as lists, the weighted summed norm, the
+    """``(c, sandwich)`` of a checked ``(T, d2, d1)`` stack ``K`` of
+    kernels: their ``(T, n1, n2)`` Galerkin coefficients, and per trial
+    ``(lower, upper, budget, passed)``: the weighted summed norm, the
     nuclear sum ``sum |c_ij| ||psi1_i|| ||psi2_j||`` with element norms
-    in the weighted-l1 coorbit norm and whether ``lower <= upper <=
-    budget lower``; the budget, the product of the two Schur
-    certificates for ``||psi_i|| <= C w_i``, is one for all trials.
-    Each nuclear sum is a ``gemv`` and a ``dot`` of its own trial, as in
-    a one-trial call."""
+    in the weighted-l1 coorbit norm, the product of the two Schur
+    certificates for ``||psi_i|| <= C w_i``, which is one for all
+    trials, and whether ``lower <= upper <= budget lower``.  Each
+    nuclear sum is a ``gemv`` and a ``dot`` of its own trial, as in a
+    one-trial call."""
     c = _galerkin(K, pair1, pair2)
     lower = _grid_norm(c, _check_grid(_weight_grid(w1, w2)), 1.0, 0, 1.0).tolist()
     norms = []
@@ -351,26 +356,23 @@ def _projective_sides(K, pair1: FramePair, pair2: FramePair, w1, w2):
         norms.append(side)
         budget *= certificate
     upper = ((norms[0] @ np.abs(c))[:, None, :] @ norms[1])[:, 0].tolist()
-    passed = [
-        _within(lo, 1.0, up) and _within(up, budget, lo)
+    return c, [
+        (lo, up, budget, _within(lo, 1.0, up) and _within(up, budget, lo))
         for lo, up in zip(lower, upper)
     ]
-    return c, lower, upper, budget, passed
 
 
 def _inner_reports(K, pair1: FramePair, pair2: FramePair, w1, w2) -> list:
     """:func:`verify_inner` of each trial of a checked ``(T, d2, d1)``
-    stack ``K``, for checked weights, in chunks of at most
-    ``_SCORE_ELEMENTS`` Galerkin entries (or one trial's).  Each trial's
-    reconstruction goes through the public ``synthesize_kernel``, so the
-    residual measures the synthesis that callers use."""
-    n1, n2 = pair1.frame.cardinality, pair2.frame.cardinality
-    reports = []
-    for part in _trial_slices(len(K), n1 * n2):
-        stack = K[part]
-        c, rhs, nuclear, budget, passed = _projective_sides(stack, pair1, pair2, w1, w2)
-        for t, k in enumerate(stack):
-            rebuilt = synthesize_kernel(c[t], pair1, pair2)
+    stack ``K``, for checked weights, through :func:`_scored`.  Each
+    trial's reconstruction goes through the public ``synthesize_kernel``,
+    so the residual measures the synthesis that callers use."""
+
+    def sides(stack):
+        c, sandwich = _projective_sides(stack, pair1, pair2, w1, w2)
+        out = []
+        for k, c_t, (rhs, nuclear, budget, ok) in zip(stack, c, sandwich):
+            rebuilt = synthesize_kernel(c_t, pair1, pair2)
             with np.errstate(over="ignore"):
                 scale = np.linalg.norm(k)
             if not np.isfinite(scale):
@@ -381,20 +383,15 @@ def _inner_reports(K, pair1: FramePair, pair2: FramePair, w1, w2) -> list:
                 rebuilt, k = rebuilt / top, k / top
                 scale = np.linalg.norm(k)
             residual = float(np.linalg.norm(rebuilt - k) / max(scale, 1.0))
-            reports.append(
-                _report(
-                    "inner",
-                    nuclear[t],
-                    rhs[t],
-                    budget,
-                    passed[t] and residual <= REPORT_TOL,
-                    {
-                        "reconstruction_residual": residual,
-                        "terms": int(np.count_nonzero(c[t])),
-                    },
-                )
-            )
-    return reports
+            details = {
+                "reconstruction_residual": residual,
+                "terms": int(np.count_nonzero(c_t)),
+            }
+            out.append((nuclear, rhs, budget, ok and residual <= REPORT_TOL, details))
+        return out
+
+    n1, n2 = pair1.frame.cardinality, pair2.frame.cardinality
+    return _scored("inner", K, n1 * n2, sides)
 
 
 def verify_inner(K, pair1: FramePair, pair2: FramePair, w1, w2) -> VerificationReport:
@@ -419,19 +416,16 @@ def verify_inner(K, pair1: FramePair, pair2: FramePair, w1, w2) -> VerificationR
 
 def _projective_reports(K, pair1: FramePair, pair2: FramePair, w1, w2) -> list:
     """:func:`verify_projective` of each trial of a checked ``(T, d2,
-    d1)`` stack ``K``, for checked weights, in chunks of at most
-    ``_SCORE_ELEMENTS`` Galerkin entries (or one trial's)."""
+    d1)`` stack ``K``, for checked weights, through :func:`_scored`."""
+
+    def sides(stack):
+        return [
+            (lo, up, budget, ok, {"lower": lo, "upper": up})
+            for lo, up, budget, ok in _projective_sides(stack, pair1, pair2, w1, w2)[1]
+        ]
+
     n1, n2 = pair1.frame.cardinality, pair2.frame.cardinality
-    reports = []
-    for part in _trial_slices(len(K), n1 * n2):
-        _, lower, upper, budget, passed = _projective_sides(
-            K[part], pair1, pair2, w1, w2
-        )
-        for lo, up, ok in zip(lower, upper, passed):
-            reports.append(
-                _report("projective", lo, up, budget, ok, {"lower": lo, "upper": up})
-            )
-    return reports
+    return _scored("projective", K, n1 * n2, sides)
 
 
 def verify_projective(
@@ -584,22 +578,24 @@ def _independence_reports(A, pairs_a, pairs_b, spec: MixedSpaceSpec) -> list:
     budget_ab, budget_ba = _independence_budget(
         pairs_a, pairs_b, p, q, axis, factors_a, factors_b
     )
-    norm_a, norm_b = [], []
-    for part in _trial_slices(len(A), max(grid_a.size, grid_b.size)):
-        k_a, k_b = _galerkin(A[part], a1, a2), _galerkin(A[part], b1, b2)
-        norm_a += _grid_norm(k_a, grid_a, p, axis, q).tolist()
-        norm_b += _grid_norm(k_b, grid_b, p, axis, q).tolist()
-    return [
-        _report(
-            "independence",
-            a,
-            b,
-            max(budget_ab, budget_ba),
-            _within(b, budget_ab, a) and _within(a, budget_ba, b),
-            {"budget_ab": budget_ab, "budget_ba": budget_ba},
-        )
-        for a, b in zip(norm_a, norm_b)
-    ]
+    budget = max(budget_ab, budget_ba)
+
+    def sides(stack):
+        k_a, k_b = _galerkin(stack, a1, a2), _galerkin(stack, b1, b2)
+        norm_a = _grid_norm(k_a, grid_a, p, axis, q).tolist()
+        norm_b = _grid_norm(k_b, grid_b, p, axis, q).tolist()
+        return [
+            (
+                a,
+                b,
+                budget,
+                _within(b, budget_ab, a) and _within(a, budget_ba, b),
+                {"budget_ab": budget_ab, "budget_ba": budget_ba},
+            )
+            for a, b in zip(norm_a, norm_b)
+        ]
+
+    return _scored("independence", A, max(grid_a.size, grid_b.size), sides)
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +612,7 @@ def schatten_check(O, pair1: FramePair, pair2: FramePair, p) -> VerificationRepo
     ``B = 1``, and there ``lhs <= rhs`` (with equality at p = 2).  The
     check is one-sided: small ratios are legitimate.
     """
-    p = float(p)
+    p = _as_real(p, "Schatten exponent p=")
     if not (1.0 <= p <= 2.0):
         raise PreconditionError(f"Schatten exponent p={p} outside [1, 2]")
     A = _check_operator(O, pair1, pair2)

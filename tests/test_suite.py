@@ -117,10 +117,11 @@ class TestStackedChecks:
         assert peak - kept <= 8 * coorbit._SCORE_ELEMENTS * 16
 
     def test_each_family_is_built_once_per_run(self, monkeypatch):
-        """One ``run_suite("full")`` builds each frame pair of its three
-        families once, for all the checks that use them."""
-        families = suite._families(False, {})
-        assert len(families) == 3
+        """One ``run_suite`` builds each frame pair it uses once, for all
+        the checks that use it: the three families, the ONBs of the
+        op-norm, sandwich, independence and Schatten checks, Mercedes and
+        the rotated ONB, 10 pairs in a full run and 7 in a fast one."""
+        families = {fast: suite._families(fast, {}) for fast in (False, True)}
         built = []
         real = suite.canonical_dual
 
@@ -129,6 +130,9 @@ class TestStackedChecks:
             return real(frame)
 
         monkeypatch.setattr(suite, "canonical_dual", counting)
-        run_suite("full", 0)
-        for pair in families.values():
-            assert built.count(pair.frame.vectors.tobytes()) == 1
+        for name, pairs in (("full", 10), ("fast", 7)):
+            del built[:]
+            run_suite(name, 0)
+            assert len(built) == len(set(built)) == pairs, name
+            for pair in families[name == "fast"].values():
+                assert pair.frame.vectors.tobytes() in built

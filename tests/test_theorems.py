@@ -284,6 +284,14 @@ class TestSchurCharacterization:
         with pytest.raises(PreconditionError):
             schur_characterization(O22, pair, pair, np.ones(2), np.ones(2), 2.0, "iii")
 
+    def test_outer_variant_is_internal(self):
+        """``"outer"`` is the op-norm core's own name for the outer check;
+        the public Schur verifier refuses it as any other variant."""
+        pair, w = canonical_dual(onb(2)), np.ones(2)
+        message = "^variant must be 'i' or 'ii', got 'outer'$"
+        with pytest.raises(PreconditionError, match=message):
+            schur_characterization(O22, pair, pair, w, w, 1.0, "outer")
+
 
 class TestFrameIndependence:
     def test_identical_families(self):
@@ -1037,9 +1045,7 @@ def _stack_cases(pair, w):
     cases = [
         (
             "outer",
-            lambda A: theorems._opnorm_report(
-                A, pair, pair, w, w, 1.0, "ii", 3, outer=True
-            ),
+            lambda A: theorems._opnorm_report(A, pair, pair, w, w, 1.0, "outer", 3),
             lambda O: verify_outer(O, pair, pair, w, w, seed=3),
         ),
         (
@@ -1159,7 +1165,7 @@ class TestStackedCores:
             (
                 1e300,
                 lambda A, pair, w: theorems._opnorm_report(
-                    A, pair, pair, w, w, 1.0, "ii", 0, outer=True
+                    A, pair, pair, w, w, 1.0, "outer", 0
                 ),
                 PreconditionError,
             ),

@@ -2,6 +2,7 @@
 trust the arrays they build.  Every input a verifier rejected before the
 cores stopped re-checking is still rejected, with the same message."""
 
+import re
 import sys
 from contextlib import nullcontext
 
@@ -423,3 +424,79 @@ class TestSeedIsAnInteger:
         assert type(report.seed) is int
         assert report == SEEDED["verify_outer"](1)
         assert type(SEEDED["run_suite"](seed)["seed"]) is int
+
+
+# each public entry that takes a norm exponent, and the text before the
+# exponent in its message
+EXPONENT_ENTRIES = {
+    "SeqSpaceSpec": (lambda p: coorbit.SeqSpaceSpec(p, W3), "exponent "),
+    "MixedSpaceSpec-p": (
+        lambda p: MixedSpaceSpec(p, 2.0, 0, np.ones((3, 3))),
+        "exponent ",
+    ),
+    "MixedSpaceSpec-q": (
+        lambda p: MixedSpaceSpec(2.0, p, 0, np.ones((3, 3))),
+        "exponent ",
+    ),
+    "schur_weighted_bound": (
+        lambda p: localisation.schur_weighted_bound(np.eye(3), W3, p),
+        "exponent p=",
+    ),
+    "schur_characterization": (
+        lambda p: schur_characterization(O2, MERCEDES, MERCEDES, W3, W3, p, "ii"),
+        "exponent p=",
+    ),
+    "schatten_check": (
+        lambda p: schatten_check(O2, MERCEDES, MERCEDES, p),
+        "Schatten exponent p=",
+    ),
+}
+
+
+class TestExponentIsARealNumber:
+    """An exponent is a Python or NumPy integer or float that is not a
+    bool.  ``float(p)`` ran ``True`` as p = 1 and ``"1.5"`` as 1.5, and
+    raised ``ValueError`` or ``TypeError`` on ``"abc"`` and ``None``."""
+
+    @pytest.mark.parametrize(
+        "p",
+        [True, np.bool_(True), "1.5", "abc", None, 1.5 + 0j, np.array(1.5), [1.5]],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("entry", sorted(EXPONENT_ENTRIES))
+    def test_other_exponents_are_refused(self, entry, p):
+        run, label = EXPONENT_ENTRIES[entry]
+        message = f"^{re.escape(f'{label}{p!r}')} is not a real number$"
+        with pytest.raises(PreconditionError, match=message):
+            run(p)
+
+    @pytest.mark.parametrize(
+        "p", [1, np.int64(2), np.uint8(1), np.float32(1.5), np.float64(2.0)], ids=repr
+    )
+    @pytest.mark.parametrize("entry", sorted(EXPONENT_ENTRIES))
+    def test_real_exponents_run_as_floats(self, entry, p):
+        run, _ = EXPONENT_ENTRIES[entry]
+        got, expected = run(p), run(float(p))
+        if isinstance(got, theorems.VerificationReport):
+            got, expected = got.to_json(), expected.to_json()
+        elif not isinstance(got, float):  # a spec keeps its exponents
+            names = ("p", "q") if isinstance(got, MixedSpaceSpec) else ("p",)
+            got = [(type(getattr(got, n)), getattr(got, n)) for n in names]
+            expected = [(float, getattr(expected, n)) for n in names]
+        assert repr(got) == repr(expected)
+
+    @pytest.mark.parametrize("entry", sorted(EXPONENT_ENTRIES))
+    def test_integer_beyond_the_float_range_is_refused(self, entry):
+        """``float(10**400)`` raises ``OverflowError``."""
+        run, label = EXPONENT_ENTRIES[entry]
+        message = f"^{re.escape(label)}1{'0' * 400} is beyond the float range$"
+        with pytest.raises(PreconditionError, match=message):
+            run(10**400)
+
+    @pytest.mark.parametrize("entry", sorted(EXPONENT_ENTRIES))
+    def test_range_messages_are_kept(self, entry):
+        run, label = EXPONENT_ENTRIES[entry]
+        top = "2" if entry == "schatten_check" else "inf"
+        message = f"^{re.escape(f'{label}0.5 outside [1, {top}]')}$"
+        with pytest.raises(PreconditionError, match=message):
+            run(0.5)
