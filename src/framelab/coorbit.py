@@ -384,7 +384,7 @@ def _interval_elements(pair1: FramePair, pair2: FramePair) -> int:
     """A bound on the largest temporary of one trial of
     :func:`_opnorm_interval`: the buffer ``[analysis2 @ V1^T |
     analysis2]``, the ``d1 x (10 d1 + n2)`` probe block and the products
-    of the probe scoring."""
+    of the probe scoring; at least ``n1 n2``, a Galerkin matrix."""
     (n1, d1), n2 = pair1.frame.vectors.shape, len(pair2.frame.vectors)
     return max(n2 * (n1 + d1), max(d1, n2) * (10 * d1 + n2), n1 * n2)
 
@@ -496,25 +496,20 @@ def _opnorm_interval(
       has a coefficient matrix ``B`` that is not finite is scored one
       trial at a time, since its extremizers drop rows.
 
-    Trials are scored in chunks (:func:`_trial_slices` of
-    :func:`_interval_elements`), so no stacked temporary holds more than
-    ``_SCORE_ELEMENTS`` entries, or one trial's when that is larger.  The
-    first trial whose lower bound exceeds its upper one raises, as its
-    own call would."""
-    intervals = []
-    for part in _trial_slices(len(A), _interval_elements(pair1, pair2)):
-        stack = A[part]
-        found = [None] * len(stack)
-        if p == 2.0 and q == np.inf:
-            found = _l2_to_sup_interval(stack, pair1, pair2, w1, w2)
-        todo = [t for t, interval in enumerate(found) if interval is None]
-        if todo:
-            rest = stack if len(todo) == len(stack) else stack[todo]
-            swept = _sweep(rest, pair1, pair2, p, q, w1, w2, seed)
-            for t, interval in zip(todo, swept):
-                found[t] = interval
-        intervals += found
-    return intervals
+    Callers pass at most one chunk of :func:`_trial_slices` of
+    :func:`_interval_elements` (:func:`coorbit_opnorm` one trial), so no
+    stacked temporary holds more than ``_SCORE_ELEMENTS`` entries, or one
+    trial's when that is larger.  The first trial whose lower bound
+    exceeds its upper one raises, as its own call would."""
+    found = [None] * len(A)
+    if p == 2.0 and q == np.inf:
+        found = _l2_to_sup_interval(A, pair1, pair2, w1, w2)
+    todo = [t for t, interval in enumerate(found) if interval is None]
+    if todo:
+        rest = A if len(todo) == len(A) else A[todo]
+        for t, interval in zip(todo, _sweep(rest, pair1, pair2, p, q, w1, w2, seed)):
+            found[t] = interval
+    return found
 
 
 def _sweep(A, pair1, pair2, p, q, w1, w2, seed) -> list:

@@ -16,14 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .frames import Frame, NotAFrameError, product_cyclic_index_set
-from .numeric import PreconditionError, _json_int
+from .numeric import PreconditionError, _check_int, _json_int
 
 RNG_SCHEME = "blake2b128:pcg64:v1"
 
 
 def substream(seed: int, *labels) -> np.random.Generator:
-    """Independent, reproducible random stream for (seed, labels)."""
-    tag = f"framelab:{RNG_SCHEME}:{int(seed)}:" + ":".join(str(l) for l in labels)
+    """Independent, reproducible random stream for an integer seed and labels."""
+    seed = _check_int(seed, "seed")
+    tag = f"framelab:{RNG_SCHEME}:{seed}:" + ":".join(str(l) for l in labels)
     key = hashlib.blake2b(tag.encode(), digest_size=16).digest()
     return np.random.default_rng(np.random.SeedSequence(int.from_bytes(key, "big")))
 
@@ -45,7 +46,7 @@ def _unit_disk(rng: np.random.Generator, shape) -> np.ndarray:
 
 def onb(d: int) -> Frame:
     """Standard orthonormal basis of ``C^d`` on a linear index set."""
-    if d < 1:
+    if _check_int(d, "d") < 1:
         raise PreconditionError("dimension must be >= 1")
     return Frame.from_vectors(np.eye(d, dtype=complex))
 
@@ -78,6 +79,7 @@ def finite_gabor(N: int, a: int, b: int, window) -> Frame:
     caller's responsibility; the full lattice ``a = b = 1`` is tight
     with bounds ``N ||g||^2``.
     """
+    N, a, b = _check_int(N, "N"), _check_int(a, "a"), _check_int(b, "b")
     if N < 1:
         raise PreconditionError("length must be >= 1")
     if a < 1 or b < 1 or N % a != 0 or N % b != 0:
@@ -105,7 +107,7 @@ def decaying_perturbation(d: int, s: float, eps: float, seed: int = 0) -> Frame:
     ``xi`` uniform on the complex unit disk.  If the family fails the
     frame check, the amplitude is halved, up to three retries.
     """
-    if d < 1:
+    if _check_int(d, "d") < 1:
         raise PreconditionError("dimension must be >= 1")
     if not (s >= 0):
         raise PreconditionError("decay must be a nonnegative number")
@@ -143,22 +145,22 @@ def random_operator(
 
     ``kind`` is ``"dense"``, ``"banded"`` (requires ``width``; entries
     vanish for ``|row - col| > width``) or ``"lowrank"`` (requires
-    ``rank``).
+    ``rank``).  Sizes, ``width``, ``rank`` and ``seed`` are integers.
     """
-    if d1 < 1 or d2 < 1:
+    if _check_int(d1, "d1") < 1 or _check_int(d2, "d2") < 1:
         raise PreconditionError("dimensions must be >= 1")
     rng = substream(seed, "generators", "random_operator", d2, d1, kind)
     if kind == "dense":
         return _complex_normal(rng, (d2, d1))
     if kind == "banded":
-        if width is None or width < 0:
+        if width is None or _check_int(width, "width") < 0:
             raise PreconditionError("banded operators need a bandwidth >= 0")
         M = _complex_normal(rng, (d2, d1))
         rows = np.arange(d2)[:, None]
         cols = np.arange(d1)[None, :]
         return np.where(np.abs(rows - cols) <= width, M, 0.0)
     if kind == "lowrank":
-        if rank is None or rank < 1:
+        if rank is None or _check_int(rank, "rank") < 1:
             raise PreconditionError("low-rank operators need a rank >= 1")
         U = _complex_normal(rng, (d2, rank))
         V = _complex_normal(rng, (rank, d1))

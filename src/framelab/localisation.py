@@ -26,7 +26,7 @@ from .frames import (
     _product_table,
     gram,
 )
-from .numeric import PreconditionError, _check_exponent, _row_blocks, as_matrix
+from .numeric import PreconditionError, _as_real, _check_exponent, _row_blocks, as_matrix
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class JaffardParams:
     index_set: IndexSet
 
     def __post_init__(self):
-        s = float(self.exponent)
+        s = _as_real(self.exponent, "decay exponent ")
         if not np.isfinite(s) or s < 0:
             raise PreconditionError(f"decay exponent must be finite and >= 0, got {s}")
         object.__setattr__(self, "exponent", s)
@@ -246,9 +246,10 @@ def _gram_schur_bound(frame: Frame, w: np.ndarray, p: float) -> float:
 def poly_weight(index_set: IndexSet, t: float) -> np.ndarray:
     """Polynomial weight ``w_i = (1 + rho(i, origin))^t`` with the first
     label as origin."""
+    t = _as_real(t, "weight exponent ")
     if not np.isfinite(t):
         raise PreconditionError("weight exponent must be finite")
-    return (1.0 + index_set.distances_from_origin()) ** float(t)
+    return (1.0 + index_set.distances_from_origin()) ** t
 
 
 @dataclass(frozen=True)
@@ -280,6 +281,7 @@ def localisation_report(
     """Evaluate decay constants for ``G``, ``G_dual`` and the cross Gram
     of dual against primal; verdict is true when all stay below the
     threshold."""
+    threshold = _as_real(threshold, "threshold ")
     if np.isnan(threshold):
         raise PreconditionError("threshold must not be NaN")
     grid = _decay_grid(params)

@@ -19,8 +19,8 @@ checks, or the reconstruction residual of the inner check.
 The outer correspondence is the ``l^1 -> l^inf`` case of the Schur-test
 statement, so it is the internal variant ``"outer"`` of the Schur core;
 the inner and projective checks bound one quantity from two sides and
-share one sandwich.  Every stacked core but Schatten's reports through
-one chunk-and-report skeleton, ``_scored``.
+share one sandwich.  Every stacked core reports through one
+chunk-and-report skeleton, ``_scored``, which alone cuts stacks into chunks.
 
 Inputs are checked once, at the public entry: the operator, the weights,
 the exponents and every weight the cores derive from them (reciprocals,
@@ -42,6 +42,7 @@ from .coorbit import (
     _check_grid,
     _grid_norm,
     _holder_conjugate,
+    _interval_elements,
     _opnorm_interval,
     _pnorm_along,
     _pnorm_of_abs,
@@ -168,8 +169,8 @@ def _onb_equality(passed: bool, ratio: float, budget: float) -> bool:
 def _scored(name, A, elements, sides, seed=0) -> list:
     """The reports named ``name`` of a checked ``(T, d2, d1)`` stack
     ``A``: ``sides`` maps each chunk of :func:`coorbit._trial_slices`,
-    for ``elements`` entries per trial, to one ``(lhs, rhs, budget,
-    passed, details)`` per trial."""
+    for ``elements`` entries in a trial's largest temporary, to one
+    ``(lhs, rhs, budget, passed, details)`` per report, in order."""
     return [
         _report(name, *trial, seed)
         for part in _trial_slices(len(A), elements)
@@ -201,9 +202,9 @@ def _opnorm_report(A, pair1, pair2, w1, w2, p, variant, seed) -> list:
     the interval under ``"opnorm_upper_source"`` and
     ``"opnorm_lower_source"`` (see :class:`coorbit.OpNormInterval`).
 
-    Each chunk of :func:`_scored` measures its kernels, then takes its
-    intervals, which chunk their own trials; each report has the bits
-    of its trial's one-trial call (see :func:`coorbit._opnorm_interval`).
+    Each chunk of :func:`_scored`, sized by a trial's interval, measures
+    its kernels, then takes its intervals in one call; each report has
+    its trial's one-trial bits (see :func:`coorbit._opnorm_interval`).
     """
     if variant == "i":
         p_src, p_dst, kernel_exp, inner_axis = 1.0, p, p, 1
@@ -271,9 +272,8 @@ def _opnorm_report(A, pair1, pair2, w1, w2, p, variant, seed) -> list:
         return out
 
     name = "outer" if outer else f"schur-{variant}"
-    n1, n2 = pair1.frame.cardinality, pair2.frame.cardinality
     with np.errstate(over="ignore", divide="ignore"):
-        return _scored(name, A, n1 * n2, sides, seed)
+        return _scored(name, A, _interval_elements(pair1, pair2), sides, seed)
 
 
 def verify_outer(
@@ -616,51 +616,47 @@ def schatten_check(O, pair1: FramePair, pair2: FramePair, p) -> VerificationRepo
     if not (1.0 <= p <= 2.0):
         raise PreconditionError(f"Schatten exponent p={p} outside [1, 2]")
     A = _check_operator(O, pair1, pair2)
-    return _schatten_reports(A[None], pair1, pair2, (p,))[0][0]
+    return _schatten_reports(A[None], pair1, pair2, (p,))[0]
 
 
 def _schatten_reports(A, pair1: FramePair, pair2: FramePair, exponents) -> list:
     """:func:`schatten_check` of each trial of a checked ``(T, d2, d1)``
-    stack ``A`` at each checked exponent: one list of reports per
-    exponent.  Trials go in chunks of at most ``_SCORE_ELEMENTS``
-    entries per stacked temporary (or one trial's); the singular values,
-    column norms and Galerkin row norms of a chunk are found once for
-    all exponents, the singular values by LAPACK calls of one trial
-    each, and every root is taken per trial (see
-    :func:`coorbit._pnorm_rows`)."""
+    stack ``A`` at each checked exponent, through :func:`_scored`: one
+    report per trial and exponent, the exponents of a trial in a row.
+    A chunk holds at most ``_SCORE_ELEMENTS`` entries per stacked
+    temporary (or one trial's); its singular values, column norms and
+    Galerkin row norms are found once for all exponents, the singular
+    values by LAPACK calls of one trial each, and every root is taken
+    per trial (see :func:`coorbit._pnorm_rows`)."""
     n1, n2 = pair1.frame.cardinality, pair2.frame.cardinality
     d2, d1 = A.shape[-2:]
     budget = float(np.sqrt(pair1.bounds[1]))
-    reports = [[] for _ in exponents]
-    for part in _trial_slices(len(A), max(n1 * n2, d2 * n1, d2 * d1)):
-        B = A[part]
+
+    def sides(B):
         singular = np.linalg.svd(B, compute_uv=False)
         col_norms = _pnorm_along(B @ pair1.dual.vectors.T, 2.0, axis=-2)
         rows = _pnorm_along(_galerkin(B, pair1, pair2), 2.0, axis=-1)
         frobenius = _pnorm_rows(np.abs(B).reshape(len(B), -1), 2.0).tolist()
-        for p, out in zip(exponents, reports):
-            # _pnorm_rows overwrites its input
-            lhs = _pnorm_rows(singular.copy(), p).tolist()
-            rhs = _pnorm_rows(col_norms.copy(), p).tolist()
-            kernel_h2p = _pnorm_rows(rows.copy(), p).tolist()
-            for t in range(len(B)):
-                out.append(
-                    _report(
-                        "schatten",
-                        lhs[t],
-                        rhs[t],
-                        budget,
-                        _within(lhs[t], budget, rhs[t]),
-                        {
-                            "p": p,
-                            "one_sided": True,
-                            "frobenius": frobenius[t],
-                            "kernel_h2p": kernel_h2p[t],
-                            "source_bounds": list(pair1.bounds),
-                        },
-                    )
-                )
-    return reports
+        # _pnorm_rows overwrites its input
+        norms = [
+            [_pnorm_rows(x.copy(), p).tolist() for x in (singular, col_norms, rows)]
+            for p in exponents
+        ]
+        out = []
+        for t, f in enumerate(frobenius):
+            for p, (lhs, rhs, kernel_h2p) in zip(exponents, norms):
+                details = {
+                    "p": p,
+                    "one_sided": True,
+                    "frobenius": f,
+                    "kernel_h2p": kernel_h2p[t],
+                    "source_bounds": list(pair1.bounds),
+                }
+                passed = _within(lhs[t], budget, rhs[t])
+                out.append((lhs[t], rhs[t], budget, passed, details))
+        return out
+
+    return _scored("schatten", A, max(n1 * n2, d2 * n1, d2 * d1), sides)
 
 
 # ---------------------------------------------------------------------------
@@ -685,6 +681,7 @@ def compress_operator(
     re-synthesized operator is added to the details (small dimensions
     only).
     """
+    tau = _as_real(tau, "threshold ")
     if not tau >= 0:  # also rejects NaN
         raise PreconditionError(f"threshold must be nonnegative, got {tau}")
     w1, w2 = _check_weights(pair1, pair2, w1, w2)

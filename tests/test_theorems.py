@@ -1080,7 +1080,7 @@ def _stack_cases(pair, w):
                     # them intact for p
                     lambda A, p=p: theorems._schatten_reports(
                         A, pair, pair, (1.5, p)
-                    )[1],
+                    )[1::2],
                     lambda O, p=p: schatten_check(O, pair, pair, p),
                 )
             )
@@ -1108,6 +1108,28 @@ def _stack_cases(pair, w):
 
 def _bits(rep):
     return repr(rep.to_json())
+
+
+# every stacked core on a stack ``A`` of operators on ``pair``, weights ``w``
+MEMORY_CORES = {
+    "outer": lambda A, pair, w: theorems._opnorm_report(
+        A, pair, pair, w, w, 1.0, "outer", 0
+    ),
+    "schur-i": lambda A, pair, w: theorems._opnorm_report(
+        A, pair, pair, w, w, 1.5, "i", 0
+    ),
+    "schur-ii": lambda A, pair, w: theorems._opnorm_report(
+        A, pair, pair, w, w, 1.5, "ii", 0
+    ),
+    "inner": lambda A, pair, w: theorems._inner_reports(A, pair, pair, w, w),
+    "projective": lambda A, pair, w: theorems._projective_reports(A, pair, pair, w, w),
+    "independence": lambda A, pair, w: theorems._independence_reports(
+        A, (pair, pair), (pair, pair), MixedSpaceSpec(2.0, 2.0, 0, np.outer(w, w))
+    ),
+    "schatten": lambda A, pair, w: theorems._schatten_reports(
+        A, pair, pair, (1.0, 1.5, 2.0)
+    ),
+}
 
 
 class TestStackedCores:
@@ -1214,22 +1236,27 @@ class TestStackedCores:
                     run(np.stack(stack), pair, w)
                 assert str(stacked.value) == str(alone.value)
 
-    def test_chunked_stack_memory_is_bounded(self):
-        """The stacked temporaries of a 100-trial ONB 16 call are cut into
-        chunks of at most ``_SCORE_ELEMENTS`` entries: the peak above the
-        inputs and the reports stays within four such complex
-        temporaries (it reads about 2.5 of them, 0.74 MB), where
-        unchunked stacks take about 53 (13.9 MB)."""
-        pair = canonical_dual(onb(16))
+    @pytest.mark.parametrize("core", sorted(MEMORY_CORES))
+    @pytest.mark.parametrize("family", ["onb16", "gabor8"])
+    def test_chunked_stack_memory_is_bounded(self, family, core):
+        """The stacked temporaries of a 100-trial call are cut into chunks
+        of at most ``_SCORE_ELEMENTS`` entries: the peak above the inputs
+        and the reports stays within four such complex temporaries, where
+        an unchunked Schur ii stack on ONB 16 takes about 53 (13.9 MB).
+        On Gabor 8 the op-norm chunks are sized by ``_interval_elements``,
+        which exceeds ``n1 n2`` there."""
+        pair = STACK_FAMILIES[family]()
+        d = pair.frame.space_dim
         w = poly_weight(pair.frame.index_set, 1.0)
-        ops = np.stack([random_operator(16, 16, seed=t) for t in range(100)])
-        theorems._opnorm_report(ops[:1], pair, pair, w, w, 1.5, "ii", 0)  # fill
+        ops = np.stack([random_operator(d, d, seed=t) for t in range(100)])
+        run = MEMORY_CORES[core]
+        run(ops[:1], pair, w)  # fill
         gc.collect()
         tracemalloc.start()
         try:
-            reports = theorems._opnorm_report(ops, pair, pair, w, w, 1.5, "ii", 0)
+            reports = run(ops, pair, w)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(reports) == 100
+        assert len(reports) == 100 * (3 if core == "schatten" else 1)
         assert peak - kept <= 4 * coorbit._SCORE_ELEMENTS * 16

@@ -21,7 +21,7 @@ from framelab.generators import (
     random_operator,
     substream,
 )
-from framelab.localisation import poly_weight
+from framelab.localisation import JaffardParams, localisation_report, poly_weight
 from framelab.numeric import PreconditionError
 from framelab.suite import run_suite
 from framelab.theorems import (
@@ -500,3 +500,162 @@ class TestExponentIsARealNumber:
         message = f"^{re.escape(f'{label}0.5 outside [1, {top}]')}$"
         with pytest.raises(PreconditionError, match=message):
             run(0.5)
+
+
+# each generator argument that must be an integer: (call, the name in the
+# message, a valid value)
+GENERATOR_INTEGERS = {
+    "onb-d": (lambda v: onb(v), "d", 4),
+    "finite_gabor-N": (lambda v: finite_gabor(v, 2, 2, gaussian_window(8)), "N", 8),
+    "finite_gabor-a": (lambda v: finite_gabor(8, v, 2, gaussian_window(8)), "a", 2),
+    "finite_gabor-b": (lambda v: finite_gabor(8, 2, v, gaussian_window(8)), "b", 2),
+    "decaying_perturbation-d": (
+        lambda v: decaying_perturbation(v, 4.0, 0.05),
+        "d",
+        4,
+    ),
+    "decaying_perturbation-seed": (
+        lambda v: decaying_perturbation(4, 4.0, 0.05, seed=v),
+        "seed",
+        2,
+    ),
+    "random_operator-d2": (lambda v: random_operator(v, 3), "d2", 3),
+    "random_operator-d1": (lambda v: random_operator(3, v), "d1", 3),
+    "random_operator-seed": (lambda v: random_operator(3, 3, seed=v), "seed", 1),
+    "random_operator-width": (
+        lambda v: random_operator(3, 3, kind="banded", width=v),
+        "width",
+        1,
+    ),
+    "random_operator-rank": (
+        lambda v: random_operator(3, 3, kind="lowrank", rank=v),
+        "rank",
+        1,
+    ),
+    "substream-seed": (lambda v: substream(v, "test").standard_normal(4), "seed", 1),
+}
+NOT_INTEGERS = [1.5, 2.9, 2.0, np.float64(2.0), "2", True, np.bool_(True), None]
+
+
+def _generated_bits(x):
+    if isinstance(x, Frame):
+        return x.vectors.tobytes(), x.index_set
+    return x.dtype, x.tobytes()
+
+
+class TestGeneratorIntegers:
+    """Generator sizes, ``width``, ``rank`` and seeds are Python or NumPy
+    integers, not bools.  ``substream`` read ``int(seed)``, so seed 1.5
+    drew seed 1's stream; a float size raised ``TypeError`` or
+    ``IndexError``, and a float ``width`` was accepted."""
+
+    @pytest.mark.parametrize(
+        "entry, value",
+        [
+            (entry, value)
+            for entry in sorted(GENERATOR_INTEGERS)
+            for value in NOT_INTEGERS
+            # width=None and rank=None mean "not given"
+            if not (value is None and entry.endswith(("width", "rank")))
+        ],
+        ids=repr,
+    )
+    def test_other_values_are_refused(self, entry, value):
+        run, name, _ = GENERATOR_INTEGERS[entry]
+        message = f"^{re.escape(f'{name} must be an integer, got {value!r}')}$"
+        with pytest.raises(PreconditionError, match=message):
+            run(value)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+    @pytest.mark.parametrize("entry", sorted(GENERATOR_INTEGERS))
+    def test_integers_keep_their_bits(self, entry, kind):
+        run, _, value = GENERATOR_INTEGERS[entry]
+        assert _generated_bits(run(kind(value))) == _generated_bits(run(value))
+
+
+ONB4 = canonical_dual(onb(4))
+ONES4 = np.ones(4)
+O4 = random_operator(4, 4, seed=9)
+# each public real-valued parameter that is not a norm exponent: (call,
+# the text before the value in its message, a value outside its range and
+# that range's message)
+REAL_PARAMETERS = {
+    "JaffardParams": (
+        lambda v: JaffardParams(v, ONB4.frame.index_set),
+        "decay exponent ",
+        -1,
+        "decay exponent must be finite and >= 0, got -1.0",
+    ),
+    "poly_weight": (
+        lambda v: poly_weight(ONB4.frame.index_set, v),
+        "weight exponent ",
+        np.inf,
+        "weight exponent must be finite",
+    ),
+    "compress_operator": (
+        lambda v: compress_operator(O4, ONB4, ONB4, ONES4, ONES4, v),
+        "threshold ",
+        -1.0,
+        "threshold must be nonnegative, got -1.0",
+    ),
+    "localisation_report": (
+        lambda v: localisation_report(
+            ONB4, JaffardParams(3.0, ONB4.frame.index_set), threshold=v
+        ),
+        "threshold ",
+        np.nan,
+        "threshold must not be NaN",
+    ),
+}
+
+
+def _real_bits(x):
+    """Every value of a result, with the type of each float field."""
+    if isinstance(x, tuple):  # compress_operator
+        return x[0].tobytes(), _real_bits(x[1])
+    if isinstance(x, np.ndarray):
+        return x.tobytes()
+    if isinstance(x, JaffardParams):
+        return type(x.exponent), x.exponent
+    return repr(x.to_json()), type(x.threshold)
+
+
+class TestRealParametersAreRealNumbers:
+    """Decay and weight exponents and thresholds are Python or NumPy
+    integers or floats that are not bools, as norm exponents are.
+    ``float(...)`` ran ``"3"`` as 3.0, and ``True`` ran as 1 where no
+    ``float`` was taken, and a report kept the bool."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, np.bool_(True), "3", "abc", None, 3 + 0j, np.array(3.0), [3.0]],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("entry", sorted(REAL_PARAMETERS))
+    def test_other_values_are_refused(self, entry, value):
+        run, label, _, _ = REAL_PARAMETERS[entry]
+        message = f"^{re.escape(f'{label}{value!r}')} is not a real number$"
+        with pytest.raises(PreconditionError, match=message):
+            run(value)
+
+    @pytest.mark.parametrize("entry", sorted(REAL_PARAMETERS))
+    def test_integer_beyond_the_float_range_is_refused(self, entry):
+        run, label, _, _ = REAL_PARAMETERS[entry]
+        message = f"^{re.escape(label)}1{'0' * 400} is beyond the float range$"
+        with pytest.raises(PreconditionError, match=message):
+            run(10**400)
+
+    @pytest.mark.parametrize(
+        "value", [3, np.int64(2), np.uint8(1), np.float32(1.5), np.float64(2.0)],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("entry", sorted(REAL_PARAMETERS))
+    def test_real_values_run_as_floats(self, entry, value):
+        run, _, _, _ = REAL_PARAMETERS[entry]
+        assert _real_bits(run(value)) == _real_bits(run(float(value)))
+
+    @pytest.mark.parametrize("entry", sorted(REAL_PARAMETERS))
+    def test_range_messages_are_kept(self, entry):
+        run, _, value, expected = REAL_PARAMETERS[entry]
+        with pytest.raises(PreconditionError, match=f"^{re.escape(expected)}$"):
+            run(value)
