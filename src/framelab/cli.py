@@ -177,12 +177,6 @@ def _with_provenance(report: dict, args) -> dict:
     return {**report, "config": config, "version": __version__}
 
 
-def _parse_exponent(text: str) -> float:
-    if text in ("inf", "Inf", "INF"):
-        return np.inf
-    return float(text)
-
-
 # ---------------------------------------------------------------------------
 # verbs
 
@@ -248,7 +242,7 @@ def _cmd_coorbit_norm(args) -> int:
     pair = _load_pair(args.frame, {})
     f = _load_vector(args.vector)
     w = _load_weight(args.weight, pair.frame.cardinality)
-    spec = CoorbitSpec(pair, SeqSpaceSpec(_parse_exponent(args.p), w))
+    spec = CoorbitSpec(pair, SeqSpaceSpec(float(args.p), w))
     _emit_json({"norm": coorbit_norm(spec, f)}, args.output)
     return 0
 
@@ -287,7 +281,7 @@ def _cmd_verify(args) -> int:
         w1, w2 = _weights_for(args, pair1.frame, pair2.frame)
     if which == "independence":
         pairs_b = _load_pair(args.frame1b, loaded), _load_pair(args.frame2b, loaded)
-        p, q = _parse_exponent(args.p), _parse_exponent(args.q)
+        p, q = float(args.p), float(args.q)
         spec = MixedSpaceSpec(p, q, args.inner_axis, tensor_weights(w1, w2))
     O = _load_matrix(args.op)
     if which == "outer":
@@ -297,14 +291,14 @@ def _cmd_verify(args) -> int:
     elif which == "projective":
         report = verify_projective(O, pair1, pair2, w1, w2)
     elif which == "schur":
-        p = _parse_exponent(args.p)
+        p = float(args.p)
         report = schur_characterization(
             O, pair1, pair2, w1, w2, p, args.variant, seed=args.seed
         )
     elif which == "independence":
         report = verify_frame_independence(O, (pair1, pair2), pairs_b, spec)
     else:
-        report = schatten_check(O, pair1, pair2, _parse_exponent(args.p))
+        report = schatten_check(O, pair1, pair2, float(args.p))
 
     if args.format == "csv":
         _emit_csv([report], "name,lhs,rhs,ratio,budget,pass,seed", args.output)

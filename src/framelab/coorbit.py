@@ -383,8 +383,11 @@ def _trial_slices(T: int, elements: int) -> list:
 def _interval_elements(pair1: FramePair, pair2: FramePair) -> int:
     """A bound on the largest temporary of one trial of
     :func:`_opnorm_interval`: the buffer ``[analysis2 @ V1^T |
-    analysis2]``, the ``d1 x (10 d1 + n2)`` probe block and the products
-    of the probe scoring; at least ``n1 n2``, a Galerkin matrix."""
+    analysis2]``, the ``d1 x n2`` extremizer block and the ``n2 x k``
+    products of the probe scoring; at least ``n1 n2``, a Galerkin
+    matrix.  The ``d1 x 10 d1`` random block is shared by every trial;
+    the term ``max(d1, n2) (10 d1 + n2)`` still counts it per trial,
+    which only overstates the bound."""
     (n1, d1), n2 = pair1.frame.vectors.shape, len(pair2.frame.vectors)
     return max(n2 * (n1 + d1), max(d1, n2) * (10 * d1 + n2), n1 * n2)
 
@@ -428,18 +431,19 @@ def coorbit_opnorm(
     0``, formed without transcendental functions; a probe whose norm
     overflowed, or whose norm is zero, is skipped.  A random probe is
     scored only when a bound from the basis images shows that it might
-    reach the best ratio of the other probes; one left out lies strictly
-    below that ratio, so the interval and its sources are those of the
-    full sweep (see :func:`_sweep`).  On an orthonormal basis at ``p=1``
-    the frame vectors attain the column bound, so the interval is exact
-    up to rounding.
+    reach the best ratio of the other probes, at every ``p``; one left
+    out lies strictly below that ratio, so the interval and its sources
+    are those of the full sweep (see :func:`_sweep`).  On an orthonormal
+    basis at ``p=1`` the frame vectors attain the column bound, so the
+    interval is exact up to rounding.
 
     Each call multiplies only what depends on ``O``: the images of the
     frame and basis vectors are the columns of ``C_dual2 O V1^T`` and of
-    ``C_dual2 O``, which the upper bound forms anyway; the random block
-    and the extremizers go through ``C_dual2 O``, and the extremizers,
-    which depend on ``O``, through ``C_dual1`` as well.  The random block
-    and the denominators ``||f||`` of the frame, basis and random probes
+    ``C_dual2 O``, which the upper bound forms anyway; the extremizers,
+    which depend on ``O``, go through ``C_dual2 O`` and ``C_dual1``, and
+    then the random chunks that might win through ``C_dual2 O``, each
+    class in column chunks of its own.  The random block and the
+    denominators ``||f||`` of the frame, basis and random probes
     depend only on the source pair, ``w1``, ``p`` and ``seed``, so they
     are remembered per source pair (see ``localisation._remembered``).
     Probes are multiplied in chunks of ``k`` columns whose ``n x k``
@@ -516,18 +520,16 @@ def _sweep(A, pair1, pair2, p, q, w1, w2, seed) -> list:
     """The probe-sweep intervals of the ``(T, d2, d1)`` stack ``A``
     (see :func:`coorbit_opnorm`).
 
-    The probes are scored in the order frame, basis, random, extremizer;
-    the random block and the extremizers are multiplied in the column
-    chunks of one ``_column_norms(analysis2, Q, w2, q)`` call.  The
-    chunks that hold an extremizer are scored first.  Then each chunk of
-    random columns alone is scored only for the trials where some bound
-    of :func:`_random_bounds` on it reaches the trial's best ratio so
-    far; elsewhere its ratios are set to 0.  A probe left out has a
-    computed ratio strictly below the best one, so the largest ratio and
-    the first probe that attains it, hence the interval and its sources,
-    are those of the full sweep.  Every product still formed keeps its
-    shape and chunk boundaries, and a trial that is scored is a slice of
-    a stacked product, so its bits are those of the full sweep too."""
+    The frame and basis probes are scored from ``NB``, then the
+    extremizers, in column chunks of their own, then each column chunk
+    of the random block, shared by every trial, only for the trials
+    where some bound of :func:`_random_bounds` on it reaches the trial's
+    best ratio so far; elsewhere its ratios stay 0.  A probe left out
+    has a computed ratio strictly below the best one, so the largest
+    ratio and the first probe that attains it in the order frame, basis,
+    random, extremizer, hence the interval and its sources, are those of
+    the full sweep.  A trial that is scored is a slice of a stacked
+    product, so its bits are those of its own call."""
     T = len(A)
     n1, d1 = pair1.frame.cardinality, pair1.frame.space_dim
     analysis2 = pair2.dual.vectors.conj() @ A
@@ -567,42 +569,30 @@ def _sweep(A, pair1, pair2, p, q, w1, w2, seed) -> list:
         (w1.tobytes(), p, seed),
         lambda: _probe_denominators(pair1, w1, p, random),
     )
-    den_random = den[n1 + d1 :]
+    # the ratios are laid out frame, basis, random, extremizer; a random
+    # column stays 0 until it is scored
+    R, base = random.shape[1], n1 + d1
+    ratios = [_ratios(num, den[:base]), np.zeros((T, R))]
     extremizers = _extremizers(B, pair1.frame.vectors, rw1, p)
     if extremizers:
-        Q = _shared_then(random, extremizers)
-        ext = Q[..., random.shape[1] :]
-        den = _shared_then(den, _column_norms(pair1.dual.vectors.conj(), ext, w1, p))
-    else:
-        Q = random
-    # the chunks of _column_norms(analysis2, Q, w2, q) before ``split``
-    # hold random columns alone; the rest are scored first
-    R, step = random.shape[1], max(1, _SCORE_ELEMENTS // len(w2))
-    split = R if Q.shape[-1] == R else R - R % step
-    num = np.concatenate(
-        [num, np.zeros((T, split)), *_column_norms(analysis2, Q[..., split:], w2, q)],
-        axis=-1,
-    )
-    ratios = _ratios(num, den)
-    if split:
-        bounds = _random_bounds(num[:, n1 : n1 + d1], random, den_random, w2, q)
-        top = ratios.max(axis=-1, keepdims=True)
-        for c in range(0, split, step):
-            need = np.flatnonzero(~(bounds[:, c : c + step] < top).all(axis=-1))
-            if len(need) == T:
-                M, P = analysis2, Q[..., c : c + step]
-            elif len(need):
-                M = analysis2[need]
-                P = Q[..., c : c + step] if Q.ndim == 2 else Q[need, :, c : c + step]
-            else:
-                continue
-            cols = slice(n1 + d1 + c, n1 + d1 + min(c + step, split))
-            num[need, cols] = _column_norms(M, P, w2, q)[0]
-        ratios = _ratios(num, den)
-    best = np.argmax(ratios, axis=-1).tolist()
-    # probes are scored in the order frame, basis, random, extremizer, and
+        ext = np.concatenate(extremizers, axis=-1)
+        num_ext = _column_norms(analysis2, ext, w2, q)
+        den_ext = _column_norms(pair1.dual.vectors.conj(), ext, w1, p)
+        ratios.append(_ratios(np.concatenate(num_ext, -1), np.concatenate(den_ext, -1)))
+    ratios = np.concatenate(ratios, axis=-1)
+    random_ratios, den_random = ratios[:, base : base + R], den[base:]
+    bounds = _random_bounds(num[:, n1:], random, den_random, w2, q)
+    top = ratios.max(axis=-1, keepdims=True)
+    step = max(1, _SCORE_ELEMENTS // len(w2))
+    for c in range(0, R, step):
+        need = np.flatnonzero(~(bounds[:, c : c + step] < top).all(axis=-1))
+        if len(need):
+            M = analysis2 if len(need) == T else analysis2[need]
+            num_c = _column_norms(M, random[:, c : c + step], w2, q)[0]
+            random_ratios[need, c : c + step] = _ratios(num_c, den_random[c : c + step])
     # argmax takes the first of equal ratios
-    ends = (n1, n1 + d1, n1 + d1 + R)
+    best = np.argmax(ratios, axis=-1).tolist()
+    ends = (n1, base, base + R)
     intervals = []
     for t, upper in enumerate(uppers):
         lower = float(ratios[t, best[t]])
@@ -676,20 +666,6 @@ def _random_bounds(basis, random, den, w2, q) -> np.ndarray:
         S = basis[known] @ a
         bounds[known] = (S * (1.0 + margin) + slack * 2.0**-1070) / den
     return bounds
-
-
-def _shared_then(shared: np.ndarray, blocks: list) -> np.ndarray:
-    """``shared``, the same for every trial, followed along the last axis
-    by the ``(T, ..., k)`` ``blocks``: a new ``(T, ...)`` stack, built
-    without a broadcast copy of ``shared``."""
-    width = shared.shape[-1]
-    out = np.empty(
-        (len(blocks[0]), *shared.shape[:-1], width + sum(b.shape[-1] for b in blocks)),
-        dtype=blocks[0].dtype,
-    )
-    out[..., :width] = shared
-    np.concatenate(blocks, axis=-1, out=out[..., width:])
-    return out
 
 
 def _check_order(lower: float, upper: float) -> None:

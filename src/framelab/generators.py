@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .frames import Frame, NotAFrameError, product_cyclic_index_set
-from .numeric import PreconditionError, _check_int, _json_int
+from .numeric import PreconditionError, _as_real, _check_int, _json_int
 
 RNG_SCHEME = "blake2b128:pcg64:v1"
 
@@ -105,19 +105,23 @@ def decaying_perturbation(d: int, s: float, eps: float, seed: int = 0) -> Frame:
 
     ``psi_i = e_i + eps * sum_j xi_{ij} (1 + |i-j|)^-s e_j`` with
     ``xi`` uniform on the complex unit disk.  If the family fails the
-    frame check, the amplitude is halved, up to three retries.
+    frame check, the amplitude is halved, up to three retries.  ``s`` and
+    ``eps`` are real numbers, not bools, taken as floats; the float ``s``
+    labels the random stream, so an integer decay draws the frame of the
+    equal float.
     """
     if _check_int(d, "d") < 1:
         raise PreconditionError("dimension must be >= 1")
+    s, eps = _as_real(s, "decay "), _as_real(eps, "amplitude ")
     if not (s >= 0):
         raise PreconditionError("decay must be a nonnegative number")
     if not (0 <= eps < np.inf):
         raise PreconditionError("amplitude must be a nonnegative finite number")
     idx = np.arange(d)
-    decay = (1.0 + np.abs(idx[:, None] - idx[None, :])) ** (-float(s))
+    decay = (1.0 + np.abs(idx[:, None] - idx[None, :])) ** -s
     rng = substream(seed, "generators", "decaying_perturbation", d, s)
     xi = _unit_disk(rng, (d, d))
-    amplitude = float(eps)
+    amplitude = eps
     for _ in range(4):
         vectors = np.eye(d, dtype=complex) + amplitude * xi * decay
         try:
@@ -245,9 +249,7 @@ class GeneratorSpec:
                 window = _WINDOWS[window](N)
             return finite_gabor(N, p["time_step"], p["freq_step"], window)
         if self.kind == "decaying_perturbation":
-            return decaying_perturbation(
-                p["dim"], float(p["decay"]), float(p["eps"]), seed=self.seed
-            )
+            return decaying_perturbation(p["dim"], p["decay"], p["eps"], seed=self.seed)
         return random_operator(
             p["rows"], p["cols"], p["structure"], self.seed, p["width"], p["rank"]
         )

@@ -924,9 +924,8 @@ class TestRandomProbePruning:
         real = coorbit._column_norms
 
         def recording(M, P, w_, p_):
-            # at p = 1 only the random chunks multiply the stack by a
-            # shared block
-            if M.ndim == 3 and P.ndim == 2 and P.shape[-1]:
+            # only the random chunks multiply the stack by a shared block
+            if M.ndim == 3 and P.ndim == 2:
                 scored.append(len(M))
             return real(M, P, w_, p_)
 
@@ -955,6 +954,37 @@ class TestRandomProbePruning:
             for T in (1, 2, 7):
                 assert got[p, q, T] == expected[:T], (p, q, T)
         assert ("random" in sources) == (family == "mercedes")
+
+    @pytest.mark.parametrize(
+        "family, p",
+        [("decaying32", 1.5), ("decaying32", 3.0), ("decaying32", np.inf), ("gabor16", np.inf)],
+    )
+    def test_random_block_skipped_above_p_1(self, family, p, monkeypatch):
+        # the Schur ii route (p, inf) into the dual weight, as the
+        # verifier takes it: every random bound lies below the best
+        # extremizer ratio, so only the n2 extremizers meet the operator
+        frame = (
+            finite_gabor(16, 2, 2, gaussian_window(16))
+            if family == "gabor16"
+            else PRUNE_FAMILIES[family]()
+        )
+        pair = canonical_dual(frame)
+        w = poly_weight(pair.frame.index_set, 1.0)
+        O = random_operator(pair.frame.space_dim, pair.frame.space_dim, seed=11)
+        columns = []
+        real = coorbit._column_norms
+
+        def recording(M, P, w_, p_):
+            if M.ndim == 3:
+                columns.append(P.shape[-1])
+            return real(M, P, w_, p_)
+
+        monkeypatch.setattr(coorbit, "_column_norms", recording)
+        interval = coorbit_opnorm(
+            O, CoorbitSpec(pair, SeqSpaceSpec(p, w)), CoorbitSpec(pair, SeqSpaceSpec(np.inf, 1 / w))
+        )
+        assert sum(columns) == pair.frame.cardinality
+        assert interval.lower_source != "random"
 
 
 # a probe block whose ratios meet the triangle inequality up to rounding:

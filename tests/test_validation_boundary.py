@@ -606,6 +606,18 @@ REAL_PARAMETERS = {
         np.nan,
         "threshold must not be NaN",
     ),
+    "decaying_perturbation-s": (
+        lambda v: decaying_perturbation(8, v, 0.05, seed=1),
+        "decay ",
+        -1,
+        "decay must be a nonnegative number",
+    ),
+    "decaying_perturbation-eps": (
+        lambda v: decaying_perturbation(8, 4.0, v, seed=1),
+        "amplitude ",
+        np.inf,
+        "amplitude must be a nonnegative finite number",
+    ),
 }
 
 
@@ -617,14 +629,18 @@ def _real_bits(x):
         return x.tobytes()
     if isinstance(x, JaffardParams):
         return type(x.exponent), x.exponent
+    if isinstance(x, Frame):  # decaying_perturbation
+        return x.vectors.tobytes()
     return repr(x.to_json()), type(x.threshold)
 
 
 class TestRealParametersAreRealNumbers:
-    """Decay and weight exponents and thresholds are Python or NumPy
-    integers or floats that are not bools, as norm exponents are.
-    ``float(...)`` ran ``"3"`` as 3.0, and ``True`` ran as 1 where no
-    ``float`` was taken, and a report kept the bool."""
+    """Decay and weight exponents, thresholds and perturbation decays
+    and amplitudes are Python or NumPy integers or floats that are not
+    bools, as norm exponents are.  ``float(...)`` ran ``"3"`` as 3.0, and
+    ``True`` ran as 1 where no ``float`` was taken, and a report kept the
+    bool; ``decaying_perturbation`` raised a bare ``TypeError`` on
+    ``"4"`` and ``None``."""
 
     @pytest.mark.parametrize(
         "value",
@@ -653,6 +669,12 @@ class TestRealParametersAreRealNumbers:
     def test_real_values_run_as_floats(self, entry, value):
         run, _, _, _ = REAL_PARAMETERS[entry]
         assert _real_bits(run(value)) == _real_bits(run(float(value)))
+
+    def test_integer_decay_draws_the_float_frame(self):
+        # the decay labels the random stream; it was the label "4", not
+        # "4.0", and drew another frame
+        frame = decaying_perturbation(8, 4, 0.05, seed=1)
+        assert _real_bits(frame) == _real_bits(decaying_perturbation(8, 4.0, 0.05, seed=1))
 
     @pytest.mark.parametrize("entry", sorted(REAL_PARAMETERS))
     def test_range_messages_are_kept(self, entry):
