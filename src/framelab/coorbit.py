@@ -21,7 +21,15 @@ import numpy as np
 from .frames import FramePair, _check_operator, analysis
 from .generators import substream
 from .localisation import _positive_finite, _remembered, as_weight
-from .numeric import PreconditionError, _check_exponent, _check_int, as_matrix, as_vector
+from .numeric import (
+    PreconditionError,
+    _check_exponent,
+    _check_int,
+    _real_array,
+    _row_blocks,
+    as_matrix,
+    as_vector,
+)
 
 
 def _holder_conjugate(p: float) -> float:
@@ -87,7 +95,7 @@ class SeqSpaceSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "p", _check_exponent(self.p))
-        w = as_weight(np.array(self.weight, dtype=float))
+        w = as_weight(self.weight).copy()
         w.flags.writeable = False
         object.__setattr__(self, "weight", w)
 
@@ -122,7 +130,7 @@ class MixedSpaceSpec:
         integer = isinstance(axis, (int, np.integer)) and type(axis) is not bool
         if not integer or axis not in (0, 1):
             raise PreconditionError("inner_axis must be 0 or 1")
-        W = _check_grid(np.array(self.weights, dtype=float))
+        W = _check_grid(_real_array(self.weights, "weight grid").copy())
         W.flags.writeable = False
         object.__setattr__(self, "weights", W)
 
@@ -177,6 +185,19 @@ def weighted_seq_norm(c, spec: SeqSpaceSpec) -> float:
 
 
 def mixed_norm(C, spec: MixedSpaceSpec) -> float:
+    """The weighted mixed norm of the 2-D array ``C``: the ``l^q`` norm,
+    over the other index, of the ``l^p`` norms of ``|C| * spec.weights``
+    along ``spec.inner_axis`` (down each column for 0, along each row
+    for 1).  Each ``l^p`` norm with ``1 < p < inf`` is scaled by its
+    largest entry first, so finite entries whose norm is beyond the float
+    range give inf; NaN and inf entries raise :class:`PreconditionError`.
+
+    Sums run in the memory order of ``C``: along its fast axis in NumPy's
+    pairwise order, across its slow axis one row after another.  A
+    matrix of more than one row block of ``numeric._row_blocks`` (about
+    ``numeric._BLOCK_ENTRIES`` entries each) is read one block at a time
+    across its slow axis, with the bits of the whole array, and no
+    ``|C|`` of its full size is formed (see :func:`_grid_norm`)."""
     A = np.asarray(C, dtype=complex)
     if A.ndim != 2:
         raise PreconditionError(f"expected a 2-D matrix, got ndim={A.ndim}")
@@ -193,14 +214,75 @@ def _grid_norm(K: np.ndarray, grid: np.ndarray, p: float, axis: int, q: float):
     array of ``T`` norms; this is the one kernel-norm core.  A trial is
     checked with ``as_matrix`` only when its norm is not finite, which
     rejects NaN and inf entries; finite entries whose norm overflows
-    give inf."""
-    a = np.abs(K)
-    a *= grid
-    norms = _pnorm_rows(_pnorm_of_abs(a, p, axis - 2), q)
+    give inf.
+
+    ``|K| * grid`` is formed one block of ``numeric._row_blocks`` at a
+    time, never for the whole stack, and each block keeps the bits of
+    the whole array.  A column-major ``K`` is read as the row-major
+    transposed problem, so blocks are always cut across the slow memory
+    axis, as the whole ``|K|`` would be laid out.  Along a row, each
+    block's sums are the whole array's pairwise ones.  Down the columns,
+    NumPy sums the rows of the whole array one after another; a block
+    carries the sums so far in a first row before its own, and its
+    reduction continues that order (``0 + x`` is exact for the first).
+    For ``1 < p < inf`` a first pass finds the column maxima that scale
+    the power, and a second sums.  Maxima are exact in any order.  A
+    stack of one block, and a single column, whose sum is pairwise, are
+    reduced whole."""
+    if abs(K.strides[-2]) < abs(K.strides[-1]):
+        K, grid, axis = K.swapaxes(-1, -2), grid.T, 1 - axis
+    blocks = _row_blocks(*K.shape[1:]) if K.shape[-1] > 1 else []
+    if len(blocks) < 2:
+        a = np.abs(K)
+        a *= grid
+        inner = _pnorm_of_abs(a, p, axis - 2)
+    elif axis == 1:
+        rows = [_pnorm_of_abs(a, p, -1) for _, a in _weighted_blocks(K, grid, blocks)]
+        inner = np.concatenate(rows, axis=-1)
+    else:
+        inner = _column_pnorms(K, grid, p, blocks)
+    norms = _pnorm_rows(inner, q)
     for t, norm in enumerate(norms):
         if not math.isfinite(norm):
             as_matrix(K[t])
     return norms
+
+
+def _weighted_blocks(K: np.ndarray, grid: np.ndarray, blocks: list):
+    """``(view, a)`` for each row block ``(r0, r1)`` of the stack ``K``:
+    ``a = |K[:, r0:r1]| * grid[r0:r1]``, written after the first row of
+    ``view``, which is free for a carried reduction.  Every view is in
+    one buffer, so a block overwrites the one before it."""
+    buf = np.empty((len(K), 1 + max(r1 - r0 for r0, r1 in blocks), K.shape[-1]))
+    for r0, r1 in blocks:
+        view = buf[:, : 1 + r1 - r0]
+        a = np.abs(K[:, r0:r1], out=view[:, 1:])
+        a *= grid[r0:r1]
+        yield view, a
+
+
+def _column_pnorms(K: np.ndarray, grid: np.ndarray, p: float, blocks: list):
+    """``_pnorm_of_abs(|K| * grid, p, -2)`` from the row blocks
+    ``blocks``, with its bits: each block's reduction takes the result
+    of the blocks before it as its first row."""
+
+    def fold(reduce, s=None):
+        carried = np.zeros((len(K), K.shape[-1]))
+        for view, a in _weighted_blocks(K, grid, blocks):
+            if s is not None:
+                a /= s
+                np.power(a, p, out=a)
+            view[:, 0] = carried
+            carried = reduce(view, axis=-2)
+        return carried
+
+    if p == 1.0:
+        return fold(np.sum)
+    s = fold(np.max)
+    if np.isinf(p):
+        return s
+    s[(s == 0.0) | (s == np.inf)] = 1.0
+    return fold(np.sum, s[:, None]) ** (1.0 / p) * s
 
 
 def coorbit_norm(spec: CoorbitSpec, f) -> float:

@@ -26,7 +26,14 @@ from .frames import (
     _product_table,
     gram,
 )
-from .numeric import PreconditionError, _as_real, _check_exponent, _row_blocks, as_matrix
+from .numeric import (
+    PreconditionError,
+    _as_real,
+    _check_exponent,
+    _real_array,
+    _row_blocks,
+    as_matrix,
+)
 
 
 @dataclass(frozen=True)
@@ -51,8 +58,8 @@ def _positive_finite(v: np.ndarray) -> bool:
 
 
 def as_weight(w, n: int | None = None) -> np.ndarray:
-    """Validate a positive finite weight vector."""
-    v = np.asarray(w, dtype=float)
+    """Validate a positive finite weight vector of integers or floats."""
+    v = _real_array(w, "weights")
     if v.ndim != 1:
         raise PreconditionError("weights must form a 1-D sequence")
     if n is not None and v.shape[0] != n:

@@ -63,6 +63,17 @@ def _as_real(value, label: str) -> float:
         raise PreconditionError(f"{label}{value!r} is beyond the float range") from None
 
 
+def _real_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array, not copied when it is one: integer
+    and floating entries only.  Bool, complex, string and bytes entries
+    are refused rather than coerced, and so is an int beyond 64 bits,
+    which makes an object array; ``name`` starts the error message."""
+    v = np.asarray(values)
+    if v.dtype.kind not in "iuf":
+        raise PreconditionError(f"{name} must be integers or floats, got {v.dtype.name}")
+    return v.astype(float, copy=False)
+
+
 def _check_exponent(p, prefix: str = "") -> float:
     """``p`` as a float (see :func:`_as_real`), rejected unless ``1 <= p
     <= inf``; ``prefix`` goes before ``p`` in the error message."""
@@ -110,9 +121,10 @@ def solve_posdef(M, B) -> np.ndarray:
     return np.linalg.solve(A, rhs)
 
 
-# Complex entries in one row block of a reduction over a matrix product:
-# the largest temporary that ``localisation._gram_sup`` and
-# ``tensor_kernels.correspondence_residual`` form (per trial of a stack).
+# Entries in one row block of a reduction: the largest temporary that
+# ``localisation._gram_sup`` and ``tensor_kernels.correspondence_residual``
+# form of a matrix product (complex), and the kernel-norm walk of
+# ``coorbit._grid_norm`` of ``|K| * grid`` (float), per trial of a stack.
 _BLOCK_ENTRIES = 2**16
 
 

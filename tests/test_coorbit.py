@@ -3,6 +3,7 @@ intervals."""
 
 import gc
 import sys
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -17,6 +18,7 @@ from framelab.coorbit import (
     OpNormInterval,
     SeqSpaceSpec,
     _extremizers,
+    _grid_norm,
     _holder_conjugate,
     _pnorm,
     _pnorm_along,
@@ -50,7 +52,7 @@ from framelab.localisation import (
     poly_weight,
     schur_weighted_bound,
 )
-from framelab.numeric import PreconditionError, as_matrix
+from framelab.numeric import PreconditionError, _row_blocks, as_matrix
 from framelab.tensor_kernels import galerkin
 from framelab.theorems import schur_characterization, verify_outer
 
@@ -208,6 +210,111 @@ class TestOnePassMixedNorm:
             ref = _reference_mixed_norm(kf, spec)
             assert mixed_norm(kf, spec) == pytest.approx(ref, rel=rtol, abs=0)
             assert mixed_norm(k, spec) == ref
+
+
+# shapes of one block and of many, (n, 1) and (1, n) past numeric._BLOCK_ENTRIES
+BLOCKED_SHAPES = [
+    (16, 16), (256, 256), (257, 256), (300, 260), (600, 520), (1024, 1024),
+    (70000, 1), (1, 70000), (40000, 3),
+]
+LAYOUTS = ["C", "F", "strided", "transposed-strided"]
+# one, large and subnormal magnitudes of the entries
+MAGNITUDES = [1.0, 1e150, 1e-310]
+
+
+def _layout_stack(shape, layout, trials, seed):
+    """A ``(trials, n1, n2)`` complex stack in ``layout``, each trial with
+    a zero row and a zero column where it has three of each."""
+    n1, n2 = shape
+    rows, cols = (2 * n1, 3 * n2) if "strided" in layout else (n1, n2)
+    transposed = layout in ("F", "transposed-strided")
+    rng = substream(seed, "test-coorbit", "blocked", str(shape), layout)
+    z = rng.standard_normal((trials, *((cols, rows) if transposed else (rows, cols)), 2))
+    K = z[..., 0] + 1j * z[..., 1]
+    if transposed:
+        K = K.swapaxes(-1, -2)
+    if "strided" in layout:
+        K = K[:, ::2, ::3]
+    if min(shape) >= 3:
+        K[:, 2, :] = K[:, :, 1] = 0.0
+    return K
+
+
+def _layout_reference(k, W, p, axis):
+    """The inner norms of ``_reference_mixed_norm`` in the memory order
+    of ``k``, whose ``l^q`` norm is the reference: a column-major ``k``
+    is taken as its transposed problem, and ``|k| * W`` is row-major, as
+    the kernel norm lays it out."""
+    if abs(k.strides[0]) < abs(k.strides[1]):
+        k, W, axis = k.T, W.T, 1 - axis
+    weighted = np.abs(as_matrix(k))
+    weighted *= W
+    return _reference_pnorm_along(weighted, p, axis=axis)
+
+
+def _blocked_cases():
+    for shape in BLOCKED_SHAPES:
+        for layout in LAYOUTS:
+            # a strided view of a large array would need six times its memory
+            if "strided" in layout and shape[0] * shape[1] > 300 * 260:
+                continue
+            yield pytest.param(shape, layout, id=f"{shape[0]}x{shape[1]}-{layout}")
+
+
+class TestBlockedMixedNorm:
+    """Past one row block of ``numeric._row_blocks`` the kernel norm
+    walks ``|k| * W`` block by block; every norm keeps the bits of the
+    one-pass reference over the whole array, at every ``(p, q, axis)``,
+    magnitude and memory layout, for a matrix and for each trial of a
+    stack of 3.  Off magnitude 1, each ``(p, axis)`` meets one ``q``:
+    the outer ``l^q`` norm is never blocked."""
+
+    @pytest.mark.parametrize("shape, layout", list(_blocked_cases()))
+    def test_bit_identical_to_reference(self, shape, layout):
+        # a stack of three row-major trials where that stays small; a
+        # 1024 x 1024 matrix at one magnitude, for time
+        trials = 3 if layout == "C" and shape[0] * shape[1] <= 300 * 260 else 1
+        K0 = _layout_stack(shape, layout, trials, seed=len(layout))
+        rng = substream(1, "test-coorbit", "blocked-grid", str(shape))
+        W = rng.uniform(0.5, 2.0, shape)
+        pairs = [(p, axis) for p in MIXED_EXPONENTS for axis in (0, 1)]
+        for magnitude in MAGNITUDES if shape != (1024, 1024) else [1.0]:
+            K = K0 * magnitude
+            for i, (p, axis) in enumerate(pairs):
+                inner = [_layout_reference(k, W, p, axis) for k in K]
+                qs = MIXED_EXPONENTS if magnitude == 1.0 else [MIXED_EXPONENTS[i % 5]]
+                for q in qs:
+                    expected = [float(_reference_pnorm_along(v, q, None)) for v in inner]
+                    got = _grid_norm(K, W, p, axis, q).tolist()
+                    assert got == expected, (magnitude, p, q, axis)
+            for p, q, axis in BENCHMARK_MIXED:
+                inner = _layout_reference(K[0], W, p, axis)
+                expected = float(_reference_pnorm_along(inner, q, None))
+                got = mixed_norm(K[0], MixedSpaceSpec(p, q, axis, W))
+                assert got == expected, (magnitude, p, q, axis)
+
+    def test_cases_span_many_blocks(self):
+        blocks = {shape: len(_row_blocks(*shape)) for shape in BLOCKED_SHAPES}
+        assert blocks[(16, 16)] == blocks[(1, 70000)] == 1
+        assert blocks[(257, 256)] == blocks[(300, 260)] == blocks[(40000, 3)] == 2
+        assert blocks[(1024, 1024)] > 10 and blocks[(70000, 1)] == 2
+
+    @pytest.mark.parametrize("p, q, axis", BENCHMARK_MIXED)
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_peak_memory_within_two_row_blocks(self, p, q, axis, order):
+        """The whole ``|k|`` of a 600 x 600 matrix, 2.9 MB, is never
+        formed: the norm holds at most two float row blocks beyond its
+        inputs."""
+        k = np.asarray(_layout_stack((600, 600), "C", 1, seed=0)[0], order=order)
+        spec = MixedSpaceSpec(p, q, axis, np.ones((600, 600)))
+        (r0, r1), *_ = _row_blocks(600, 600)
+        tracemalloc.start()
+        try:
+            mixed_norm(k, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (r1 - r0) * 600 * 8
 
 
 class TestWeightGridValidation:

@@ -681,3 +681,78 @@ class TestRealParametersAreRealNumbers:
         run, _, value, expected = REAL_PARAMETERS[entry]
         with pytest.raises(PreconditionError, match=f"^{re.escape(expected)}$"):
             run(value)
+
+
+# each public weight entry point: (run on a weight sequence, its length,
+# the start of its error message)
+WEIGHT_ENTRIES = {
+    "as_weight": (localisation.as_weight, 2, "weights"),
+    "SeqSpaceSpec": (lambda w: coorbit.SeqSpaceSpec(2.0, w), 2, "weights"),
+    "MixedSpaceSpec": (lambda w: MixedSpaceSpec(2.0, 2.0, 0, [w, w]), 2, "weight grid"),
+    "tensor_weights-w1": (lambda w: coorbit.tensor_weights(w, [1.0, 2.0]), 2, "weights"),
+    "tensor_weights-w2": (lambda w: coorbit.tensor_weights([1.0, 2.0], w), 2, "weights"),
+    "schur_weighted_bound-w": (
+        lambda w: localisation.schur_weighted_bound(np.eye(2), w, 1.0),
+        2,
+        "weights",
+    ),
+    "schur_weighted_bound-w_out": (
+        lambda w: localisation.schur_weighted_bound(np.eye(2), [1.0, 1.0], 1.0, w),
+        2,
+        "weights",
+    ),
+    "verify_outer-w1": (lambda w: verify_outer(OP, GABOR, GABOR, w, ONES), N, "weights"),
+    "verify_outer-w2": (lambda w: verify_outer(OP, GABOR, GABOR, ONES, w), N, "weights"),
+}
+# n weights that are not integers or floats
+NON_REAL_WEIGHTS = {
+    "str": lambda n: [str(i + 1) for i in range(n)],
+    "bytes": lambda n: [b"1"] * n,
+    "bool": lambda n: [True] * n,
+    "complex": lambda n: [1 + 3j] + [1] * (n - 1),
+    "complex-zero-imaginary": lambda n: np.ones(n, dtype=complex),
+    "int-beyond-64-bits": lambda n: [10**400] + [1] * (n - 1),
+    "object": lambda n: np.ones(n, dtype=object),
+}
+# n weights of integer or floating dtypes, and the floats they stand for
+REAL_WEIGHTS = {
+    "int": lambda n: list(range(1, n + 1)),
+    "uint8": lambda n: np.arange(1, n + 1, dtype=np.uint8),
+    "float32": lambda n: np.arange(1, n + 1, dtype=np.float32),
+}
+
+
+def _weight_bits(x):
+    """The bits of what a weight entry point returns."""
+    for field in ("weight", "weights"):  # SeqSpaceSpec, MixedSpaceSpec
+        x = getattr(x, field, x)
+    if isinstance(x, np.ndarray):
+        return x.dtype, x.tobytes()
+    if isinstance(x, float):  # schur_weighted_bound
+        return x.hex()
+    return repr(x.to_json())
+
+
+class TestWeightsAreIntegersOrFloats:
+    """Weights are arrays of integers or floats, as the CLI's weight
+    files are JSON numbers.  ``float`` coerced strings and bools, dropped
+    an imaginary part with only a ``ComplexWarning``, and raised a bare
+    ``TypeError`` on complex weights or ``OverflowError`` on an int
+    beyond the float range."""
+
+    @pytest.mark.parametrize("kind", sorted(NON_REAL_WEIGHTS))
+    @pytest.mark.parametrize("entry", sorted(WEIGHT_ENTRIES))
+    def test_other_dtypes_are_refused(self, entry, kind):
+        run, n, label = WEIGHT_ENTRIES[entry]
+        w = NON_REAL_WEIGHTS[kind](n)
+        dtype = np.asarray(w).dtype.name
+        message = f"^{label} must be integers or floats, got {dtype}$"
+        with pytest.raises(PreconditionError, match=message):
+            run(w)
+
+    @pytest.mark.parametrize("kind", sorted(REAL_WEIGHTS))
+    @pytest.mark.parametrize("entry", sorted(WEIGHT_ENTRIES))
+    def test_integer_and_floating_dtypes_run_as_floats(self, entry, kind):
+        run, n, _ = WEIGHT_ENTRIES[entry]
+        w = REAL_WEIGHTS[kind](n)
+        assert _weight_bits(run(w)) == _weight_bits(run(np.asarray(w, dtype=float)))
